@@ -7,9 +7,9 @@
  *   analytic   the cluster_load knob injects synthetic foreign
  *              getpage traffic at a target server utilization — the
  *              original single-client approximation
- *   emergent   the multi-client kernel (sim/multi_client.h) runs N
- *              real faulting clients against the shared servers, so
- *              the load is the clients' own fault traffic
+ *   emergent   the simulator (sim/kernel.h) runs N real faulting
+ *              clients against the shared servers, so the load is
+ *              the clients' own fault traffic
  *
  * For each client count the emergent run's measured server
  *  utilization is fed back into the analytic knob, and the two mean

@@ -2,10 +2,9 @@
  * @file
  * Cluster-scale sweep: client count vs emergent saturation.
  *
- * Runs the multi-client kernel (sim/multi_client.h) with N faulting
- * clients sharing the default 4 GMS servers, doubling N until
- * --max-clients (default 1024). Contention here is *emergent* — the
- * clients queue on the same server CPU/DMA/wire stage resources — so
+ * Runs the simulator (sim/kernel.h) with N faulting clients sharing
+ * the default 4 GMS servers, doubling N until --max-clients (default
+ * 1024). Contention here is *emergent* — the clients queue on the same server CPU/DMA/wire stage resources — so
  * the interesting outputs are where the servers saturate (the knee:
  * first N whose max server-stage utilization exceeds 90%) and what
  * saturation does to the subpage win: per-fault demand latency for

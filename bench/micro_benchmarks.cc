@@ -12,11 +12,11 @@
 
 #include "cache/cache_sim.h"
 #include "common/random.h"
-#include "core/simulator.h"
 #include "mem/page_table.h"
 #include "mem/replacement.h"
 #include "net/network.h"
 #include "sim/event_queue.h"
+#include "sim/kernel.h"
 #include "trace/apps.h"
 
 using namespace sgms;

@@ -14,8 +14,8 @@
  *            (all five apps x fullpage/eager/pipelining at 1 KiB
  *            subpages, half memory), cold (first materialization
  *            included) and warm (steady state)
- *   mc       the multi-client kernel (sim/multi_client.h): dispatch
- *            rate of one gdb point at 16 interleaved clients
+ *   mc       the simulator kernel (sim/kernel.h): dispatch rate of
+ *            one gdb point at 16 interleaved clients
  *
  * The warm mix refs/sec is the headline number; the JSON summary
  * (default results/BENCH_sim_hotpath.json) records it next to the
@@ -171,7 +171,7 @@ struct McRate
 
 /**
  * Multi-client kernel dispatch rate: one gdb point at @p n clients
- * through the interleaved-timeline kernel (sim/multi_client.h).
+ * through the interleaved-timeline kernel (sim/kernel.h).
  */
 McRate
 run_multi_client(double scale, uint32_t n)

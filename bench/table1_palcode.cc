@@ -12,8 +12,8 @@
 
 #include "bench/bench_common.h"
 
-#include "core/simulator.h"
 #include "proto/palcode.h"
+#include "sim/kernel.h"
 
 using namespace sgms;
 

@@ -16,8 +16,8 @@
 #include "common/table.h"
 #include "common/units.h"
 #include "core/config_override.h"
-#include "core/simulator.h"
 #include "obs/session.h"
+#include "sim/kernel.h"
 #include "trace/mmap_trace.h"
 #include "trace/synthetic.h"
 #include "trace/trace.h"

@@ -32,6 +32,7 @@
 #include "obs/chrome_trace.h"
 #include "obs/session.h"
 #include "obs/tracer.h"
+#include "sim/kernel.h"
 
 using namespace sgms;
 

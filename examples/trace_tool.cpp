@@ -30,8 +30,8 @@
 #include "common/options.h"
 #include "common/table.h"
 #include "common/units.h"
-#include "core/simulator.h"
 #include "obs/session.h"
+#include "sim/kernel.h"
 #include "trace/apps.h"
 #include "trace/binfmt.h"
 #include "trace/trace_file.h"

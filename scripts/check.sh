@@ -11,9 +11,10 @@
 #                             (build-strict/), an ASan+UBSan build +
 #                             ctest (build-asan/), a TSan build +
 #                             ctest (build-tsan/), the
-#                             exec_throughput bench (emits
-#                             results/BENCH_exec.json), and the
-#                             sim_hotpath bench with a perf smoke
+#                             exec_throughput bench (writes
+#                             results/BENCH_exec_current.json next
+#                             to the committed BENCH_exec.json),
+#                             the sim_hotpath bench with a perf smoke
 #                             against the committed
 #                             results/BENCH_sim_hotpath.json
 #                             (>25% warm-mix regression fails;
@@ -120,7 +121,7 @@ if [[ $quick -eq 0 ]]; then
     echo "== bench: exec engine throughput =="
     mkdir -p results
     SGMS_SCALE="${SGMS_SCALE:-0.05}" \
-        ./build/bench/exec_throughput --out=results/BENCH_exec.json
+        ./build/bench/exec_throughput --out=results/BENCH_exec_current.json
 
     echo "== bench: simulator hot path + perf smoke =="
     # Re-measure the hot path and compare the warm-mix refs/sec

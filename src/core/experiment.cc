@@ -6,7 +6,7 @@
 
 #include "common/logging.h"
 #include "common/units.h"
-#include "sim/multi_client.h"
+#include "sim/kernel.h"
 #include "trace/mmap_trace.h"
 #include "trace/trace_store.h"
 
@@ -150,18 +150,12 @@ namespace
 SimResult
 run_with_config(const Experiment &ex, const SimConfig &cfg)
 {
-    if (cfg.clients > 1) {
-        auto traces = ex.client_traces(cfg.clients);
-        std::vector<TraceSource *> ptrs;
-        ptrs.reserve(traces.size());
-        for (auto &t : traces)
-            ptrs.push_back(t.get());
-        MultiClientSimulator sim(cfg);
-        return sim.run(ptrs);
-    }
-    auto trace_src = ex.trace();
-    Simulator sim(cfg);
-    return sim.run(*trace_src);
+    auto traces = ex.client_traces(cfg.clients);
+    std::vector<TraceSource *> ptrs;
+    ptrs.reserve(traces.size());
+    for (auto &t : traces)
+        ptrs.push_back(t.get());
+    return Simulator(cfg).run(ptrs);
 }
 
 } // namespace

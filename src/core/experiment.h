@@ -16,8 +16,8 @@
 
 #include "core/sim_config.h"
 #include "core/sim_result.h"
-#include "core/simulator.h"
 #include "obs/session.h"
+#include "sim/kernel.h"
 #include "trace/apps.h"
 
 namespace sgms
@@ -77,11 +77,11 @@ struct Experiment
 
     /**
      * Concurrent faulting clients sharing the simulated cluster
-     * (base.clients mirrored up for sweeps). 1 runs the classic
-     * single-client simulator; >1 runs the multi-client kernel, each
-     * client replaying the same trace rotated to a different starting
-     * offset (client c starts at event len*c/N) so the working sets
-     * collide without being lock-step identical.
+     * (base.clients mirrored up for sweeps). 1 is the paper's
+     * single-client setup; with N > 1 each client replays the same
+     * trace rotated to a different starting offset (client c starts
+     * at event len*c/N) so the working sets collide without being
+     * lock-step identical.
      */
     uint32_t clients = 1;
 
@@ -105,9 +105,9 @@ struct Experiment
     std::unique_ptr<TraceSource> trace() const;
 
     /**
-     * Per-client trace cursors for the multi-client kernel: client c
-     * gets the experiment trace rotated to offset len*c/N. At n=1
-     * this is the unrotated trace() in a one-element vector.
+     * Per-client trace cursors for the simulator: client c gets the
+     * experiment trace rotated to offset len*c/N. At n=1 this is the
+     * unrotated trace() in a one-element vector.
      */
     std::vector<std::unique_ptr<TraceSource>> client_traces(uint32_t n) const;
 

@@ -102,13 +102,13 @@ struct SimConfig
     bool record_faults = true;
 
     /**
-     * Number of concurrent faulting client nodes sharing the cluster.
-     * 1 (the default, the paper's setup) runs the single-client
-     * simulator; >1 runs the multi-client kernel (sim/multi_client.h)
-     * which interleaves one trace cursor per client in a single
-     * simulated timeline, faulting against shared network stage
-     * resources and GMS servers so contention is emergent. Clients
-     * occupy nodes 0..clients-1 and servers start at node clients.
+     * Number of concurrent faulting client nodes sharing the cluster
+     * when an Experiment runs; 1 (the default) is the paper's setup.
+     * The simulator (sim/kernel.h) interleaves one trace cursor per
+     * client in a single simulated timeline, faulting against shared
+     * network stage resources and GMS servers so contention is
+     * emergent. Clients occupy nodes 0..clients-1 and servers start
+     * at node clients.
      */
     uint32_t clients = 1;
 
@@ -131,7 +131,7 @@ struct SimConfig
     /**
      * Wall-clock budget for one run in milliseconds; 0 = unlimited.
      * Checked at trace-batch boundaries: when exceeded, the run
-     * aborts with SimTimeoutError (core/simulator.h) so the
+     * aborts with SimTimeoutError (sim/kernel.h) so the
      * execution engine can degrade the point instead of hanging a
      * sweep. Affects only whether a result is produced, never its
      * contents, and is excluded from the result-cache fingerprint.

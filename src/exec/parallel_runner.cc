@@ -4,9 +4,9 @@
 #include <future>
 
 #include "common/logging.h"
-#include "core/simulator.h"
 #include "exec/result_codec.h"
 #include "exec/supervisor.h"
+#include "sim/kernel.h"
 
 namespace sgms::exec
 {

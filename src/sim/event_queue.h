@@ -2,10 +2,10 @@
  * @file
  * Discrete-event kernel for the SGMS simulator.
  *
- * The trace-driven program is the "main thread" of the simulation; it
- * advances its own clock reference-by-reference and drains this queue
- * whenever simulated time passes an event, or whenever it blocks
- * waiting for a transfer (see core/simulator.h). Everything
+ * Each trace-driven client program advances its own clock
+ * reference-by-reference; the scheduler (sim/kernel.h) runs this
+ * queue whenever simulated time passes an event, or whenever every
+ * client is blocked waiting for a transfer. Everything
  * asynchronous — DMA stage completions, wire occupancy, message
  * deliveries — is an event.
  *

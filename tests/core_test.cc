@@ -10,7 +10,7 @@
 
 #include "core/experiment.h"
 #include "core/sim_config.h"
-#include "core/simulator.h"
+#include "sim/kernel.h"
 #include "trace/trace.h"
 
 namespace sgms
@@ -325,6 +325,38 @@ TEST(SimCore, FaultRecordsCarryWaits)
     EXPECT_EQ(r.faults[0].sp_wait, r.sp_latency);
     EXPECT_EQ(r.faults[0].page_wait, r.page_wait);
     EXPECT_EQ(r.faults[0].total_wait(), r.sp_latency + r.page_wait);
+}
+
+TEST(SimCore, StaleTransfersDroppedWithoutFaultRecords)
+{
+    // Three frames on a slow wire: page 0 is evicted by the fault on
+    // page 3 and faulted again while its first rest-of-page transfer
+    // is still in flight. That late arrival belongs to the old frame
+    // and must be dropped whether or not per-fault records are kept;
+    // accepting it would end the page_wait on subpage 5 early.
+    auto t = trace_of({0, 8192, 2 * 8192, 3 * 8192, 0, 5 * 1024});
+    SimConfig cfg = base_config("eager", 1024);
+    cfg.mem_pages = 3;
+    cfg.net.wire_per_byte = ticks::from_ns(2000);
+    SimResult kept = Simulator(cfg).run(t);
+    cfg.record_faults = false;
+    SimResult dropped = Simulator(cfg).run(t);
+
+    ASSERT_EQ(kept.page_faults, 5u);
+    ASSERT_GT(kept.page_wait, 0);
+    EXPECT_TRUE(dropped.faults.empty());
+    EXPECT_EQ(dropped.page_faults, kept.page_faults);
+    EXPECT_EQ(dropped.runtime, kept.runtime);
+    EXPECT_EQ(dropped.sp_latency, kept.sp_latency);
+    EXPECT_EQ(dropped.page_wait, kept.page_wait);
+    EXPECT_EQ(dropped.net_stats.messages, kept.net_stats.messages);
+    EXPECT_EQ(dropped.net_stats.bytes, kept.net_stats.bytes);
+    for (size_t k = 0; k < kMsgKindCount; ++k) {
+        EXPECT_EQ(dropped.net_stats.messages_by_kind[k],
+                  kept.net_stats.messages_by_kind[k]);
+        EXPECT_EQ(dropped.net_stats.bytes_by_kind[k],
+                  kept.net_stats.bytes_by_kind[k]);
+    }
 }
 
 TEST(SimCore, DistanceHistogramRecordsNeighbor)

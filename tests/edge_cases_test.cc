@@ -12,9 +12,9 @@
 
 #include "common/options.h"
 #include "common/units.h"
-#include "core/simulator.h"
 #include "mem/page.h"
 #include "mem/tlb.h"
+#include "sim/kernel.h"
 #include "trace/synthetic.h"
 #include "trace/trace_file.h"
 

@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/simulator.h"
 #include "gms/cluster_load.h"
 #include "policy/fetch_policy.h"
+#include "sim/kernel.h"
 #include "trace/trace.h"
 
 namespace sgms

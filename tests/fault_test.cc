@@ -15,10 +15,10 @@
 
 #include "core/sim_config.h"
 #include "core/sim_result.h"
-#include "core/simulator.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "obs/tracer.h"
+#include "sim/kernel.h"
 #include "trace/synthetic.h"
 
 namespace sgms

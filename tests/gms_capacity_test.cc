@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/simulator.h"
 #include "gms/gms.h"
+#include "sim/kernel.h"
 #include "trace/trace.h"
 
 namespace sgms

@@ -23,11 +23,11 @@
 #include "common/alloc_probe.h"
 #include "common/inline_function.h"
 #include "core/experiment.h"
-#include "core/simulator.h"
 #include "exec/parallel_runner.h"
 #include "exec/result_codec.h"
 #include "mem/replacement.h"
 #include "sim/event_queue.h"
+#include "sim/kernel.h"
 #include "trace/apps.h"
 #include "trace/trace.h"
 #include "trace/trace_store.h"

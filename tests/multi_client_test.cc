@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the multi-client event kernel (sim/multi_client.h) and
- * its trace plumbing: rotated/seekable cursors, N=1 byte-identity
- * with the single-client simulator, same-seed determinism at larger
+ * Tests for the simulator's event kernel (sim/kernel.h) and its
+ * multi-client trace plumbing: rotated/seekable cursors, N=1 result
+ * bytes pinned by digest, same-seed determinism at larger
  * client counts (including through the exec engine at any --jobs /
  * --workers), emergent contention, fault-injection interaction, and
  * zero steady-state allocations at N=256.
@@ -14,19 +14,20 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/alloc_probe.h"
 #include "core/experiment.h"
-#include "core/simulator.h"
 #include "core/sweep.h"
 #include "exec/parallel_runner.h"
 #include "exec/result_cache.h"
 #include "exec/result_codec.h"
 #include "fault/fault_plan.h"
 #include "sim/event_queue.h"
-#include "sim/multi_client.h"
+#include "sim/kernel.h"
 #include "trace/apps.h"
+#include "trace/binfmt.h"
 #include "trace/synthetic.h"
 #include "trace/trace.h"
 
@@ -144,7 +145,7 @@ TEST(EventKernel, TenThousandInFlightStaysAllocationFree)
 }
 
 // ---------------------------------------------------------------
-// N=1 byte-identity with the single-client simulator
+// N=1 result bytes, pinned
 // ---------------------------------------------------------------
 
 /** Fault-heavy workload with evictions (obs/fault smoke shape). */
@@ -175,14 +176,6 @@ mc_workload()
 }
 
 SimResult
-run_single(const SimConfig &cfg, uint64_t seed = 42)
-{
-    SyntheticTrace trace(mc_workload(), seed);
-    Simulator sim(cfg);
-    return sim.run(trace);
-}
-
-SimResult
 run_multi(SimConfig cfg, uint32_t n, uint64_t seed = 42)
 {
     cfg.clients = n;
@@ -193,7 +186,7 @@ run_multi(SimConfig cfg, uint32_t n, uint64_t seed = 42)
     std::vector<TraceSource *> ptrs;
     for (auto &t : traces)
         ptrs.push_back(&t);
-    MultiClientSimulator sim(cfg);
+    Simulator sim(cfg);
     return sim.run(ptrs);
 }
 
@@ -208,18 +201,33 @@ mc_config(const std::string &policy, uint32_t subpage = 1024)
     return cfg;
 }
 
+/**
+ * FNV-1a 64 of the lossless result blob, which covers every field
+ * including per-fault records and the metric snapshot. The pinned
+ * values are the results these cases have produced under result
+ * schema 1; a change to any of them changes simulated results and
+ * must bump exec::kResultBlobSchema.
+ */
+uint64_t
+blob_digest(const SimResult &r)
+{
+    std::string b = result_blob(r);
+    return fnv1a_bytes(b.data(), b.size());
+}
+
 TEST(MultiClientIdentity, ByteIdenticalAtNOneAcrossPolicies)
 {
-    for (const char *policy :
-         {"fullpage", "eager", "pipelining", "pipelining-all", "lazy",
-          "disk"}) {
+    const std::pair<const char *, uint64_t> pinned[] = {
+        {"fullpage", 0xa0ac8d6e304f7712ull},
+        {"eager", 0xa9b08fa915bd6b3dull},
+        {"pipelining", 0xdc1877533e91bacaull},
+        {"pipelining-all", 0x46ca94f799e92a61ull},
+        {"lazy", 0x2c69ef94b633be0dull},
+        {"disk", 0x6706fb0bbfad6321ull},
+    };
+    for (const auto &[policy, digest] : pinned) {
         SCOPED_TRACE(policy);
-        SimConfig cfg = mc_config(policy);
-        SimResult s = run_single(cfg);
-        SimResult m = run_multi(cfg, 1);
-        // Bytes, not fields: the lossless blob covers every field
-        // including per-fault records and the metric snapshot.
-        EXPECT_EQ(result_blob(m), result_blob(s));
+        EXPECT_EQ(blob_digest(run_multi(mc_config(policy), 1)), digest);
     }
 }
 
@@ -229,21 +237,18 @@ TEST(MultiClientIdentity, ByteIdenticalWithTlbAndSoftwarePal)
     cfg.tlb_enabled = true;
     cfg.tlb_entries = 16;
     cfg.tlb_assoc = 4;
-    EXPECT_EQ(result_blob(run_multi(cfg, 1)),
-              result_blob(run_single(cfg)));
+    EXPECT_EQ(blob_digest(run_multi(cfg, 1)), 0xf12848881744a5c0ull);
 
     SimConfig pal = mc_config("pipelining");
     pal.protection = ProtectionMode::SoftwarePal;
-    EXPECT_EQ(result_blob(run_multi(pal, 1)),
-              result_blob(run_single(pal)));
+    EXPECT_EQ(blob_digest(run_multi(pal, 1)), 0x65ee8f0c06f0836aull);
 }
 
 TEST(MultiClientIdentity, ByteIdenticalWithClusterLoadKnob)
 {
     SimConfig cfg = mc_config("eager");
     cfg.cluster_load.server_utilization = 0.5;
-    EXPECT_EQ(result_blob(run_multi(cfg, 1)),
-              result_blob(run_single(cfg)));
+    EXPECT_EQ(blob_digest(run_multi(cfg, 1)), 0x87b781b9c9202abcull);
 }
 
 TEST(MultiClientIdentity, ByteIdenticalUnderFaultInjection)
@@ -254,36 +259,35 @@ TEST(MultiClientIdentity, ByteIdenticalUnderFaultInjection)
     plan.duplicate_prob = 0.02;
     plan.outages.push_back(
         {1, ticks::from_ms(5), ticks::from_ms(60)});
-    for (const char *policy : {"eager", "pipelining", "fullpage"}) {
+    const std::pair<const char *, uint64_t> pinned[] = {
+        {"eager", 0xb79195f95dc4579dull},
+        {"pipelining", 0xc9e23302dbb349e2ull},
+        {"fullpage", 0x41c53718e3062678ull},
+    };
+    for (const auto &[policy, digest] : pinned) {
         SCOPED_TRACE(policy);
         SimConfig cfg = mc_config(policy);
         cfg.faults = plan;
-        EXPECT_EQ(result_blob(run_multi(cfg, 1)),
-                  result_blob(run_single(cfg)));
+        EXPECT_EQ(blob_digest(run_multi(cfg, 1)), digest);
     }
 }
 
 TEST(MultiClientIdentity, ExperimentRouteIsByteIdenticalAtNOne)
 {
-    // Experiment::run() must produce the same bytes whether clients
-    // is left at 1 (single-client simulator) or the multi-client
-    // kernel runs one client (goldens stay green either way).
+    // Experiment::run() at the default single client, and the kernel
+    // driven directly with the experiment's one trace cursor.
     Experiment ex;
     ex.app = "gdb";
     ex.scale = 0.3;
     ex.policy = "eager";
     ex.subpage_size = 1024;
     ex.mem = MemConfig::Half;
-    SimResult s = ex.run();
+    EXPECT_EQ(blob_digest(ex.run()), 0x1f882bb201f9a9a4ull);
 
-    SimConfig cfg = ex.config();
-    cfg.clients = 1;
-    auto traces = ex.client_traces(1);
-    std::vector<TraceSource *> ptrs{traces[0].get()};
-    MultiClientSimulator sim(cfg);
-    SimResult m = sim.run(ptrs);
-    m.app = ex.app;
-    EXPECT_EQ(result_blob(m), result_blob(s));
+    auto trace = ex.trace();
+    SimResult direct = Simulator(ex.config()).run(*trace);
+    direct.app = ex.app;
+    EXPECT_EQ(blob_digest(direct), 0x1f882bb201f9a9a4ull);
 }
 
 // ---------------------------------------------------------------
@@ -513,7 +517,7 @@ TEST(MultiClientAlloc, SteadyStateIsAllocationFreeAt256Clients)
     cfg.clients = N;
     cfg.footprint_pages_hint = PAGES;
 
-    MultiClientSimulator sim(cfg);
+    Simulator sim(cfg);
     sim.begin(ptrs);
     // Warm: drive until every client is past its faulting prefix and
     // the event queue has fully drained.

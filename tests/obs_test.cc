@@ -14,11 +14,11 @@
 
 #include "common/logging.h"
 #include "core/json_report.h"
-#include "core/simulator.h"
 #include "obs/chrome_trace.h"
 #include "obs/debug.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
+#include "sim/kernel.h"
 #include "trace/synthetic.h"
 
 namespace sgms
