@@ -192,10 +192,14 @@ TEST_F(NetworkFixture, FullPageFetchMatchesPaper)
     EXPECT_EQ(rest, TICK_NONE);
 }
 
-/** Paper Table 2 rows: size -> (subpage latency, rest-of-page). */
+/**
+ * Paper Table 2 rows: size -> (subpage latency, rest-of-page).
+ * `size` is 64-bit so the struct has no padding: each case is named
+ * after the raw bytes of its row, and padding bytes are indeterminate.
+ */
 struct Table2Row
 {
-    uint32_t size;
+    uint64_t size;
     double subpage_ms;
     double rest_ms;
 };
