@@ -49,10 +49,10 @@ seconds_since(std::chrono::steady_clock::time_point start)
 std::string
 blobs_of(const std::vector<SimResult> &results)
 {
-    std::ostringstream os;
+    std::string out;
     for (const auto &r : results)
-        exec::write_result_blob(os, r);
-    return os.str();
+        out += exec::result_blob(r);
+    return out;
 }
 
 std::string

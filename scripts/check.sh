@@ -26,7 +26,12 @@
 #                             knob), and the
 #                             trace_io bench (binary trace pipeline;
 #                             fails when mmap startup-to-first-ref
-#                             is not at least 5x faster than heap)
+#                             is not at least 5x faster than heap),
+#                             and the benchmark (perf/: builds
+#                             sgms_perf + perf_test into
+#                             .bench_build/perf, runs perf_test, and
+#                             fails unless a traced fault_storm run
+#                             reports "correct": true)
 #   scripts/check.sh --quick  tier 1 only
 #
 # Exits non-zero on the first failure.
@@ -194,6 +199,24 @@ assert speedup >= 5.0, (
     f"mapped-tier startup speedup {speedup:.1f}x is below the 5x floor")
 print("   trace_io smoke passed")
 EOF
+
+    echo "== benchmark: perf/ builds, its tests pass, a traced run is correct =="
+    # perf/ is its own CMake project over src/ (BENCHMARK.json runs it
+    # through perf/run.py); nothing above compiles it, so a src/ API
+    # change could otherwise break the benchmark unnoticed.
+    cmake -S perf -B .bench_build/perf \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+    cmake --build .bench_build/perf --target sgms_perf perf_test \
+        -j "$(nproc)"
+    (cd .bench_build/perf && ctest --output-on-failure)
+    python3 perf/run.py --workload fault_storm --seed 1 --seconds 2 \
+        --trace 1 | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+assert result["correct"] is True, f"traced fault_storm not correct: {result}"
+points = result["attempted"]
+print(f"   traced fault_storm: {points} points, all correct")
+'
 fi
 
 echo "== all checks passed =="

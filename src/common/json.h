@@ -3,11 +3,12 @@
  * Minimal JSON value model and recursive-descent parser.
  *
  * The repo writes JSON with hand-rolled emitters (core/json_report.h,
- * obs/chrome_trace.h); this is the matching reader, used by the
- * result cache (exec/result_cache.h) to load persisted blobs back.
- * Parsing never throws and never calls fatal(): a malformed document
- * simply fails to parse, because a corrupted cache file must degrade
- * to a cache miss, not kill the run.
+ * obs/chrome_trace.h); this is a general reader for them. The result
+ * cache no longer uses it: exec/result_codec.h reads its own blobs
+ * with a fixed-layout reader. The remaining users are the
+ * benchmark's tests (perf/perf_test.cc, which parse BENCHMARK.json)
+ * and tests/json_test.cc. Parsing never throws and never calls
+ * fatal(): a malformed document simply fails to parse.
  *
  * Numbers keep their raw token text so 64-bit integers (tick counts
  * in picoseconds) round-trip exactly instead of through a double.

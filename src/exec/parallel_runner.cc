@@ -4,7 +4,6 @@
 #include <future>
 
 #include "common/logging.h"
-#include "exec/result_codec.h"
 #include "exec/supervisor.h"
 #include "sim/kernel.h"
 
@@ -223,17 +222,11 @@ Engine::run_all_processes(const std::vector<Experiment> &points,
             size_t i = todo[k];
             Supervisor::Outcome &o = outcomes[k];
             if (o.kind == Supervisor::Outcome::Kind::Ok) {
-                SimResult r;
-                if (read_result_blob(o.blob, r)) {
-                    if (cache_ && !has_observers(points[i]))
-                        cache_->store(keys[i], r);
-                    out[i] = std::move(r);
-                    points_run_.fetch_add(
-                        1, std::memory_order_relaxed);
-                    continue;
-                }
-                warn("exec: undecodable worker blob for point %zu",
-                     i);
+                if (cache_ && !has_observers(points[i]))
+                    cache_->store(keys[i], o.result);
+                out[i] = std::move(o.result);
+                points_run_.fetch_add(1, std::memory_order_relaxed);
+                continue;
             }
             out[i] = degraded_result(points[i]);
             points_degraded_.fetch_add(1,

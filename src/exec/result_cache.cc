@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include <fcntl.h>
@@ -305,15 +304,19 @@ ResultCache::blob_path(const CacheKey &key) const
 std::optional<SimResult>
 ResultCache::load(const CacheKey &key)
 {
-    std::ifstream in(blob_path(key), std::ios::binary);
-    if (!in) {
+    std::ifstream in(blob_path(key), std::ios::binary | std::ios::ate);
+    std::streamoff size = in ? static_cast<std::streamoff>(in.tellg()) : -1;
+    if (size < 0) {
         misses_.fetch_add(1, std::memory_order_relaxed);
         return std::nullopt;
     }
-    std::ostringstream text;
-    text << in.rdbuf();
+    // One read into a string sized from the file: a blob is
+    // immutable once renamed into place, and gc only unlinks it.
+    std::string text(static_cast<size_t>(size), '\0');
+    in.seekg(0);
+    in.read(text.data(), size);
     SimResult r;
-    if (!read_result_blob(text.str(), r)) {
+    if (!in || !read_result_blob(text, r)) {
         decode_failures_.fetch_add(1, std::memory_order_relaxed);
         misses_.fetch_add(1, std::memory_order_relaxed);
         return std::nullopt;
@@ -368,7 +371,8 @@ ResultCache::store(const CacheKey &key, const SimResult &r)
             warn("result cache: cannot write %s", tmp.c_str());
             return;
         }
-        write_result_blob(out, r);
+        std::string blob = result_blob(r);
+        out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
         out.flush();
         if (!out) {
             warn("result cache: short write to %s", tmp.c_str());

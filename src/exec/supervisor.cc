@@ -12,6 +12,7 @@
 #include "common/logging.h"
 #include "exec/ipc.h"
 #include "exec/result_cache.h"
+#include "exec/result_codec.h"
 #include "exec/worker.h"
 
 namespace sgms::exec
@@ -273,11 +274,20 @@ Supervisor::run(
             if (st == IpcRead::Ok &&
                 frame.type == FrameType::Result &&
                 frame.index == w.index) {
+                size_t index = w.index;
+                w.busy = false;
+                // Hand the worker its next point first, so it
+                // simulates while this blob decodes.
+                if (!pending.empty())
+                    dispatch_to(w);
                 Outcome o;
                 o.kind = Outcome::Kind::Ok;
-                o.blob = std::move(frame.payload);
-                finish(w.index, std::move(o));
-                w.busy = false;
+                if (!read_result_blob(frame.payload, o.result)) {
+                    warn("exec: undecodable worker blob for point %zu",
+                         index);
+                    o.kind = Outcome::Kind::Undecodable;
+                }
+                finish(index, std::move(o));
             } else if (st == IpcRead::Ok &&
                        frame.type == FrameType::Error) {
                 // Deterministic refusal (fingerprint mismatch): a

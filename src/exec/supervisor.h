@@ -5,9 +5,10 @@
  * The Supervisor owns N forked copies of the current process, each
  * running exec::worker_loop over a pair of pipes. The parent ships
  * Task frames (point index + fingerprint) and collects Result frames
- * (lossless SimResult blobs); because every worker was forked after
- * the sweep was expanded, both sides hold the identical point vector
- * and only indices plus fingerprints cross the pipe.
+ * (lossless SimResult blobs, decoded on arrival); because every
+ * worker was forked after the sweep was expanded, both sides hold the
+ * identical point vector and only indices plus fingerprints cross the
+ * pipe.
  *
  * Process isolation is what buys failure handling:
  *
@@ -69,17 +70,23 @@ class Supervisor
         unsigned max_attempts = 2;
     };
 
-    /** Final state of one dispatched point. */
+    /**
+     * Final state of one dispatched point. A Result frame is decoded
+     * as soon as the poll loop reads it, while the rest of the fleet
+     * is still simulating, and its blob is freed right away: the
+     * supervisor holds at most one blob at a time.
+     */
     struct Outcome
     {
         enum class Kind
         {
-            Ok,       ///< blob holds the worker's result
-            TimedOut, ///< killed by the watchdog
-            Crashed,  ///< worker died on every attempt
+            Ok,          ///< result holds the worker's decoded result
+            TimedOut,    ///< killed by the watchdog
+            Crashed,     ///< worker died on every attempt
+            Undecodable, ///< the worker's blob did not decode (warned)
         };
         Kind kind = Kind::Crashed;
-        std::string blob;
+        SimResult result; ///< set when kind == Ok
     };
 
     /**

@@ -9,15 +9,20 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfloat>
 #include <chrono>
+#include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "core/json_report.h"
 #include "core/sweep.h"
 #include "exec/parallel_runner.h"
@@ -49,10 +54,10 @@ scratch_dir(const std::string &name)
 std::string
 blobs_of(const std::vector<SimResult> &results)
 {
-    std::ostringstream os;
+    std::string out;
     for (const auto &r : results)
-        exec::write_result_blob(os, r);
-    return os.str();
+        out += exec::result_blob(r);
+    return out;
 }
 
 std::string
@@ -173,12 +178,16 @@ TEST(ThreadPoolDeathTest, SubmitAfterShutdownPanics)
 
 // --------------------------------------------------------------- codec
 
-/** A SimResult with every field (and nested array) populated. */
+/**
+ * A SimResult with every field (and nested array) populated, and the
+ * extremes of each encoding: every kind of string escape, a raw
+ * control byte, non-ASCII bytes, INT64_MIN and UINT64_MAX.
+ */
 SimResult
 rich_result()
 {
     SimResult r;
-    r.app = "app \"quoted\"\n";
+    r.app = "app \"quoted\"\n\t\\ \x01\r caf\xc3\xa9";
     r.policy = "pipelining";
     r.page_size = 8192;
     r.subpage_size = 512;
@@ -197,7 +206,7 @@ rich_result()
     r.emulation_overhead = 11;
     r.tlb_overhead = 12;
     r.io_overlap = 13;
-    r.comp_overlap = 14;
+    r.comp_overlap = std::numeric_limits<Tick>::min();
     r.faults.push_back({42, 9, 1000, 2000, 3000, true});
     r.faults.push_back({43, 10, 1001, 2001, 0, false});
     r.clustering.name = "clustering";
@@ -214,7 +223,7 @@ rich_result()
     r.net_stats.dropped = 1;
     r.net_stats.corrupted = 2;
     r.net_stats.duplicated = 3;
-    r.tlb_stats.hits = 5000;
+    r.tlb_stats.hits = std::numeric_limits<uint64_t>::max();
     r.tlb_stats.misses = 60;
     r.global_discards = 4;
     r.retries = 3;
@@ -288,6 +297,214 @@ TEST(ResultCodec, RejectsDamagedBlobs)
     // Valid JSON, not a result blob.
     EXPECT_FALSE(exec::read_result_blob("{\"schema\":1}", out));
     EXPECT_FALSE(exec::read_result_blob("[1,2,3]", out));
+    // Valid JSON, same values, not the writer's bytes.
+    EXPECT_FALSE(exec::read_result_blob(" " + good, out));
+    EXPECT_FALSE(exec::read_result_blob(good + "\n", out));
+    std::string padded = good;
+    padded.replace(pos, 10, "\"schema\":01");
+    EXPECT_FALSE(exec::read_result_blob(padded, out));
+}
+
+/** result_blob(rich_result()): the bytes every cached blob rests on. */
+const char *const kRichBlob =
+    "{\"schema\":1,\"app\":\"app \\\"quoted\\\"\\n\\t\\\\ \\u0001\\u000"
+    "d caf\303\251\",\"policy\":\"pipelining\",\"page_size\":8192,"
+    "\"subpage_size\":512,\"mem_pages\":321,\"refs\":123456789,"
+    "\"page_faults\":1021,\"lazy_subpage_faults\":77,"
+    "\"evictions\":5,\"putpages\":6,\"emulated_accesses\":7,"
+    "\"runtime\":9007199254740993,\"exec_time\":123,"
+    "\"sp_latency\":456,\"page_wait\":789,\"recv_overhead\":10,"
+    "\"emulation_overhead\":11,\"tlb_overhead\":12,"
+    "\"io_overlap\":13,\"comp_overlap\":-9223372036854775808,"
+    "\"faults\":[{\"page\":42,\"ref_index\":9,\"at\":1000,"
+    "\"sp_wait\":2000,\"page_wait\":3000,\"from_disk\":true},"
+    "{\"page\":43,\"ref_index\":10,\"at\":1001,\"sp_wait\":2001,"
+    "\"page_wait\":0,\"from_disk\":false}],\"clustering\":{\"name\":\"c"
+    "lustering\",\"points\":[[0.10000000000000001,"
+    "1],[2000000,3.25]]},\"distance_bins\":[[-3,2],"
+    "[1,9]],\"net\":{\"messages\":100,\"bytes\":200,"
+    "\"messages_by_kind\":[10,11,12,13],\"bytes_by_kind\":[20,"
+    "21,22,23],\"dropped\":1,\"corrupted\":2,\"duplicated\":3},"
+    "\"tlb\":{\"hits\":18446744073709551615,\"misses\":60},"
+    "\"global_discards\":4,\"retries\":3,\"timeouts\":2,"
+    "\"degraded_fetches\":1,\"duplicate_deliveries\":8,"
+    "\"server_failures\":1,\"metrics\":[{\"name\":\"a.counter\","
+    "\"kind\":0,\"value\":4,\"count\":0,\"mean\":0,"
+    "\"min\":0,\"max\":0},{\"name\":\"b.gauge\",\"kind\":1,"
+    "\"value\":0.125,\"count\":0,\"mean\":0,\"min\":0,"
+    "\"max\":0},{\"name\":\"c.dist\",\"kind\":2,\"value\":6600000,"
+    "\"count\":3,\"mean\":2200000,\"min\":1000000,"
+    "\"max\":3000000}],\"requester_wire_busy\":15,"
+    "\"requester_dma_busy\":16,\"requester_cpu_busy\":17}";
+
+TEST(ResultCodec, WriterBytesArePinned)
+{
+    // A formatting drift shows here as a byte diff; the simulator
+    // digests would report it only as a changed hash.
+    EXPECT_EQ(exec::result_blob(rich_result()), kRichBlob);
+}
+
+/**
+ * Seeded finite doubles for every branch of %.17g: random bit
+ * patterns, integers up to 2^63 (and around the 1e15 edge of the
+ * writer's integer path), subnormals, short decimals, and the named
+ * extremes.
+ */
+std::vector<double>
+tricky_doubles()
+{
+    std::vector<double> v = {
+        0.0, -0.0, 0.1, -0.1, 0.5, 1e15, -1e15, 1e15 - 1, 1e16, 1e17,
+        1e-4, 1e-5, 9007199254740992.0, 9223372036854775808.0, DBL_MAX,
+        -DBL_MAX, DBL_MIN, -DBL_MIN,
+        std::numeric_limits<double>::denorm_min()};
+    Rng rng(17);
+    auto from_bits = [](uint64_t bits) {
+        double d;
+        std::memcpy(&d, &bits, sizeof(d));
+        return d;
+    };
+    auto sign = [&rng](double d) { return rng.chance(0.5) ? -d : d; };
+    while (v.size() < 120000) {
+        double d = 0;
+        switch (v.size() % 5) {
+          case 0:
+            d = from_bits(rng.next());
+            break;
+          case 1:
+            d = sign(static_cast<double>(rng.next() >> (1 + rng.below(63))));
+            break;
+          case 2:
+            d = sign(1e15 + static_cast<double>(rng.below(2001)) - 1000);
+            break;
+          case 3:
+            d = from_bits(rng.next() & ((1ULL << 52) - 1));
+            d = sign(d);
+            break;
+          default:
+            d = sign(static_cast<double>(rng.below(100000)) *
+                     std::pow(10.0, static_cast<int>(rng.below(40)) - 20));
+        }
+        if (std::isfinite(d))
+            v.push_back(d);
+    }
+    return v;
+}
+
+TEST(ResultCodec, DoublesPrintAsPrintf17gAndReadBackExactly)
+{
+    std::vector<double> values = tricky_doubles();
+    SimResult r;
+    for (size_t i = 0; i + 1 < values.size(); i += 2)
+        r.clustering.add(values[i], values[i + 1]);
+    std::string blob = exec::result_blob(r);
+
+    auto printf17 = [](double d) {
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%.17g", d);
+        return std::string(buf);
+    };
+    const std::string head = "\"points\":[";
+    size_t at = blob.find(head);
+    ASSERT_NE(at, std::string::npos);
+    at += head.size();
+    for (size_t i = 0; i < r.clustering.points.size(); ++i) {
+        const auto &[x, y] = r.clustering.points[i];
+        std::string want = (i ? ",[" : "[") + printf17(x) + "," +
+                           printf17(y) + "]";
+        ASSERT_EQ(blob.compare(at, want.size(), want), 0)
+            << "point " << i << ": want " << want << ", blob has "
+            << blob.substr(at, want.size());
+        at += want.size();
+    }
+    EXPECT_EQ(blob.compare(at, 2, "]}"), 0);
+
+    // Bit-exact decode, -0.0 and subnormals included.
+    SimResult back;
+    ASSERT_TRUE(exec::read_result_blob(blob, back));
+    const auto &got = back.clustering.points;
+    ASSERT_EQ(got.size(), r.clustering.points.size());
+    EXPECT_EQ(std::memcmp(got.data(), r.clustering.points.data(),
+                          got.size() * sizeof(got[0])),
+              0);
+}
+
+TEST(ResultCodec, HostileBytesDecodeOnlyToCanonicalBlobs)
+{
+    // A real blob: 206 faults and the full metric snapshot, ~28 KB.
+    // Every prefix costs a parse, so the test grows with its square.
+    Experiment ex;
+    ex.app = "ld";
+    ex.scale = 0.02;
+    ex.policy = "eager";
+    ex.subpage_size = 1024;
+    ex.mem = MemConfig::Half;
+    SimResult real = ex.run();
+    ASSERT_GE(real.faults.size(), 200u);
+    const std::string good = exec::result_blob(real);
+
+    // Every mutant either fails to decode, or decodes to a result
+    // that prints back to exactly the mutant's bytes.
+    SimResult out;
+    size_t accepted = 0;
+    auto probe = [&](const std::string &m, const char *how) {
+        if (exec::read_result_blob(m, out)) {
+            ++accepted;
+            EXPECT_EQ(exec::result_blob(out), m) << how;
+        }
+    };
+
+    // Every strict prefix, cut in place from the longest down.
+    std::string cut = good;
+    while (!cut.empty()) {
+        cut.pop_back();
+        ASSERT_FALSE(exec::read_result_blob(cut, out)) << cut.size();
+    }
+
+    Rng rng(2024);
+    auto below = [&rng](size_t n) {
+        return static_cast<size_t>(rng.below(n));
+    };
+    const std::string alphabet =
+        std::string("0123456789-+.e,:\"\\{}[]tu \x7f\xff") + '\0' + '\x01';
+    for (int i = 0; i < 2000; ++i) {
+        std::string m = good;
+        m[below(m.size())] ^= static_cast<char>(1 << below(8));
+        probe(m, "flip");
+    }
+    for (int i = 0; i < 1000; ++i) {
+        std::string m = good;
+        m.insert(below(m.size() + 1), 1, alphabet[below(alphabet.size())]);
+        probe(m, "insert");
+    }
+    for (int i = 0; i < 1000; ++i) {
+        std::string m = good;
+        m.erase(below(m.size()), 1 + below(8));
+        probe(m, "delete");
+    }
+    for (int i = 0; i < 500; ++i) {
+        std::string m = good;
+        size_t from = below(m.size());
+        std::string span = m.substr(from, 1 + below(200));
+        m.insert(below(m.size() + 1), span);
+        probe(m, "duplicate");
+    }
+    for (int i = 0; i < 500; ++i) {
+        // Lengthen a number to 20+ digits: past UINT64_MAX, INT64_MAX
+        // and the 17 significant digits of a double.
+        std::string m = good;
+        size_t at = m.find_first_of("0123456789", below(m.size()));
+        if (at == std::string::npos)
+            continue;
+        std::string run(1, static_cast<char>('1' + below(9)));
+        for (size_t k = 19 + below(8); k > 0; --k)
+            run += static_cast<char>('0' + below(10));
+        m.insert(at, run);
+        probe(m, "digits");
+    }
+    // Flips inside digits leave canonical blobs behind, so the
+    // accepting path is exercised too.
+    EXPECT_GT(accepted, 0u);
 }
 
 // --------------------------------------------------------------- cache

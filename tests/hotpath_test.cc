@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <list>
-#include <sstream>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -460,10 +459,7 @@ TEST(TraceStore, ExperimentViaStoreMatchesStreamedSimulation)
     SimResult via_stream = sim.run(*streamed);
     via_stream.app = ex.app;
 
-    std::ostringstream a, b;
-    exec::write_result_blob(a, via_store);
-    exec::write_result_blob(b, via_stream);
-    EXPECT_EQ(a.str(), b.str());
+    EXPECT_EQ(exec::result_blob(via_store), exec::result_blob(via_stream));
 }
 
 TEST(VectorTraceHint, MaterializingCtorHonorsSizeHint)
@@ -507,10 +503,7 @@ TEST(WallBudget, GenerousBudgetKeepsResultsIdentical)
     SimResult plain = ex.run();
     ex.base.wall_budget_ms = 3'600'000;
     SimResult budgeted = ex.run();
-    std::ostringstream a, b;
-    exec::write_result_blob(a, plain);
-    exec::write_result_blob(b, budgeted);
-    EXPECT_EQ(a.str(), b.str());
+    EXPECT_EQ(exec::result_blob(plain), exec::result_blob(budgeted));
 }
 
 TEST(WallBudget, EngineDegradesTimedOutPointsDeterministically)
@@ -544,10 +537,7 @@ TEST(WallBudget, EngineDegradesTimedOutPointsDeterministically)
     EXPECT_TRUE(marked);
 
     // Pure function of the experiment: reruns are byte-identical.
-    std::ostringstream a, b;
-    exec::write_result_blob(a, r1);
-    exec::write_result_blob(b, r2);
-    EXPECT_EQ(a.str(), b.str());
+    EXPECT_EQ(exec::result_blob(r1), exec::result_blob(r2));
 }
 
 TEST(WallBudget, ThreadPoolModeCountsTimeouts)

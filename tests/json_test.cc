@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the minimal JSON parser (common/json.h) the result
- * cache decodes its blobs with.
+ * Tests for the minimal JSON parser (common/json.h).
  */
 
 #include <gtest/gtest.h>

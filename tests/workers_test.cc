@@ -81,10 +81,10 @@ struct Pipe
 std::string
 blobs_of(const std::vector<SimResult> &results)
 {
-    std::ostringstream os;
+    std::string out;
     for (const auto &r : results)
-        exec::write_result_blob(os, r);
-    return os.str();
+        out += exec::result_blob(r);
+    return out;
 }
 
 std::string
