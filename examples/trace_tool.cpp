@@ -1,32 +1,44 @@
 /**
  * @file
- * Trace utility: generate, convert, and analyze reference traces.
+ * Trace utility: generate, convert, bake, inspect and simulate
+ * reference traces.
  *
  * Usage:
- *   trace_tool gen <app> <file> [scale] [seed]   write a synthetic
- *                                                trace (binary SGMB;
- *                                                .txt suffix = text)
- *   trace_tool info <file>                       summarize a trace
+ *   trace_tool gen <app> <file> [scale] [seed]
+ *       write a synthetic trace (default scale 0.02, seed 1)
+ *   trace_tool convert <in> <out> [--app=NAME] [--scale=S] [--seed=N]
+ *       convert any trace; the flags set the SGMB provenance fields
+ *   trace_tool bake <app> [--scale=S] [--seed=N] [--dir=DIR]
+ *       write the synthetic generator's output for (app, scale,
+ *       seed) as a content-named SGMB file under DIR (default:
+ *       SGMS_TRACE_DIR, else .sgms-traces) — the same file the
+ *       trace store's mapped tier uses, so a pre-baked sweep starts
+ *       replaying instantly; an existing valid bake is kept as is
+ *   trace_tool info <file>
+ *       summarize a trace; for SGMB also dump the header and verify
+ *       the payload hash (exit 1 on a mismatch)
  *   trace_tool sim <file> [policy] [subpage] [mem_pages]
- *                                                simulate a trace
+ *       simulate a trace; also takes the observability flags
+ *       (--trace-out, --trace-timeline, --metrics, --debug-flags;
+ *       see obs/session.h)
  *
- * All commands read any trace format (SGMB via zero-copy mmap,
- * legacy SGMT, text); see trace_convert for conversion and baking.
+ * Every command reads both formats (SGMB through zero-copy mmap,
+ * text). Output files are text when the name ends in ".txt" and
+ * SGMB otherwise. Unknown flags and malformed numbers are errors.
  *
- * `sim` also understands the observability flags (--trace-out,
- * --trace-timeline, --metrics, --debug-flags; see obs/session.h).
- *
- * Demonstrates the file-based TraceSource API, which is the hook for
- * feeding real (e.g. Valgrind/Pin-derived) traces into the
- * simulator in place of the synthetic application models.
+ * Point export_grid or quickstart at an SGMB file with
+ * --trace-bin=FILE, or set SGMS_TRACE_DIR to have synthetic traces
+ * baked and mapped automatically. The file-based TraceSource API is
+ * the hook for feeding real (e.g. Valgrind/Pin-derived) traces into
+ * the simulator in place of the synthetic application models.
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
+#include "common/logging.h"
 #include "common/options.h"
 #include "common/table.h"
 #include "common/units.h"
@@ -34,42 +46,158 @@
 #include "sim/kernel.h"
 #include "trace/apps.h"
 #include "trace/binfmt.h"
+#include "trace/mmap_trace.h"
 #include "trace/trace_file.h"
+#include "trace/trace_store.h"
 
 using namespace sgms;
 
 namespace
 {
 
-int
-cmd_gen(int argc, char **argv)
-{
-    if (argc < 4)
-        fatal("usage: trace_tool gen <app> <file> [scale] [seed]");
-    std::string app = argv[2];
-    std::string path = argv[3];
-    double scale = argc > 4 ? std::atof(argv[4]) : 0.02;
-    uint64_t seed = argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 1;
+const char *const kUsage =
+    "usage: trace_tool gen <app> <file> [scale] [seed]\n"
+    "       trace_tool convert <in> <out> [--app=NAME] [--scale=S] "
+    "[--seed=N]\n"
+    "       trace_tool bake <app> [--scale=S] [--seed=N] [--dir=DIR]\n"
+    "       trace_tool info <file>\n"
+    "       trace_tool sim <file> [policy] [subpage] [mem_pages] "
+    "[obs flags]\n";
 
-    auto trace = make_app_trace(app, scale, seed);
-    bool text = path.size() > 4 &&
-                path.compare(path.size() - 4, 4, ".txt") == 0;
-    if (text)
-        write_trace_text(*trace, path);
-    else
-        write_bin_trace(*trace, path, app, scale, seed);
-    std::printf("wrote %llu events (%s format) to %s\n",
-                static_cast<unsigned long long>(trace->size_hint()),
-                text ? "text" : "binary SGMB", path.c_str());
+/** The positional arguments, the command first; fatal() on a bad count. */
+const std::vector<std::string> &
+args(const Options &opts, size_t min, size_t max, const char *usage)
+{
+    const auto &pos = opts.positional();
+    if (pos.size() < min || pos.size() > max)
+        fatal("usage: trace_tool %s", usage);
+    return pos;
+}
+
+/** fatal() on any flag the command did not read. */
+void
+reject_unused(const Options &opts)
+{
+    auto unused = opts.unused();
+    if (!unused.empty())
+        fatal("unknown or unused option --%s", unused[0].c_str());
+}
+
+template <typename T>
+T
+number(const std::string &text, const char *what)
+{
+    T v{};
+    if (!parse_number(text, v))
+        fatal("bad %s '%s'", what, text.c_str());
+    return v;
+}
+
+bool
+is_text_path(const std::string &path)
+{
+    return path.size() > 4 &&
+           path.compare(path.size() - 4, 4, ".txt") == 0;
+}
+
+/** Write @p trace to @p path; text or SGMB by the file name. */
+void
+write_trace(TraceSource &trace, const std::string &path,
+            const std::string &app, double scale, uint64_t seed)
+{
+    bool text = is_text_path(path);
+    uint64_t n = text ? write_trace_text(trace, path)
+                      : write_bin_trace(trace, path, app, scale, seed);
+    std::printf("wrote %llu references (%s) to %s\n",
+                static_cast<unsigned long long>(n),
+                text ? "text" : "SGMB", path.c_str());
+}
+
+int
+cmd_gen(const Options &opts)
+{
+    const auto &pos = args(opts, 3, 5, "gen <app> <file> [scale] [seed]");
+    double scale = pos.size() > 3 ? number<double>(pos[3], "scale") : 0.02;
+    uint64_t seed = pos.size() > 4 ? number<uint64_t>(pos[4], "seed") : 1;
+    reject_unused(opts);
+    auto trace = make_app_trace(pos[1], scale, seed);
+    write_trace(*trace, pos[2], pos[1], scale, seed);
     return 0;
 }
 
 int
-cmd_info(int argc, char **argv)
+cmd_convert(const Options &opts)
 {
-    if (argc < 3)
-        fatal("usage: trace_tool info <file>");
-    auto trace = open_trace(argv[2]);
+    const auto &pos = args(opts, 3, 3,
+                           "convert <in> <out> [--app=NAME] [--scale=S] "
+                           "[--seed=N]");
+    std::string app = opts.get("app", pos[1]);
+    double scale = opts.get_double("scale", 0.0);
+    uint64_t seed = opts.get_u64("seed", 0);
+    reject_unused(opts);
+    auto in = open_trace(pos[1]);
+    write_trace(*in, pos[2], app, scale, seed);
+    return 0;
+}
+
+int
+cmd_bake(const Options &opts)
+{
+    const auto &pos = args(opts, 2, 2,
+                           "bake <app> [--scale=S] [--seed=N] [--dir=DIR]");
+    std::string dir = opts.get("dir", env_string("SGMS_TRACE_DIR",
+                                                 ".sgms-traces"));
+    double scale = opts.get_double("scale", 1.0);
+    uint64_t seed = opts.get_u64("seed", 1);
+    reject_unused(opts);
+    std::string path = bake_app_trace(pos[1], scale, seed, dir);
+    BinTraceHeader hdr;
+    std::string error;
+    if (!read_bin_header(path, hdr, error))
+        fatal("baked file '%s' failed validation: %s", path.c_str(),
+              error.c_str());
+    std::printf("baked %s scale=%g seed=%llu: %llu refs, %s\n",
+                pos[1].c_str(), scale,
+                static_cast<unsigned long long>(seed),
+                static_cast<unsigned long long>(hdr.ref_count),
+                path.c_str());
+    return 0;
+}
+
+/** Dump an SGMB header and verify the payload hash; fatal() on a mismatch. */
+void
+print_bin_header(const std::string &path)
+{
+    auto file = MappedTraceFile::open(path);
+    const BinTraceHeader &hdr = file->header();
+    uint64_t actual = file->payload_hash();
+    std::printf("file:          %s\n", path.c_str());
+    std::printf("format:        SGMB v%u\n", hdr.version);
+    std::printf("references:    %llu\n",
+                static_cast<unsigned long long>(hdr.ref_count));
+    std::printf("payload:       %s\n",
+                format_bytes(hdr.ref_count * kBinTraceRecordBytes)
+                    .c_str());
+    std::printf("app:           %s\n",
+                hdr.app.empty() ? "(unknown)" : hdr.app.c_str());
+    std::printf("scale:         %g\n", hdr.scale);
+    std::printf("seed:          %llu\n",
+                static_cast<unsigned long long>(hdr.seed));
+    std::printf("payload hash:  %016llx (%s)\n",
+                static_cast<unsigned long long>(hdr.payload_hash),
+                actual == hdr.payload_hash ? "verified" : "MISMATCH");
+    if (actual != hdr.payload_hash)
+        fatal("payload hash mismatch: records are corrupted");
+}
+
+int
+cmd_info(const Options &opts)
+{
+    const auto &pos = args(opts, 2, 2, "info <file>");
+    reject_unused(opts);
+    if (is_bin_trace(pos[1]))
+        print_bin_header(pos[1]);
+    auto trace = open_trace(pos[1]);
     uint64_t refs = 0, writes = 0;
     Addr min_addr = ~0ULL, max_addr = 0;
     TraceEvent ev;
@@ -94,16 +222,12 @@ cmd_info(int argc, char **argv)
 }
 
 int
-cmd_sim(int argc, char **argv)
+cmd_sim(const Options &opts)
 {
-    Options opts(argc, argv);
+    const auto &pos = args(opts, 2, 5,
+                           "sim <file> [policy] [subpage] [mem_pages] "
+                           "[obs flags]");
     obs::ObsSession obs(opts);
-    // positional()[0] is the subcommand ("sim") itself.
-    const auto &pos = opts.positional();
-    if (pos.size() < 2)
-        fatal("usage: trace_tool sim <file> [policy] [subpage] "
-              "[mem_pages] [obs flags]");
-    auto trace = open_trace(pos[1]);
     SimConfig cfg;
     cfg.policy = pos.size() > 2 ? pos[2] : "eager";
     cfg.subpage_size =
@@ -112,7 +236,9 @@ cmd_sim(int argc, char **argv)
     if (cfg.policy == "fullpage" || cfg.policy == "disk")
         cfg.subpage_size = cfg.page_size;
     cfg.mem_pages =
-        pos.size() > 4 ? std::strtoull(pos[4].c_str(), nullptr, 10) : 0;
+        pos.size() > 4 ? number<uint64_t>(pos[4], "mem_pages") : 0;
+    reject_unused(opts);
+    auto trace = open_trace(pos[1]);
     obs.configure(cfg);
 
     Simulator sim(cfg);
@@ -135,13 +261,25 @@ cmd_sim(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        fatal("usage: trace_tool gen|info|sim ...");
-    if (std::strcmp(argv[1], "gen") == 0)
-        return cmd_gen(argc, argv);
-    if (std::strcmp(argv[1], "info") == 0)
-        return cmd_info(argc, argv);
-    if (std::strcmp(argv[1], "sim") == 0)
-        return cmd_sim(argc, argv);
-    fatal("unknown command '%s'", argv[1]);
+    Options opts(argc, argv);
+    if (opts.has("help")) {
+        std::fputs(kUsage, stdout);
+        return 0;
+    }
+    if (opts.positional().empty()) {
+        std::fputs(kUsage, stderr);
+        return 1;
+    }
+    const std::string &cmd = opts.positional()[0];
+    if (cmd == "gen")
+        return cmd_gen(opts);
+    if (cmd == "convert")
+        return cmd_convert(opts);
+    if (cmd == "bake")
+        return cmd_bake(opts);
+    if (cmd == "info")
+        return cmd_info(opts);
+    if (cmd == "sim")
+        return cmd_sim(opts);
+    fatal("unknown command '%s' (see trace_tool --help)", cmd.c_str());
 }

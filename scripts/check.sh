@@ -6,7 +6,9 @@
 #                             thread-pool engine path and under
 #                             SGMS_WORKERS=2 for the forked process
 #                             fleet), a multi-process byte-identity
-#                             smoke, then a -Wall -Wextra -Werror
+#                             smoke, a trace_tool smoke (convert
+#                             and bake round trips, payload-hash
+#                             check), then a -Wall -Wextra -Werror
 #                             rebuild in a separate tree
 #                             (build-strict/), an ASan+UBSan build +
 #                             ctest (build-asan/), a TSan build +
@@ -32,7 +34,7 @@
 #                             .bench_build/perf, runs perf_test, and
 #                             fails unless a traced fault_storm run
 #                             reports "correct": true)
-#   scripts/check.sh --quick  tier 1 only
+#   scripts/check.sh --quick  tier 1 and the smokes only
 #
 # Exits non-zero on the first failure.
 
@@ -82,6 +84,39 @@ cmp "$tmp_grid/serial.json" "$tmp_grid/mapped.json"
 cmp "$tmp_grid/serial.csv" "$tmp_grid/mapped.csv"
 baked=$(ls "$tmp_grid/traces"/*.sgmb | wc -l)
 echo "   mapped replay matches heap byte for byte ($baked baked files)"
+
+echo "== smoke: trace_tool gen / convert / bake / info =="
+# gen -> SGMB -> text -> SGMB (with the same provenance) must give
+# back the same bytes, and so must baking the same trace; a second
+# bake keeps the first file; info verifies the payload hash and
+# fails on a one-byte corruption.
+tool=./build/examples/trace_tool
+tdir="$tmp_grid/tool"
+mkdir -p "$tdir"
+"$tool" gen gdb "$tdir/a.sgmb" 0.01 3 >/dev/null
+"$tool" convert "$tdir/a.sgmb" "$tdir/a.txt" >/dev/null
+"$tool" convert "$tdir/a.txt" "$tdir/b.sgmb" \
+    --app=gdb --scale=0.01 --seed=3 >/dev/null
+cmp "$tdir/a.sgmb" "$tdir/b.sgmb"
+"$tool" bake gdb --scale=0.01 --seed=3 --dir="$tdir/baked" >/dev/null
+baked=$(ls "$tdir/baked"/*.sgmb)
+cmp "$tdir/a.sgmb" "$baked"
+inode=$(stat -c %i "$baked")
+"$tool" bake gdb --scale=0.01 --seed=3 --dir="$tdir/baked" >/dev/null
+[[ "$(stat -c %i "$baked")" == "$inode" ]] ||
+    { echo "second bake replaced $baked"; exit 1; }
+grep -q "(verified)" <<<"$("$tool" info "$tdir/a.sgmb")"
+python3 - "$tdir/a.sgmb" "$tdir/bad.sgmb" <<'EOF'
+import sys
+data = bytearray(open(sys.argv[1], "rb").read())
+data[100] ^= 0xff  # a payload byte: the header is 64 bytes
+open(sys.argv[2], "wb").write(data)
+EOF
+if "$tool" info "$tdir/bad.sgmb" >/dev/null 2>&1; then
+    echo "trace_tool info accepted a corrupted payload"
+    exit 1
+fi
+echo "   round trips and bake byte-identical, bake reused, corruption caught"
 
 echo "== smoke: trace export =="
 ./build/examples/quickstart --trace-out="$tmp_trace" >/dev/null

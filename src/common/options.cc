@@ -1,5 +1,6 @@
 #include "common/options.h"
 
+#include <charconv>
 #include <cstdlib>
 
 #include "common/logging.h"
@@ -7,6 +8,32 @@
 
 namespace sgms
 {
+
+namespace
+{
+
+template <typename T>
+bool
+parse_whole(const std::string &text, T &out)
+{
+    const char *end = text.data() + text.size();
+    auto [p, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc() && p == end;
+}
+
+} // namespace
+
+bool
+parse_number(const std::string &text, uint64_t &out)
+{
+    return parse_whole(text, out);
+}
+
+bool
+parse_number(const std::string &text, double &out)
+{
+    return parse_whole(text, out);
+}
 
 Options::Options(int argc, char **argv)
 {
@@ -69,9 +96,8 @@ Options::get_double(const std::string &name, double fallback) const
     if (it == values_.end())
         return fallback;
     read_[name] = true;
-    char *end = nullptr;
-    double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str())
+    double v = 0;
+    if (!parse_number(it->second, v))
         fatal("option --%s: bad number '%s'", name.c_str(),
               it->second.c_str());
     return v;
@@ -84,9 +110,8 @@ Options::get_u64(const std::string &name, uint64_t fallback) const
     if (it == values_.end())
         return fallback;
     read_[name] = true;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str())
+    uint64_t v = 0;
+    if (!parse_number(it->second, v))
         fatal("option --%s: bad integer '%s'", name.c_str(),
               it->second.c_str());
     return v;
@@ -115,9 +140,8 @@ env_u64(const char *name, uint64_t fallback)
     const char *v = std::getenv(name);
     if (!v || !*v)
         return fallback;
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end == v || *end)
+    uint64_t parsed = 0;
+    if (!parse_number(v, parsed))
         fatal("%s: bad integer '%s'", name, v);
     return parsed;
 }

@@ -39,8 +39,14 @@ class Options
     /** Boolean: "--name", "--name=1/true/yes" are true. */
     bool get_bool(const std::string &name, bool fallback = false) const;
 
+    /**
+     * Numeric value of --name, or @p fallback. The whole value must
+     * be one number: blanks, trailing text, a '+' sign and values
+     * out of range are fatal().
+     */
     double get_double(const std::string &name, double fallback) const;
 
+    /** As get_double, for a decimal integer; a '-' sign is fatal(). */
     uint64_t get_u64(const std::string &name, uint64_t fallback) const;
 
     /** Size in bytes; accepts suffixed values ("1K", "8K"). */
@@ -61,6 +67,14 @@ class Options
     mutable std::map<std::string, bool> read_;
     std::vector<std::string> positional_;
 };
+
+/**
+ * Parse all of @p text as one number, by the rules of
+ * Options::get_u64 / get_double. False (and @p out unspecified) on
+ * anything else. For numeric positional arguments.
+ */
+bool parse_number(const std::string &text, uint64_t &out);
+bool parse_number(const std::string &text, double &out);
 
 /**
  * Environment-variable getters used by the flag/env layering of the

@@ -63,7 +63,7 @@ struct Experiment
      * by app/scale/seed, which then serve only as labels. This is
      * the real-trace ingestion path (`--trace-bin=FILE`); the result
      * cache keys on the file's header hash, so a re-baked file is a
-     * different point. Must be SGMB (bake with trace_convert).
+     * different point. Must be SGMB (make one with trace_tool).
      */
     std::string trace_bin;
 

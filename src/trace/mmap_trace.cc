@@ -89,7 +89,7 @@ MappedTraceFile::payload_hash() const
 std::unique_ptr<TraceSource>
 make_mapped_trace(const std::string &path)
 {
-    return std::make_unique<MmapReplayTrace>(MappedTraceFile::open(path));
+    return std::make_unique<ReplayTrace>(MappedTraceFile::open(path));
 }
 
 } // namespace sgms

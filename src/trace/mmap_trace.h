@@ -1,16 +1,19 @@
 /**
  * @file
- * Zero-copy replay of SGMB trace files through mmap(2).
+ * Replay of packed-word traces: the one replay cursor, and
+ * zero-copy SGMB files through mmap(2).
  *
- * A MappedTraceFile is one immutable read-only mapping of a baked
- * trace, shared by shared_ptr exactly like the heap store's
- * PackedTrace buffers. Cursors (MmapReplayTrace) carry only their
- * own position, so any number of threads replay one mapping
- * concurrently with no locking and no per-reference copy or
- * allocation: next_batch unpacks records straight from the mapping
- * into the simulator's batch buffer.
+ * Every stored trace is an immutable array of packed words,
+ * (addr << 1) | write (trace/binfmt.h). The array lives either in a
+ * heap PackedTrace (the trace store's heap tier) or in a
+ * MappedTraceFile (an SGMB file mapped read-only); both are shared by
+ * shared_ptr. ReplayTrace is the cursor over either: it holds an
+ * aliasing pointer to the words (which keeps the owner alive), their
+ * count, and its own position, so any number of threads replay one
+ * array concurrently with no locking and no per-reference copy or
+ * allocation, and heap and mapped replay run the same unpack loop.
  *
- * Because the mapping is backed by the file, replay throughput of a
+ * Because a mapping is backed by the file, replay throughput of a
  * cold trace is bounded by the page cache, not by a load pass:
  * startup to first reference is an open+mmap (microseconds, however
  * large the trace), traces far bigger than RAM replay with the
@@ -23,12 +26,16 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "trace/binfmt.h"
 #include "trace/trace.h"
 
 namespace sgms
 {
+
+/** Immutable heap trace: each event is (addr << 1) | write. */
+using PackedTrace = std::vector<uint64_t>;
 
 /** One shared read-only mapping of an SGMB file. */
 class MappedTraceFile
@@ -80,31 +87,39 @@ class MappedTraceFile
     uint64_t mapped_bytes_ = 0;
 };
 
-/** Cursor over a shared mapping; cheap to create per point. */
-class MmapReplayTrace : public TraceSource
+/**
+ * Cursor over a shared array of packed words; cheap to create (or
+ * copy) per point. The words belong to a heap PackedTrace or a
+ * MappedTraceFile, which the cursor keeps alive.
+ */
+class ReplayTrace final : public TraceSource
 {
   public:
-    explicit MmapReplayTrace(std::shared_ptr<const MappedTraceFile> file)
-        : file_(std::move(file))
+    explicit ReplayTrace(const std::shared_ptr<const PackedTrace> &trace)
+        : words_(trace, trace->data()), size_(trace->size())
+    {}
+
+    explicit ReplayTrace(const std::shared_ptr<const MappedTraceFile> &file)
+        : words_(file, file->records()), size_(file->size())
     {}
 
     bool
     next(TraceEvent &ev) override
     {
-        if (pos_ >= file_->size())
+        if (pos_ >= size_)
             return false;
-        ev = unpack_trace_event(file_->records()[pos_++]);
+        ev = unpack_trace_event(words_.get()[pos_++]);
         return true;
     }
 
     size_t
     next_batch(TraceEvent *out, size_t n) override
     {
-        const uint64_t *rec = file_->records();
-        uint64_t avail = file_->size() - pos_;
+        const uint64_t *words = words_.get() + pos_;
+        uint64_t avail = size_ - pos_;
         size_t got = n < avail ? n : static_cast<size_t>(avail);
         for (size_t i = 0; i < got; ++i)
-            out[i] = unpack_trace_event(rec[pos_ + i]);
+            out[i] = unpack_trace_event(words[i]);
         pos_ += got;
         return got;
     }
@@ -114,24 +129,27 @@ class MmapReplayTrace : public TraceSource
     void
     skip(uint64_t n) override
     {
-        uint64_t avail = file_->size() - pos_;
+        uint64_t avail = size_ - pos_;
         pos_ += n < avail ? n : avail;
     }
 
-    uint64_t size_hint() const override { return file_->size(); }
+    uint64_t size_hint() const override { return size_; }
 
-    /** Position the cursor (multi-cursor replay windows). */
-    void seek(uint64_t ref_index) { pos_ = ref_index; }
-    uint64_t position() const { return pos_; }
-
-    /** The shared mapping (for tests asserting sharing). */
-    const std::shared_ptr<const MappedTraceFile> &file() const
+    /** Position the cursor (clamped to the end of the trace). */
+    void
+    seek(uint64_t ref_index)
     {
-        return file_;
+        pos_ = ref_index < size_ ? ref_index : size_;
     }
 
+    uint64_t position() const { return pos_; }
+
+    /** The shared words (for tests asserting sharing). */
+    const std::shared_ptr<const uint64_t> &buffer() const { return words_; }
+
   private:
-    std::shared_ptr<const MappedTraceFile> file_;
+    std::shared_ptr<const uint64_t> words_;
+    uint64_t size_ = 0;
     uint64_t pos_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "trace/trace_file.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstring>
 
@@ -13,96 +14,78 @@ namespace sgms
 
 namespace
 {
-constexpr char MAGIC[4] = {'S', 'G', 'M', 'T'};
-constexpr uint32_t VERSION = 1;
-constexpr size_t RECORD_BYTES = 9; // 1 flag byte + 8 address bytes
 constexpr size_t BUF_BYTES = 64 * 1024;
 
-void
-put_u32(std::FILE *f, uint32_t v)
-{
-    unsigned char b[4];
-    for (int i = 0; i < 4; ++i)
-        b[i] = (v >> (8 * i)) & 0xff;
-    std::fwrite(b, 1, 4, f);
-}
-
-void
-put_u64(std::FILE *f, uint64_t v)
-{
-    unsigned char b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = (v >> (8 * i)) & 0xff;
-    std::fwrite(b, 1, 8, f);
-}
-
 bool
-get_u32(std::FILE *f, uint32_t &v)
+blank(char c)
 {
-    unsigned char b[4];
-    if (std::fread(b, 1, 4, f) != 4)
-        return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<uint32_t>(b[i]) << (8 * i);
-    return true;
+    return c == ' ' || c == '\t' || c == '\r';
 }
 
+/**
+ * Parse the text-trace line [p, end) of @p path into @p ev; false
+ * for a blank or comment line. fatal() on a malformed line.
+ */
 bool
-get_u64(std::FILE *f, uint64_t &v)
+parse_line(const std::string &path, const char *p, const char *end,
+           TraceEvent &ev)
 {
-    unsigned char b[8];
-    if (std::fread(b, 1, 8, f) != 8)
-        return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(b[i]) << (8 * i);
+    while (p < end && blank(*p))
+        ++p;
+    if (p == end || *p == '#')
+        return false; // blank line or comment
+    const char *line = p;
+    int shown = static_cast<int>(std::min<ptrdiff_t>(end - line, 80));
+
+    char kind = *p++;
+    if (kind != 'R' && kind != 'W' && kind != 'r' && kind != 'w')
+        fatal("trace file '%s': bad access kind '%c'", path.c_str(),
+              kind);
+    if (p == end || !blank(*p))
+        fatal("trace file '%s': bad line '%.*s'", path.c_str(), shown,
+              line);
+    while (p < end && blank(*p))
+        ++p;
+    if (end - p >= 2 && p[0] == '0' && (p[1] == 'x' || p[1] == 'X'))
+        p += 2;
+
+    uint64_t addr = 0;
+    auto [q, ec] = std::from_chars(p, end, addr, 16);
+    if (ec == std::errc::result_out_of_range ||
+        (ec == std::errc() && addr >= (1ull << 63)))
+        fatal("trace file '%s': address out of range (the top bit is "
+              "reserved) in line '%.*s'",
+              path.c_str(), shown, line);
+    while (ec == std::errc() && q < end && blank(*q))
+        ++q;
+    if (ec != std::errc() || q != end)
+        fatal("trace file '%s': bad line '%.*s'", path.c_str(), shown,
+              line);
+    ev.addr = addr;
+    ev.write = kind == 'W' || kind == 'w';
     return true;
 }
 } // namespace
 
-void
-write_trace_binary(TraceSource &trace, const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        fatal("cannot open trace file '%s' for writing", path.c_str());
-    std::fwrite(MAGIC, 1, 4, f);
-    put_u32(f, VERSION);
-    // Count goes in a fixed slot; fill after the pass.
-    long count_pos = std::ftell(f);
-    put_u64(f, 0);
-    uint64_t count = 0;
-    TraceEvent ev;
-    trace.reset();
-    while (trace.next(ev)) {
-        unsigned char flags = ev.write ? 1 : 0;
-        std::fwrite(&flags, 1, 1, f);
-        put_u64(f, ev.addr);
-        ++count;
-    }
-    std::fseek(f, count_pos, SEEK_SET);
-    put_u64(f, count);
-    if (std::fclose(f) != 0)
-        fatal("error writing trace file '%s'", path.c_str());
-    trace.reset();
-}
-
-void
+uint64_t
 write_trace_text(TraceSource &trace, const std::string &path)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f)
         fatal("cannot open trace file '%s' for writing", path.c_str());
     std::fprintf(f, "# sgms text trace\n");
+    uint64_t count = 0;
     TraceEvent ev;
     trace.reset();
-    while (trace.next(ev))
+    while (trace.next(ev)) {
         std::fprintf(f, "%c %" PRIx64 "\n", ev.write ? 'W' : 'R',
                      ev.addr);
+        ++count;
+    }
     if (std::fclose(f) != 0)
         fatal("error writing trace file '%s'", path.c_str());
     trace.reset();
+    return count;
 }
 
 std::unique_ptr<TraceSource>
@@ -116,28 +99,13 @@ open_trace(const std::string &path)
 FileTrace::FileTrace(const std::string &path)
     : path_(path), buf_(BUF_BYTES)
 {
+    if (is_bin_trace(path))
+        fatal("trace file '%s' is an SGMB binary trace; open it with "
+              "open_trace()",
+              path.c_str());
     file_ = std::fopen(path.c_str(), "rb");
     if (!file_)
         fatal("cannot open trace file '%s'", path.c_str());
-    char magic[4];
-    size_t n = std::fread(magic, 1, 4, file_);
-    if (n == 4 && std::memcmp(magic, MAGIC, 4) == 0) {
-        binary_ = true;
-        uint32_t version = 0;
-        if (!get_u32(file_, version) || version != VERSION)
-            fatal("trace file '%s': unsupported version", path.c_str());
-        if (!get_u64(file_, count_))
-            fatal("trace file '%s': truncated header", path.c_str());
-        data_start_ = std::ftell(file_);
-    } else if (n == 4 && std::memcmp(magic, "SGMB", 4) == 0) {
-        fatal("trace file '%s' is an SGMB binary trace; open it with "
-              "open_trace() / make_mapped_trace()",
-              path.c_str());
-    } else {
-        binary_ = false;
-        data_start_ = 0;
-        std::fseek(file_, 0, SEEK_SET);
-    }
 }
 
 FileTrace::~FileTrace()
@@ -152,12 +120,6 @@ FileTrace::next(TraceEvent &ev)
     return next_batch(&ev, 1) == 1;
 }
 
-size_t
-FileTrace::next_batch(TraceEvent *out, size_t n)
-{
-    return binary_ ? batch_binary(out, n) : batch_text(out, n);
-}
-
 void
 FileTrace::refill()
 {
@@ -168,8 +130,7 @@ FileTrace::refill()
     }
     if (eof_)
         return;
-    // Keep one spare byte for the text parser's terminator.
-    size_t want = buf_.size() - 1 - blen_;
+    size_t want = buf_.size() - blen_;
     size_t got = std::fread(buf_.data() + blen_, 1, want, file_);
     blen_ += got;
     if (got < want)
@@ -177,85 +138,30 @@ FileTrace::refill()
 }
 
 size_t
-FileTrace::batch_binary(TraceEvent *out, size_t n)
+FileTrace::next_batch(TraceEvent *out, size_t n)
 {
     size_t got = 0;
     while (got < n) {
-        if (blen_ - bpos_ < RECORD_BYTES) {
-            refill();
-            if (blen_ - bpos_ == 0)
-                break; // clean end of trace
-            if (blen_ - bpos_ < RECORD_BYTES)
-                fatal("trace file '%s': truncated record",
-                      path_.c_str());
-        }
-        // Decode as many whole records as the buffer holds (or the
-        // caller wants) without re-checking the buffer per record.
-        size_t runnable = (blen_ - bpos_) / RECORD_BYTES;
-        size_t run = std::min(n - got, runnable);
-        const unsigned char *p =
-            reinterpret_cast<const unsigned char *>(buf_.data()) + bpos_;
-        for (size_t r = 0; r < run; ++r) {
-            uint64_t addr = 0;
-            for (int i = 0; i < 8; ++i)
-                addr |= static_cast<uint64_t>(p[1 + i]) << (8 * i);
-            out[got].addr = addr;
-            out[got].write = p[0] & 1;
-            ++got;
-            p += RECORD_BYTES;
-        }
-        bpos_ += run * RECORD_BYTES;
-    }
-    return got;
-}
-
-size_t
-FileTrace::batch_text(TraceEvent *out, size_t n)
-{
-    size_t got = 0;
-    while (got < n) {
-        char *base = buf_.data();
-        char *nl = static_cast<char *>(
-            std::memchr(base + bpos_, '\n', blen_ - bpos_));
+        const char *base = buf_.data();
+        const char *begin = base + bpos_;
+        const char *end = base + blen_;
+        const char *nl = static_cast<const char *>(
+            std::memchr(begin, '\n', blen_ - bpos_));
         if (!nl) {
             if (!eof_) {
-                // A line longer than the buffer cannot appear in a
-                // sane trace, but grow rather than misparse it as
-                // two lines (the old fgets reader did the latter).
-                if (bpos_ == 0 && blen_ == buf_.size() - 1)
-                    buf_.resize(buf_.size() * 2);
+                if (bpos_ == 0 && blen_ == buf_.size())
+                    fatal("trace file '%s': line longer than %zu bytes",
+                          path_.c_str(), buf_.size());
                 refill();
                 continue;
             }
-            if (bpos_ == blen_)
+            if (begin == end)
                 break; // clean end of trace
-            // Final line without a trailing newline: terminate it in
-            // the spare byte.
-            base[blen_] = '\0';
-            nl = base + blen_;
-        } else {
-            *nl = '\0';
+            nl = end; // final line without a trailing newline
         }
-        const char *line = base + bpos_;
-        bpos_ = static_cast<size_t>(nl - base);
-        if (bpos_ < blen_)
-            ++bpos_; // consume the newline itself
-        // Skip blank lines and comments.
-        while (*line == ' ' || *line == '\t' || *line == '\r')
-            ++line;
-        if (*line == '\0' || *line == '#')
-            continue;
-        char kind = 0;
-        uint64_t addr = 0;
-        if (std::sscanf(line, " %c %" SCNx64, &kind, &addr) != 2)
-            fatal("trace file '%s': bad line '%s'", path_.c_str(),
-                  line);
-        if (kind != 'R' && kind != 'W' && kind != 'r' && kind != 'w')
-            fatal("trace file '%s': bad access kind '%c'",
-                  path_.c_str(), kind);
-        out[got].addr = addr;
-        out[got].write = kind == 'W' || kind == 'w';
-        ++got;
+        bpos_ = static_cast<size_t>(nl - base) + (nl < end ? 1 : 0);
+        if (parse_line(path_, begin, nl, out[got]))
+            ++got;
     }
     return got;
 }
@@ -263,7 +169,7 @@ FileTrace::batch_text(TraceEvent *out, size_t n)
 void
 FileTrace::reset()
 {
-    std::fseek(file_, data_start_, SEEK_SET);
+    std::rewind(file_);
     bpos_ = 0;
     blen_ = 0;
     eof_ = false;

@@ -2,14 +2,13 @@
  * @file
  * Trace file I/O.
  *
- * Three formats:
- *  - binary "SGMB" (trace/binfmt.h): versioned fixed-width records,
- *    mmap-replayed — the format for large and real traces; read it
- *    through open_trace() below;
- *  - binary "SGMT": the legacy compact 9-byte-record stream format,
- *    still read and written for compatibility;
+ * Two formats:
+ *  - binary SGMB (trace/binfmt.h): versioned fixed-width records,
+ *    mmap-replayed — the format for large and real traces;
  *  - text: one "R <hex-addr>" or "W <hex-addr>" per line, '#'
  *    comments allowed, for hand-written traces and interop.
+ *
+ * open_trace() reads either.
  */
 
 #ifndef SGMS_TRACE_TRACE_FILE_H
@@ -25,25 +24,30 @@
 namespace sgms
 {
 
-/** Write @p trace to @p path in legacy binary SGMT format. */
-void write_trace_binary(TraceSource &trace, const std::string &path);
-
-/** Write @p trace to @p path as text. */
-void write_trace_text(TraceSource &trace, const std::string &path);
+/**
+ * Write @p trace to @p path as text. Leaves @p trace rewound.
+ *
+ * @return the number of references written.
+ */
+uint64_t write_trace_text(TraceSource &trace, const std::string &path);
 
 /**
- * Open any trace file by sniffing its magic: SGMB files get a
- * zero-copy mmap replay cursor (trace/mmap_trace.h), everything else
- * a streaming FileTrace. Fails fatally on unreadable or corrupt
- * files.
+ * Open a trace file: SGMB files (by their magic) get a zero-copy
+ * mmap replay cursor (trace/mmap_trace.h), everything else the text
+ * reader. Fails fatally on unreadable or corrupt files.
  */
 std::unique_ptr<TraceSource> open_trace(const std::string &path);
 
 /**
- * Streaming reader for the legacy SGMT and text formats (sniffs the
- * magic). Reads the file in 64 KiB blocks, so next_batch parses
- * records straight out of the read buffer instead of paying two
- * stdio calls per reference. Fails fatally on unreadable or corrupt
+ * Streaming reader for the text format. Reads the file in 64 KiB
+ * blocks, so next_batch parses records straight out of the read
+ * buffer instead of paying stdio calls per reference.
+ *
+ * The parser is strict: a record line is an access kind (R, W, r or
+ * w), blanks, and a hex address with an optional 0x prefix, then
+ * only blanks. Signs, trailing text, addresses that overflow 64 bits
+ * or use the top bit (the SGMB packing reserves it), and lines
+ * longer than the read buffer are fatal errors, as are unreadable
  * files; SGMB files are rejected with a pointer to open_trace().
  */
 class FileTrace : public TraceSource
@@ -58,22 +62,15 @@ class FileTrace : public TraceSource
     bool next(TraceEvent &ev) override;
     size_t next_batch(TraceEvent *out, size_t n) override;
     void reset() override;
-    uint64_t size_hint() const override { return count_; }
 
   private:
-    size_t batch_binary(TraceEvent *out, size_t n);
-    size_t batch_text(TraceEvent *out, size_t n);
     /** Compact the buffer and read more; sets eof_ at end of file. */
     void refill();
 
     std::string path_;
     std::FILE *file_ = nullptr;
-    bool binary_ = false;
-    uint64_t count_ = 0;    // declared count (binary) or 0
-    long data_start_ = 0;   // offset of first record
 
-    // Block-read buffer. One spare byte is always kept free so the
-    // text parser can NUL-terminate a final unterminated line.
+    // Block-read buffer; it also caps the length of one line.
     std::vector<char> buf_;
     size_t bpos_ = 0; // next unconsumed byte
     size_t blen_ = 0; // valid bytes in buf_

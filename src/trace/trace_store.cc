@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -13,6 +12,7 @@
 #include <unistd.h>
 
 #include "common/logging.h"
+#include "common/options.h"
 #include "trace/apps.h"
 #include "trace/binfmt.h"
 #include "trace/mmap_trace.h"
@@ -28,8 +28,9 @@ using TraceKey = std::tuple<std::string, double, uint64_t>;
 struct Store
 {
     std::mutex mutex;
-    std::map<TraceKey, std::shared_ptr<const PackedTrace>> traces;
-    std::map<TraceKey, std::shared_ptr<const MappedTraceFile>> mapped;
+    // Every stored trace, heap or mapped, as a cursor at position 0;
+    // each request gets a copy.
+    std::map<TraceKey, ReplayTrace> traces;
     uint64_t bytes = 0;
     uint64_t mapped_bytes = 0;
     uint64_t hits = 0;
@@ -39,8 +40,7 @@ struct Store
     uint64_t mapped_files = 0;
 
     // Env-initialized, test-overridable configuration. Guarded by
-    // the same mutex as the maps.
-    std::optional<bool> enabled_override;
+    // the same mutex as the map.
     std::optional<std::string> dir_override;
     std::optional<uint64_t> budget_override;
 };
@@ -52,55 +52,21 @@ store()
     return s;
 }
 
-bool
-env_enabled()
-{
-    const char *env = std::getenv("SGMS_TRACE_STORE");
-    if (!env || !*env)
-        return true;
-    return !(env[0] == '0' && env[1] == '\0');
-}
-
-std::string
-env_dir()
-{
-    const char *env = std::getenv("SGMS_TRACE_DIR");
-    return env ? env : "";
-}
-
-uint64_t
-env_budget_bytes()
-{
-    const char *env = std::getenv("SGMS_TRACE_STORE_MAX_MB");
-    uint64_t mb = 256;
-    if (env && *env) {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(env, &end, 10);
-        if (end == env)
-            fatal("bad SGMS_TRACE_STORE_MAX_MB value '%s'", env);
-        mb = v;
-    }
-    return mb * 1024 * 1024;
-}
-
 // The callers below hold s.mutex.
-
-bool
-store_enabled(Store &s)
-{
-    return s.enabled_override ? *s.enabled_override : env_enabled();
-}
 
 std::string
 store_dir(Store &s)
 {
-    return s.dir_override ? *s.dir_override : env_dir();
+    return s.dir_override ? *s.dir_override
+                          : env_string("SGMS_TRACE_DIR", "");
 }
 
 uint64_t
 store_budget_bytes(Store &s)
 {
-    return s.budget_override ? *s.budget_override : env_budget_bytes();
+    return s.budget_override
+               ? *s.budget_override
+               : env_u64("SGMS_TRACE_STORE_MAX_MB", 256) * 1024 * 1024;
 }
 
 std::shared_ptr<const PackedTrace>
@@ -235,16 +201,7 @@ make_stored_app_trace(const std::string &app, double scale,
 {
     Store &s = store();
     std::unique_lock<std::mutex> lock(s.mutex);
-    if (!store_enabled(s)) {
-        lock.unlock();
-        return make_app_trace(app, scale, seed);
-    }
     auto key = std::make_tuple(app, scale, seed);
-    auto mit = s.mapped.find(key);
-    if (mit != s.mapped.end()) {
-        ++s.hits;
-        return std::make_unique<MmapReplayTrace>(mit->second);
-    }
     auto it = s.traces.find(key);
     if (it != s.traces.end()) {
         ++s.hits;
@@ -257,11 +214,11 @@ make_stored_app_trace(const std::string &app, double scale,
     // does not apply.
     std::string dir = store_dir(s);
     if (!dir.empty()) {
-        auto file = map_baked(s, app, scale, seed, dir);
-        if (file) {
+        if (auto file = map_baked(s, app, scale, seed, dir)) {
             ++s.misses;
-            s.mapped[key] = file;
-            return std::make_unique<MmapReplayTrace>(std::move(file));
+            ReplayTrace &cursor =
+                s.traces.emplace(key, ReplayTrace(file)).first->second;
+            return std::make_unique<ReplayTrace>(cursor);
         }
     }
 
@@ -283,8 +240,9 @@ make_stored_app_trace(const std::string &app, double scale,
     auto packed = materialize(app, scale, seed);
     s.bytes += packed->size() * sizeof(uint64_t);
     ++s.misses;
-    s.traces[key] = packed;
-    return std::make_unique<ReplayTrace>(std::move(packed));
+    ReplayTrace &cursor =
+        s.traces.emplace(key, ReplayTrace(packed)).first->second;
+    return std::make_unique<ReplayTrace>(cursor);
 }
 
 TraceStoreStats
@@ -309,17 +267,8 @@ trace_store_clear()
     Store &s = store();
     std::lock_guard<std::mutex> lock(s.mutex);
     s.traces.clear();
-    s.mapped.clear();
     s.bytes = 0;
     s.mapped_bytes = 0;
-}
-
-void
-trace_store_set_enabled(bool enabled)
-{
-    Store &s = store();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.enabled_override = enabled;
 }
 
 void

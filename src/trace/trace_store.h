@@ -26,13 +26,11 @@
  *    traces that would exceed it fall back to streaming generation
  *    per point.
  *
- * SGMS_TRACE_STORE=0 disables the store entirely (every caller gets
- * a streaming generator, the pre-store behavior).
- *
  * Lifetime rules (DESIGN.md §13-14): buffers and mappings are
- * immutable after creation; cursors carry only their own position,
- * so concurrent replay from many threads needs no locking. Both
- * tiers replay the identical packed words ((addr << 1) | write,
+ * immutable after creation; both tiers hand out ReplayTrace cursors
+ * (trace/mmap_trace.h), which carry only their own position, so
+ * concurrent replay from many threads needs no locking. Both tiers
+ * hold the identical packed words ((addr << 1) | write,
  * trace/binfmt.h), so heap, mapped, and streamed replay are
  * byte-equivalent through full Experiment::run results (tested).
  */
@@ -43,76 +41,17 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
+#include "trace/mmap_trace.h"
 #include "trace/trace.h"
 
 namespace sgms
 {
 
-/** Immutable packed trace: each event is (addr << 1) | write. */
-using PackedTrace = std::vector<uint64_t>;
-
-/** Cursor over a shared packed trace; cheap to create per point. */
-class ReplayTrace : public TraceSource
-{
-  public:
-    explicit ReplayTrace(std::shared_ptr<const PackedTrace> events)
-        : events_(std::move(events))
-    {}
-
-    bool
-    next(TraceEvent &ev) override
-    {
-        if (pos_ >= events_->size())
-            return false;
-        uint64_t packed = (*events_)[pos_++];
-        ev.addr = packed >> 1;
-        ev.write = packed & 1;
-        return true;
-    }
-
-    size_t
-    next_batch(TraceEvent *out, size_t n) override
-    {
-        const PackedTrace &ev = *events_;
-        size_t avail = ev.size() - pos_;
-        size_t got = n < avail ? n : avail;
-        for (size_t i = 0; i < got; ++i) {
-            uint64_t packed = ev[pos_ + i];
-            out[i].addr = packed >> 1;
-            out[i].write = packed & 1;
-        }
-        pos_ += got;
-        return got;
-    }
-
-    void reset() override { pos_ = 0; }
-
-    void
-    skip(uint64_t n) override
-    {
-        uint64_t avail = events_->size() - pos_;
-        pos_ += static_cast<size_t>(n < avail ? n : avail);
-    }
-
-    uint64_t size_hint() const override { return events_->size(); }
-
-    /** The shared buffer (for tests asserting sharing). */
-    const std::shared_ptr<const PackedTrace> &buffer() const
-    {
-        return events_;
-    }
-
-  private:
-    std::shared_ptr<const PackedTrace> events_;
-    size_t pos_ = 0;
-};
-
 /**
- * An app trace ready to replay: an mmap cursor over the baked file
- * when the mapped tier is configured, a ReplayTrace cursor over the
- * shared heap store when the trace is (or can be) materialized
+ * An app trace ready to replay: a ReplayTrace cursor over the baked
+ * file's mapping when the mapped tier is configured, or over the
+ * shared heap buffer when the trace is (or can be) materialized
  * within budget, a streaming SyntheticTrace otherwise. Thread-safe;
  * concurrent callers of the same key block on one materialization.
  */
@@ -167,18 +106,17 @@ TraceStoreStats trace_store_stats();
 void trace_store_clear();
 
 // Test/config hooks. Each overrides the corresponding environment
-// variable (SGMS_TRACE_STORE / SGMS_TRACE_DIR /
-// SGMS_TRACE_STORE_MAX_MB) for the rest of the process; they do not
-// drop traces already stored, so tests usually call
-// trace_store_clear() alongside.
-
-/** Enable/disable the store (env: SGMS_TRACE_STORE=0 disables). */
-void trace_store_set_enabled(bool enabled);
+// variable (SGMS_TRACE_DIR / SGMS_TRACE_STORE_MAX_MB) for the rest
+// of the process; they do not drop traces already stored, so tests
+// usually call trace_store_clear() alongside.
 
 /** Set the mapped-tier directory; "" disables the mapped tier. */
 void trace_store_set_dir(const std::string &dir);
 
-/** Set the heap-tier budget in bytes. */
+/**
+ * Set the heap-tier budget in bytes. 0 streams every trace the
+ * mapped tier does not serve (the pre-store behavior).
+ */
 void trace_store_set_budget_bytes(uint64_t bytes);
 
 /** The active mapped-tier directory ("" when disabled). */

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -20,6 +19,7 @@
 
 #include "core/experiment.h"
 #include "exec/result_codec.h"
+#include "temp_dir.h"
 #include "trace/apps.h"
 #include "trace/binfmt.h"
 #include "trace/mmap_trace.h"
@@ -93,25 +93,10 @@ sample_trace(uint64_t n = 1000)
 class BinFmtTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        char tmpl[] = "/tmp/sgms_binfmt_XXXXXX";
-        ASSERT_NE(::mkdtemp(tmpl), nullptr);
-        dir_ = tmpl;
-    }
-
-    void
-    TearDown() override
-    {
-        std::error_code ec;
-        std::filesystem::remove_all(dir_, ec);
-    }
-
     std::string
     path(const char *name) const
     {
-        return dir_ + "/" + name;
+        return tmp_.file(name);
     }
 
     /** Write a known-valid SGMB file and return its path. */
@@ -124,7 +109,8 @@ class BinFmtTest : public ::testing::Test
         return p;
     }
 
-    std::string dir_;
+    test::TempDir tmp_;
+    std::string dir_ = tmp_.path();
 };
 
 TEST(BinFmt, PackUnpackRoundTrip)
@@ -160,7 +146,7 @@ TEST_F(BinFmtTest, WriteReadRoundTripWithMetadata)
 
     auto file = MappedTraceFile::open(p);
     EXPECT_EQ(file->payload_hash(), hdr.payload_hash);
-    MmapReplayTrace replay(file);
+    ReplayTrace replay(file);
     expect_same_events(drain(t), drain(replay));
 }
 
@@ -194,25 +180,23 @@ TEST_F(BinFmtTest, ConverterTextToBinToTextIsIdentical)
     EXPECT_EQ(slurp(text1), slurp(text2));
 }
 
-TEST_F(BinFmtTest, OpenTraceSniffsAllThreeFormats)
+TEST_F(BinFmtTest, OpenTraceSniffsBothFormats)
 {
     VectorTrace t = sample_trace(64);
     auto expected = drain(t);
 
     std::string text = path("t.txt");
-    std::string sgmt = path("t.sgmt");
     std::string sgmb = path("t.sgmb");
     write_trace_text(t, text);
-    write_trace_binary(t, sgmt);
     write_bin_trace(t, sgmb);
 
-    for (const std::string &p : {text, sgmt, sgmb}) {
+    for (const std::string &p : {text, sgmb}) {
         auto src = open_trace(p);
         expect_same_events(expected, drain(*src));
     }
     // SGMB specifically gets the zero-copy mmap cursor.
     auto src = open_trace(sgmb);
-    EXPECT_NE(dynamic_cast<MmapReplayTrace *>(src.get()), nullptr);
+    EXPECT_NE(dynamic_cast<ReplayTrace *>(src.get()), nullptr);
 }
 
 TEST_F(BinFmtTest, RejectsBadMagic)
@@ -325,7 +309,7 @@ TEST_F(BinFmtTest, MultiCursorConcurrentReplayIsIdentical)
     std::vector<std::thread> threads;
     for (int i = 0; i < kThreads; ++i) {
         threads.emplace_back([&file, &got, i] {
-            MmapReplayTrace cursor(file);
+            ReplayTrace cursor(file);
             TraceEvent batch[97]; // odd size: exercise partial tails
             size_t n;
             while ((n = cursor.next_batch(batch, 97)) > 0)
@@ -345,7 +329,7 @@ TEST_F(BinFmtTest, CursorSeekAndReset)
     std::string p = path("seek.sgmb");
     write_bin_trace(t, p);
 
-    MmapReplayTrace cursor(MappedTraceFile::open(p));
+    ReplayTrace cursor(MappedTraceFile::open(p));
     cursor.seek(40);
     EXPECT_EQ(cursor.position(), 40u);
     auto tail = drain(cursor);
@@ -354,6 +338,33 @@ TEST_F(BinFmtTest, CursorSeekAndReset)
     cursor.reset();
     EXPECT_EQ(cursor.position(), 0u);
     expect_same_events(expected, drain(cursor));
+    // Seeking past the end clamps instead of reading beyond it.
+    cursor.seek(1000);
+    EXPECT_EQ(cursor.position(), 100u);
+    TraceEvent batch[8];
+    EXPECT_EQ(cursor.next_batch(batch, 8), 0u);
+}
+
+/** One cursor class replays a heap buffer and a mapping alike. */
+TEST_F(BinFmtTest, HeapAndMappedCursorsReplayIdentically)
+{
+    VectorTrace t = sample_trace(5000);
+    auto expected = drain(t);
+    auto heap = std::make_shared<PackedTrace>();
+    for (const TraceEvent &ev : expected)
+        heap->push_back(pack_trace_event(ev));
+    std::string p = path("same.sgmb");
+    write_bin_trace(t, p);
+
+    ReplayTrace from_heap{std::shared_ptr<const PackedTrace>(heap)};
+    ReplayTrace from_file(MappedTraceFile::open(p));
+    EXPECT_EQ(from_heap.size_hint(), from_file.size_hint());
+    expect_same_events(expected, drain(from_heap));
+    expect_same_events(expected, drain(from_file));
+    // The cursor keeps its owner alive.
+    std::weak_ptr<PackedTrace> weak = heap;
+    heap.reset();
+    EXPECT_FALSE(weak.expired());
 }
 
 TEST_F(BinFmtTest, TextReaderBatchesMatchPerRefReads)
@@ -392,8 +403,6 @@ class TraceStoreTierTest : public BinFmtTest
     void
     SetUp() override
     {
-        BinFmtTest::SetUp();
-        trace_store_set_enabled(true);
         trace_store_set_dir("");
         trace_store_set_budget_bytes(256ull << 20);
         trace_store_clear();
@@ -402,11 +411,9 @@ class TraceStoreTierTest : public BinFmtTest
     void
     TearDown() override
     {
-        trace_store_set_enabled(true);
         trace_store_set_dir("");
         trace_store_set_budget_bytes(256ull << 20);
         trace_store_clear();
-        BinFmtTest::TearDown();
     }
 };
 

@@ -7,14 +7,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <string>
+#include <utility>
 
 #include "common/options.h"
 #include "common/units.h"
 #include "mem/page.h"
 #include "mem/tlb.h"
 #include "sim/kernel.h"
+#include "temp_dir.h"
 #include "trace/synthetic.h"
 #include "trace/trace_file.h"
 
@@ -62,51 +63,53 @@ TEST(DeathTests, MissingTraceFile)
                  "cannot open");
 }
 
-TEST(DeathTests, CorruptTextTrace)
+void
+read_all(const std::string &path)
 {
-    std::string path = "/tmp/sgms_corrupt_trace.txt";
-    {
-        std::ofstream f(path);
-        f << "R 100\nX zzz\n";
+    FileTrace t(path);
+    TraceEvent ev;
+    while (t.next(ev)) {
     }
-    EXPECT_DEATH(
-        {
-            FileTrace t(path);
-            TraceEvent ev;
-            while (t.next(ev)) {
-            }
-        },
-        "bad");
-    std::remove(path.c_str());
 }
 
-TEST(DeathTests, TruncatedBinaryTrace)
+TEST(DeathTests, CorruptTextTrace)
 {
-    std::string path = "/tmp/sgms_truncated_trace.bin";
-    {
-        VectorTrace t;
-        t.push(1);
-        t.push(2);
-        write_trace_binary(t, path);
+    test::TempDir tmp;
+    std::string path = tmp.write("t.txt", "R 100\nX zzz\n");
+    EXPECT_DEATH(read_all(path), "bad");
+}
+
+TEST(DeathTests, HostileTextTraceLines)
+{
+    // Each line once read as a reference (trailing text ignored, a
+    // sign or overflow wrapped to 0xffffffffffffffff, the top bit
+    // kept). Each must now stop the read.
+    const std::pair<std::string, const char *> cases[] = {
+        {"R 12 junk\n", "bad line"},
+        {"W -1\n", "bad line"},
+        {"R +1\n", "bad line"},
+        {"R 1ffffffffffffffffff\n", "out of range"},
+        {"R 8000000000000001\n", "out of range"},
+        {"R 0x\n", "bad line"},
+        {"R\n", "bad line"},
+        {"R12\n", "bad line"},
+        {std::string("R 12\0junk\n", 10), "bad line"},
+    };
+    test::TempDir tmp;
+    for (const auto &[line, why] : cases) {
+        SCOPED_TRACE(line);
+        std::string path = tmp.write("t.txt", "R 1\n" + line);
+        EXPECT_DEATH(read_all(path), why);
     }
-    // Chop the last record in half.
-    {
-        std::FILE *f = std::fopen(path.c_str(), "r+");
-        ASSERT_NE(f, nullptr);
-        std::fseek(f, 0, SEEK_END);
-        long size = std::ftell(f);
-        ASSERT_EQ(0, ftruncate(fileno(f), size - 4));
-        std::fclose(f);
-    }
-    EXPECT_DEATH(
-        {
-            FileTrace t(path);
-            TraceEvent ev;
-            while (t.next(ev)) {
-            }
-        },
-        "truncated");
-    std::remove(path.c_str());
+}
+
+TEST(DeathTests, OverlongTextTraceLine)
+{
+    // Longer than the reader's 64 KiB buffer: rejected, not grown.
+    test::TempDir tmp;
+    std::string path = tmp.write(
+        "t.txt", "R 1\n# " + std::string(70 * 1024, 'x') + "\nR 2\n");
+    EXPECT_DEATH(read_all(path), "line longer than");
 }
 
 TEST(EdgeCases, SingleReferenceTrace)

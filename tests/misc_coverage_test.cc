@@ -8,13 +8,12 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-
 #include "common/stats.h"
 #include "core/experiment.h"
 #include "mem/page_table.h"
 #include "net/params.h"
 #include "sim/event_queue.h"
+#include "temp_dir.h"
 #include "trace/trace_file.h"
 
 namespace sgms
@@ -65,12 +64,12 @@ TEST(ExperimentConfig, MemPagesDeriveFromFootprint)
 
 TEST(TraceText, LowercaseAndCommentsTolerated)
 {
-    std::string path = "/tmp/sgms_misc_trace.txt";
-    {
-        std::ofstream f(path);
-        f << "# comment line\n\nr ff\nw 1a2b\n";
-    }
-    FileTrace t(path);
+    // Also blanks, tabs, CRLF line ends and a 0x prefix.
+    test::TempDir tmp;
+    FileTrace t(tmp.write("t.txt",
+                          "# comment line\n\nr ff\nw 1a2b\n"
+                          "  R\t0x10  \r\n\t# indented\n"
+                          "W 0X7fffffffffffffff"));
     TraceEvent ev;
     ASSERT_TRUE(t.next(ev));
     EXPECT_EQ(ev.addr, 0xffu);
@@ -78,8 +77,13 @@ TEST(TraceText, LowercaseAndCommentsTolerated)
     ASSERT_TRUE(t.next(ev));
     EXPECT_EQ(ev.addr, 0x1a2bu);
     EXPECT_TRUE(ev.write);
+    ASSERT_TRUE(t.next(ev));
+    EXPECT_EQ(ev.addr, 0x10u);
+    EXPECT_FALSE(ev.write);
+    ASSERT_TRUE(t.next(ev));
+    EXPECT_EQ(ev.addr, 0x7fffffffffffffffull); // largest packable
+    EXPECT_TRUE(ev.write);
     EXPECT_FALSE(t.next(ev));
-    std::remove(path.c_str());
 }
 
 TEST(HistogramQuantiles, SingleBinAndWeights)

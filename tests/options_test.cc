@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "common/options.h"
@@ -48,6 +50,49 @@ TEST(Options, TypedGetters)
     EXPECT_DOUBLE_EQ(o.get_double("zz", 7.5), 7.5);
     EXPECT_EQ(o.get_u64("zz", 9), 9u);
     EXPECT_EQ(o.get_bytes("zz", 11), 11u);
+}
+
+TEST(Options, NumbersMustBeWhole)
+{
+    Options o = parse({"--u=18446744073709551615", "--d=-0.25",
+                       "--e=1e3", "--subpage=2K"});
+    EXPECT_EQ(o.get_u64("u", 0), UINT64_MAX);
+    EXPECT_DOUBLE_EQ(o.get_double("d", 0), -0.25);
+    EXPECT_DOUBLE_EQ(o.get_double("e", 0), 1000.0);
+    // Suffixed sizes go through get_bytes, not the strict getters.
+    EXPECT_EQ(o.get_bytes("subpage", 0), 2048u);
+
+    uint64_t u = 0;
+    double d = 0;
+    EXPECT_TRUE(parse_number("42", u));
+    EXPECT_EQ(u, 42u);
+    EXPECT_TRUE(parse_number("0.01", d));
+    EXPECT_DOUBLE_EQ(d, 0.01);
+    for (const char *bad : {"", "abc", "12x", " 1", "1 ", "+1", "-1",
+                            "0x10", "18446744073709551616", "1.5"})
+        EXPECT_FALSE(parse_number(bad, u)) << bad;
+    for (const char *bad : {"", "0.01x", "1.5.2", " 1", "+1", "1e999"})
+        EXPECT_FALSE(parse_number(bad, d)) << bad;
+}
+
+TEST(OptionsDeathTest, MalformedNumbersAreFatal)
+{
+    // Each of these once parsed as a prefix or wrapped around:
+    // --seed=-1 as 2^64-1, --scale=0.01x as 0.01, --jobs=-1 as
+    // 2^64-1 pool threads.
+    EXPECT_DEATH(parse({"--seed=-1"}).get_u64("seed", 1), "bad integer");
+    EXPECT_DEATH(parse({"--jobs=-1"}).get_u64("jobs", 1), "bad integer");
+    EXPECT_DEATH(parse({"--seed=3x"}).get_u64("seed", 1), "bad integer");
+    EXPECT_DEATH(parse({"--scale=0.01x"}).get_double("scale", 1),
+                 "bad number");
+    EXPECT_DEATH(parse({"--scale="}).get_double("scale", 1),
+                 "bad number");
+    EXPECT_DEATH(
+        {
+            ::setenv("SGMS_TEST_U64", "-1", 1);
+            env_u64("SGMS_TEST_U64", 0);
+        },
+        "bad integer");
 }
 
 TEST(Options, UnusedDetection)
