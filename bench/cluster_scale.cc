@@ -11,8 +11,9 @@
  * sp_1024 (eager) vs p_8192 (fullpage) as the cluster fills up.
  *
  * The JSON summary (default results/BENCH_cluster.json) records the
- * scaling curve, the knee, and the kernel's multi-client events/sec
- * at N=256 (`mc_events_per_sec`), which scripts/check.sh compares
+ * scaling curve with each point's refs/sec and events/sec, the knee,
+ * and the kernel's multi-client rates at N=256 (`mc_refs_per_sec`,
+ * `mc_events_per_sec`). scripts/check.sh compares the events/sec
  * against the committed baseline as a perf smoke (>25% regression
  * fails).
  *
@@ -162,12 +163,16 @@ main(int argc, char **argv)
                 "%llu\n",
                 static_cast<unsigned long long>(heap_fallbacks));
 
-    // The perf-smoke reference point: kernel dispatch rate at the
-    // largest measured N <= 256 (stable across --max-clients).
+    // The perf-smoke reference point: kernel rates at the largest
+    // measured N <= 256 (stable across --max-clients).
     double mc_events_per_sec = 0.0;
-    for (const Point &p : eager)
-        if (p.clients <= 256)
+    double mc_refs_per_sec = 0.0;
+    for (const Point &p : eager) {
+        if (p.clients <= 256) {
             mc_events_per_sec = p.events_per_sec;
+            mc_refs_per_sec = p.refs_per_sec;
+        }
+    }
 
     std::ofstream out(out_path);
     if (out) {
@@ -175,6 +180,8 @@ main(int argc, char **argv)
         js << "{\"bench\":\"cluster_scale\",\"scale\":" << scale
            << ",\"app\":\"gdb\",\"max_clients\":" << max_clients
            << ",\"knee_clients\":" << knee
+           << ",\"mc_refs_per_sec\":"
+           << static_cast<uint64_t>(mc_refs_per_sec)
            << ",\"mc_events_per_sec\":"
            << static_cast<uint64_t>(mc_events_per_sec)
            << ",\"heap_fallbacks\":" << heap_fallbacks
@@ -191,6 +198,8 @@ main(int argc, char **argv)
                << ",\"server_util\":" << e.server_util
                << ",\"wire_util\":" << e.wire_util
                << ",\"kernel_events\":" << e.kernel_events
+               << ",\"refs_per_sec\":"
+               << static_cast<uint64_t>(e.refs_per_sec)
                << ",\"events_per_sec\":"
                << static_cast<uint64_t>(e.events_per_sec) << "}";
         }

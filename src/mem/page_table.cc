@@ -19,14 +19,14 @@ PageTable::install(PageId page)
                                  dense_.size() * 2);
             cap = std::min<size_t>(cap, DENSE_LIMIT);
             dense_.resize(cap);
-            dense_present_.resize(cap, 0);
         }
-        dense_present_[page] = 1;
         dense_[page] = Frame{};
+        dense_[page].present = true;
         return dense_[page];
     }
     auto [it, inserted] = overflow_.try_emplace(page);
     SGMS_ASSERT(inserted);
+    it->second.present = true;
     return it->second;
 }
 
@@ -40,8 +40,8 @@ void
 PageTable::remove_storage(PageId page)
 {
     if (page < DENSE_LIMIT) {
-        SGMS_ASSERT(page < dense_.size() && dense_present_[page]);
-        dense_present_[page] = 0;
+        SGMS_ASSERT(page < dense_.size() && dense_[page].present);
+        dense_[page].present = false;
     } else {
         size_t n = overflow_.erase(page);
         SGMS_ASSERT(n == 1);

@@ -45,6 +45,11 @@ class PageTable
         /** The page has been written since installation. */
         bool dirty = false;
         /**
+         * The frame holds a resident page. Lives in what would
+         * otherwise be padding, so a dense lookup is one load.
+         */
+        bool present = false;
+        /**
          * Subpage faulted on most recently, while the simulator is
          * watching for the first access to a *different* subpage
          * (Figure 7's distance metric); -1 when not watching.
@@ -62,6 +67,7 @@ class PageTable
             return inflight & (1ULL << idx);
         }
     };
+    static_assert(sizeof(Frame) == 40, "the present flag fits padding");
 
     /**
      * @param geo      page/subpage geometry
@@ -78,8 +84,10 @@ class PageTable
     Frame *
     find(PageId page)
     {
-        if (page < dense_.size())
-            return dense_present_[page] ? &dense_[page] : nullptr;
+        if (page < dense_.size()) {
+            Frame *f = &dense_[page];
+            return f->present ? f : nullptr;
+        }
         if (page < DENSE_LIMIT)
             return nullptr;
         auto it = overflow_.find(page);
@@ -143,10 +151,8 @@ class PageTable
     {
         policy_->reserve(pages);
         size_t cap = std::min<size_t>(pages, DENSE_LIMIT);
-        if (cap > dense_.size()) {
+        if (cap > dense_.size())
             dense_.resize(cap);
-            dense_present_.resize(cap, 0);
-        }
     }
 
   private:
@@ -160,7 +166,6 @@ class PageTable
     std::unique_ptr<ReplacementPolicy> policy_;
 
     std::vector<Frame> dense_;
-    std::vector<uint8_t> dense_present_;
     std::unordered_map<PageId, Frame> overflow_;
     size_t resident_ = 0;
     uint64_t evictions_ = 0;

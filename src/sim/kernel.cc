@@ -122,8 +122,8 @@ struct Simulator::Client
     bool finished = false;
 
     // Per-client tallies, summed (in client order) into the
-    // aggregate result; integer sums, so N=1 is bit-exact.
-    Tick exec_time = 0;
+    // aggregate result; integer sums, so N=1 is bit-exact. Exec time
+    // is not tallied: it is ref_index * ns_per_ref (Run::exec_time).
     Tick sp_latency = 0;
     Tick page_wait = 0;
     Tick recv_overhead = 0;
@@ -239,6 +239,13 @@ struct Simulator::Run
     const Tick step_len;
     const bool software_pal;
 
+    /** Execution time of @p c: each reference charges step_len. */
+    Tick
+    exec_time(const Client &c) const
+    {
+        return static_cast<Tick>(c.ref_index) * step_len;
+    }
+
     /**
      * Namespace a client-local page id on the shared cluster.
      * Identity at n == 1, so directory hashing, warm/cold state, and
@@ -248,6 +255,13 @@ struct Simulator::Run
     gpage(PageId page, uint32_t client) const
     {
         return page * n + client;
+    }
+
+    /** Client @p c's slots of the batch buffer. */
+    TraceEvent *
+    batch(const Client &c)
+    {
+        return batch_buf.data() + static_cast<size_t>(c.id) * TRACE_BATCH;
     }
 
     static bool
@@ -352,8 +366,7 @@ Simulator::begin(const std::vector<TraceSource *> &traces)
 void
 Simulator::prime_client(Run &r, Client &c)
 {
-    TraceEvent *buf =
-        r.batch_buf.data() + static_cast<size_t>(c.id) * TRACE_BATCH;
+    TraceEvent *buf = r.batch(c);
     size_t got = c.trace->next_batch(buf, TRACE_BATCH);
     if (got == 0) {
         c.finished = true;
@@ -411,9 +424,32 @@ Simulator::finish_client(Run &r, Client &c)
 }
 
 /**
- * Charge one executed reference, then load the next one (finishing
- * the client at end of trace). Returns true when the caller's step
- * loop should keep running this client inline; false when the client
+ * Refill @p c's batch once it is used up. Returns false at the end of
+ * the trace, after finishing the client. Checks the wall budget, so
+ * the caller must have written its reference count back first.
+ */
+bool
+Simulator::refill_batch(Run &r, Client &c)
+{
+    size_t got = c.trace->next_batch(r.batch(c), TRACE_BATCH);
+    if (got == 0) {
+        // End of this client's trace: its pending events are
+        // abandoned, and no event due at or before c.now runs on its
+        // account.
+        finish_client(r, c);
+        return false;
+    }
+    c.batch_n = got;
+    c.batch_i = 0;
+    if (r.budgeted && std::chrono::steady_clock::now() >= r.deadline)
+        throw SimTimeoutError(cfg_.wall_budget_ms, refs_executed());
+    return true;
+}
+
+/**
+ * Charge a reference that completed on a slow path, then load the
+ * next one (finishing the client at end of trace). Returns true when
+ * the caller should keep running the client inline; false when it
  * parked (or finished) and the caller must return to the scheduler.
  * Wake paths pass in_step=false: they run inside an event callback,
  * so the client always re-enters through the scheduler, which first
@@ -423,131 +459,148 @@ bool
 Simulator::advance_after_ref(Run &r, Client &c, bool in_step)
 {
     c.now += r.step_len;
-    c.exec_time += r.step_len;
     ++c.ref_index;
-    if (c.batch_i == c.batch_n) {
-        TraceEvent *buf = r.batch_buf.data() +
-                          static_cast<size_t>(c.id) * TRACE_BATCH;
-        size_t got = c.trace->next_batch(buf, TRACE_BATCH);
-        if (got == 0) {
-            // End of this client's trace: its pending events are
-            // abandoned, and no event due at or before c.now runs on
-            // its account.
-            finish_client(r, c);
-            return false;
-        }
-        c.batch_n = got;
-        c.batch_i = 0;
-        if (r.budgeted &&
-            std::chrono::steady_clock::now() >= r.deadline)
-            throw SimTimeoutError(cfg_.wall_budget_ms,
-                                  refs_executed());
-    }
-    c.cur_ev = r.batch_buf[static_cast<size_t>(c.id) * TRACE_BATCH +
-                           c.batch_i++];
+    if (c.batch_i == c.batch_n && !refill_batch(r, c))
+        return false;
+    c.cur_ev = r.batch(c)[c.batch_i++];
     c.phase = Phase::RefSteal;
-    if (!in_step) {
-        r.push_runnable(c, c.now);
-        return false;
-    }
-    if (r.eq.next_time() <= c.now) {
-        r.push_runnable(c, c.now);
-        return false;
-    }
-    return true;
+    if (in_step && r.eq.next_time() > c.now)
+        return true;
+    r.push_runnable(c, c.now);
+    return false;
 }
 
+/**
+ * Run @p c from its park point until it has to wait: the reference
+ * loop (DESIGN.md §13, "Reference loop"). The client's hot state
+ * stays in locals, which are written back only where the loop leaves
+ * it: a slow path, the event horizon, a batch refill, or a charge
+ * (steal or TLB refill) that crosses the horizon.
+ */
 void
 Simulator::step(Run &r, Client &c)
 {
+    if (c.phase == Phase::DiskWake) {
+        finish_disk_wake(r, c);
+        if (!complete_ref_after_slow(r, c, /*in_step=*/true))
+            return;
+    }
+
+    // A hit schedules no event, so the next event time read here is
+    // the horizon for every reference the loop runs.
+    const Tick horizon = r.eq.next_time();
+    const Tick step_len = r.step_len;
+    const bool software_pal = r.software_pal;
+    const PageGeometry geo = r.geo;
+    const TraceEvent *buf = r.batch(c);
+    Tlb *const tlb = c.tlb.get();
+    size_t batch_n = c.batch_n;
+    Phase phase = c.phase;
+    Tick steal = c.pending_steal;
+    Tick now = c.now;
+    uint64_t ref = c.ref_index;
+    size_t batch_i = c.batch_i;
+    TraceEvent ev = c.cur_ev;
+    PageId last_page = c.last_page;
+    bool last_fast = c.last_fast;
+    PageTable::Frame *last_frame = c.last_frame;
+
+    auto save = [&](Phase at) {
+        c.now = now;
+        c.ref_index = ref;
+        c.batch_i = batch_i;
+        c.cur_ev = ev;
+        c.last_page = last_page;
+        c.last_fast = last_fast;
+        c.last_frame = last_frame;
+        c.phase = at;
+    };
+    auto park = [&](Phase at) {
+        save(at);
+        r.push_runnable(c, now);
+    };
+
     for (;;) {
-        switch (c.phase) {
-        case Phase::RefSteal:
-            if (c.pending_steal) {
-                c.now += c.pending_steal;
-                c.recv_overhead += c.pending_steal;
-                c.pending_steal = 0;
-                c.phase = Phase::RefTlb;
-                // The steal may have pushed us past more event times.
-                if (r.eq.next_time() <= c.now) {
-                    r.push_runnable(c, c.now);
-                    return;
-                }
-            }
-            c.phase = Phase::RefTlb;
-            [[fallthrough]];
-        case Phase::RefTlb:
-            if (c.tlb && !c.tlb->access(c.cur_ev.addr)) {
-                c.now += cfg_.tlb_miss_cost;
-                c.tlb_overhead += cfg_.tlb_miss_cost;
-                c.phase = Phase::RefBody;
-                // The refill may have pushed us past pending events;
-                // they must run before any fault handling injects
-                // new messages.
-                if (r.eq.next_time() <= c.now) {
-                    r.push_runnable(c, c.now);
-                    return;
-                }
-            }
-            c.phase = Phase::RefBody;
-            [[fallthrough]];
-        case Phase::RefBody: {
-            const TraceEvent ev = c.cur_ev;
-            PageId page = r.geo.page_of(ev.addr);
-            if (page == c.last_page && c.last_fast) {
-                // Fast path: same complete page — only the dirty bit
-                // can change.
-                if (ev.write)
-                    c.last_frame->dirty = true;
-            } else {
-                PageTable::Frame *frame = c.pt.find(page);
-                if (!frame) {
-                    if (yield_for_slow_path(r, c))
-                        return;
-                    page_fault(r, c, page);
-                    return; // parked on the fetch / disk sleep
-                }
-                if (page != c.last_page &&
-                    c.ref_index - frame->last_touch >=
-                        TOUCH_GRANULARITY) {
-                    c.pt.touch(page);
-                    frame->last_touch = c.ref_index;
-                }
-                SubpageIndex sp = r.geo.subpage_of(ev.addr);
-                if (!frame->valid.test(sp)) {
-                    if (yield_for_slow_path(r, c))
-                        return;
-                    if (frame->subpage_inflight(sp)) {
-                        park_fetch_wait(c, page, sp,
-                                        frame->fault_id,
-                                        Cont::PageWaitInflight, 0);
-                    } else {
-                        subpage_fault(r, c, *frame, page);
-                    }
-                    return; // parked
-                }
-                if (r.software_pal && !frame->complete) {
-                    Tick cost = c.pal.access_cost(page, ev.write);
-                    c.now += cost;
-                    c.emulation_overhead += cost;
-                }
-                resolve_watch(r, c, *frame, sp);
-                if (ev.write)
-                    frame->dirty = true;
-                c.last_page = page;
-                c.last_fast =
-                    frame->complete && frame->watch_from < 0;
-                c.last_frame = frame;
-            }
-            if (!advance_after_ref(r, c, /*in_step=*/true))
+        // Only a delivery adds a steal, so one is pending here only
+        // if it arrived while the client was parked; when that was
+        // past this reference's RefSteal point, it lands on the next.
+        if (steal && phase == Phase::RefSteal) {
+            now += steal;
+            c.recv_overhead += steal;
+            c.pending_steal = steal = 0;
+            if (now >= horizon) {
+                park(Phase::RefTlb);
                 return;
-            break;
+            }
         }
-        case Phase::DiskWake:
-            finish_disk_wake(r, c);
-            if (!complete_ref_after_slow(r, c, /*in_step=*/true))
+        if (tlb && phase != Phase::RefBody && !tlb->access(ev.addr)) {
+            now += cfg_.tlb_miss_cost;
+            c.tlb_overhead += cfg_.tlb_miss_cost;
+            // Pending events must run before any fault handling
+            // injects new messages.
+            if (now >= horizon) {
+                park(Phase::RefBody);
                 return;
-            break;
+            }
+        }
+
+        PageId page = geo.page_of(ev.addr);
+        if (page == last_page && last_fast) {
+            // Same complete page: only the dirty bit can change.
+            last_frame->dirty |= ev.write;
+        } else {
+            PageTable::Frame *frame = c.pt.find(page);
+            if (!frame) {
+                save(Phase::RefBody);
+                if (!yield_for_slow_path(r, c))
+                    page_fault(r, c, page);
+                return; // parked on the fetch / disk sleep or yielded
+            }
+            if (ref - frame->last_touch >= TOUCH_GRANULARITY &&
+                page != last_page) {
+                c.pt.touch(page);
+                frame->last_touch = ref;
+            }
+            SubpageIndex sp = geo.subpage_of(ev.addr);
+            if (!frame->valid.test(sp)) {
+                save(Phase::RefBody);
+                if (yield_for_slow_path(r, c))
+                    return;
+                if (frame->subpage_inflight(sp)) {
+                    park_fetch_wait(c, page, sp, frame->fault_id,
+                                    Cont::PageWaitInflight, 0);
+                } else {
+                    subpage_fault(r, c, *frame, page);
+                }
+                return; // parked
+            }
+            if (software_pal && !frame->complete) {
+                Tick cost = c.pal.access_cost(page, ev.write);
+                now += cost;
+                c.emulation_overhead += cost;
+            }
+            if (frame->watch_from >= 0)
+                resolve_watch(r, c, *frame, sp);
+            frame->dirty |= ev.write;
+            last_page = page;
+            last_fast = frame->complete && frame->watch_from < 0;
+            last_frame = frame;
+        }
+
+        now += step_len;
+        ++ref;
+        if (batch_i == batch_n) {
+            save(Phase::RefSteal);
+            if (!refill_batch(r, c))
+                return;
+            batch_i = 0;
+            batch_n = c.batch_n;
+        }
+        ev = buf[batch_i++];
+        phase = Phase::RefSteal;
+        if (now >= horizon) {
+            park(Phase::RefSteal);
+            return;
         }
     }
 }
@@ -609,13 +662,12 @@ Simulator::begin_disk_sleep(Run &r, Client &c, Tick lat,
     r.push_runnable(c, c.now + lat);
 }
 
+/** Called only while @p frame is watched (watch_from >= 0). */
 void
 Simulator::resolve_watch(Run &r, Client &c,
                          PageTable::Frame &frame,
                          SubpageIndex touched)
 {
-    if (frame.watch_from < 0)
-        return;
     if (static_cast<SubpageIndex>(frame.watch_from) == touched)
         return;
     int distance = static_cast<int>(touched) - frame.watch_from;
@@ -644,7 +696,8 @@ void
 Simulator::resolve_epilogue(Run &r, Client &c,
                             PageTable::Frame &f)
 {
-    resolve_watch(r, c, f, r.geo.subpage_of(c.cur_ev.addr));
+    if (f.watch_from >= 0)
+        resolve_watch(r, c, f, r.geo.subpage_of(c.cur_ev.addr));
     if (c.cur_ev.write)
         f.dirty = true;
 }
@@ -1268,8 +1321,12 @@ Simulator::finish()
     Tick exec = 0, sp_lat = 0, pwait = 0, recv = 0, emu = 0;
     Tick tlb_ovh = 0, blocked = 0, runtime = 0;
     for (Client &c : r.clients) {
+        // Each tick of a client's clock is charged to one account.
+        SGMS_ASSERT(c.now == r.exec_time(c) + c.sp_latency +
+                                 c.page_wait + c.recv_overhead +
+                                 c.emulation_overhead + c.tlb_overhead);
         refs += c.ref_index;
-        exec += c.exec_time;
+        exec += r.exec_time(c);
         sp_lat += c.sp_latency;
         pwait += c.page_wait;
         recv += c.recv_overhead;
@@ -1366,7 +1423,7 @@ Simulator::finish()
                 r.metrics.gauge(p + "runtime_ns")
                     .set(ticks::to_ns(c.now));
                 r.metrics.gauge(p + "exec_ns")
-                    .set(ticks::to_ns(c.exec_time));
+                    .set(ticks::to_ns(r.exec_time(c)));
                 r.metrics.gauge(p + "blocked_ns")
                     .set(ticks::to_ns(c.total_blocked));
                 r.metrics.gauge(p + "sp_latency_ns")

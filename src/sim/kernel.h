@@ -119,6 +119,7 @@ class Simulator
 
     void prime_client(Run &r, Client &c);
     void step(Run &r, Client &c);
+    bool refill_batch(Run &r, Client &c);
     bool advance_after_ref(Run &r, Client &c, bool in_step);
     bool complete_ref_after_slow(Run &r, Client &c, bool in_step);
     bool yield_for_slow_path(Run &r, Client &c);

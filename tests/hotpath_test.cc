@@ -489,7 +489,12 @@ TEST(WallBudget, TinyBudgetAbortsTheRun)
         FAIL() << "expected SimTimeoutError";
     } catch (const SimTimeoutError &e) {
         EXPECT_EQ(e.budget_ms(), 1u);
+        // The budget is checked at a batch refill, after the batch's
+        // last reference is charged and written back: at N=1 the
+        // count is a whole number of 1024-reference batches.
         EXPECT_GT(e.refs_done(), 0u);
+        EXPECT_EQ(e.refs_done() % 1024, 0u);
+        EXPECT_LT(e.refs_done(), ex.trace()->size_hint());
     }
 }
 

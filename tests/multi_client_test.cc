@@ -291,6 +291,37 @@ TEST(MultiClientIdentity, ExperimentRouteIsByteIdenticalAtNOne)
 }
 
 // ---------------------------------------------------------------
+// Reference loop (DESIGN.md §13)
+// ---------------------------------------------------------------
+
+TEST(ReferenceLoop, StealPendingAtReentryLandsOnNextReference)
+{
+    // One pipelined fault on subpage 3 of page 0, then hits on that
+    // subpage. With the prototype controller's receive cost
+    // (--proto-controller) the two pipelined neighbours land 91.744
+    // us apart on the busy receive CPU, so charging the first one's
+    // steal carries the clock past the second delivery: the client
+    // parks at RefTlb, that delivery adds a steal, and the client
+    // re-enters with it pending. It must land on the next reference.
+    // The trace ends before the rest-of-page delivery, so a loop that
+    // ran ahead past the pending steal would never charge it.
+    SimConfig cfg;
+    cfg.policy = "pipelining";
+    cfg.subpage_size = 1024;
+    cfg.net.pipelined_recv_fixed = ticks::from_us(60);
+    cfg.net.pipelined_recv_per_byte = ticks::from_ns(31);
+    VectorTrace trace;
+    for (int i = 0; i < 15000; ++i)
+        trace.push(3 * 1024 + 8, /*write=*/false);
+    SimResult r = Simulator(cfg).run(trace);
+    const Tick steal = ticks::from_us(60) + 1024 * ticks::from_ns(31);
+    EXPECT_EQ(r.page_faults, 1u);
+    EXPECT_EQ(r.recv_overhead, 2 * steal);
+    EXPECT_EQ(r.runtime, r.exec_time + r.sp_latency + 2 * steal);
+    EXPECT_EQ(r.runtime, 909'756'800); // ps: 909.7568 us
+}
+
+// ---------------------------------------------------------------
 // Multi-client determinism and aggregation
 // ---------------------------------------------------------------
 
