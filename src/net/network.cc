@@ -36,8 +36,8 @@ Network::cpu(NodeId node)
         Component comp = node == requester_ ? Component::ReqCpu
                                             : Component::SrvCpu;
         slot = std::make_unique<StageResource>(
-            eq_, comp, node, recorder_, params_.preemptive_demand,
-            tracer_);
+            eq_, sink(), comp, node, recorder_,
+            params_.preemptive_demand, tracer_);
     }
     return *slot;
 }
@@ -52,8 +52,8 @@ Network::dma(NodeId node)
         Component comp = node == requester_ ? Component::ReqDma
                                             : Component::SrvDma;
         slot = std::make_unique<StageResource>(
-            eq_, comp, node, recorder_, params_.preemptive_demand,
-            tracer_);
+            eq_, sink(), comp, node, recorder_,
+            params_.preemptive_demand, tracer_);
     }
     return *slot;
 }
@@ -66,7 +66,7 @@ Network::wire_to(NodeId node)
     auto &slot = wires_[node];
     if (!slot) {
         slot = std::make_unique<StageResource>(
-            eq_, Component::Wire, node, recorder_,
+            eq_, sink(), Component::Wire, node, recorder_,
             params_.preemptive_demand, tracer_);
     }
     return *slot;
@@ -110,102 +110,109 @@ Network::recv_cpu_cost(const SendArgs &args) const
     return 0;
 }
 
-namespace
+uint64_t
+Network::in_flight(MsgKind kind) const
 {
+    uint64_t n = 0;
+    for (const Msg &m : msgs_)
+        n += m.live && m.kind == kind;
+    return n;
+}
 
-/** Per-message in-flight state; owned by the stage callbacks. */
-struct MsgState
-{
-    uint64_t id;
-    MsgKind kind;
-    int prio;
-    NodeId src;
-    NodeId dst;
-    /** Occupancy of the five stages, in pipeline order. */
-    Tick cost[5];
-    Tick recv_cost;
-    fault::MsgFate fate = fault::MsgFate::Deliver;
-    InlineFunction<void(Tick delivered, Tick recv_cpu_cost), 120>
-        delivered;
-};
-
-} // namespace
-
-/**
- * Submit stage @p stage of message @p m at time @p now; the stage's
- * completion submits the next one.
- */
 void
-Network::run_stage(std::shared_ptr<void> opaque, int stage, Tick now)
+Network::free_msg(uint32_t slot)
 {
-    auto m = std::static_pointer_cast<MsgState>(opaque);
+    msgs_[slot].live = false;
+    free_msgs_.push_back(slot);
+}
+
+void
+Network::submit_stage(uint32_t slot, uint8_t stage, Tick now)
+{
+    const Msg &m = msgs_[slot];
     StageResource *res = nullptr;
     switch (stage) {
       case 0:
-        res = &cpu(m->src);
+        res = &cpu(m.src);
         break;
       case 1:
-        res = &dma(m->src);
+        res = &dma(m.src);
         break;
       case 2:
-        res = &wire_to(m->dst);
+        res = &wire_to(m.dst);
         break;
       case 3:
-        res = &dma(m->dst);
+        res = &dma(m.dst);
         break;
       case 4:
-        res = &cpu(m->dst);
+        res = &cpu(m.dst);
         break;
       default:
         panic("bad network stage %d", stage);
     }
-    res->submit(now, m->cost[stage], m->prio, m->id, m->kind,
-                [this, m, stage](Tick, Tick end) {
-                    // Injected losses take effect after the wire
-                    // stage: the message burned sender CPU, DMA and
-                    // wire time, then vanished.
-                    if (stage == 2 && m->fate == fault::MsgFate::Drop) {
-                        ++stats_.dropped;
-                        SGMS_TRACE_INSTANT(tracer_, Net, "drop",
-                                           "faults", end, m->id,
-                                           static_cast<int64_t>(m->dst),
-                                           static_cast<int64_t>(m->kind));
-                        SGMS_DPRINTF(Net, "msg %llu dropped on wire",
-                                     static_cast<unsigned long long>(
-                                         m->id));
-                        return;
-                    }
-                    if (stage == 4) {
-                        if (m->fate == fault::MsgFate::Corrupt) {
-                            // Full delivery cost paid, payload
-                            // discarded by the receiver.
-                            ++stats_.corrupted;
-                            SGMS_TRACE_INSTANT(
-                                tracer_, Net, "corrupt", "faults", end,
-                                m->id, static_cast<int64_t>(m->dst),
-                                static_cast<int64_t>(m->kind));
-                            return;
-                        }
-                        if (m->delivered) {
-                            m->delivered(end, m->recv_cost);
-                            if (m->fate == fault::MsgFate::Duplicate) {
-                                // The same payload lands again
-                                // back-to-back; the duplicate costs
-                                // no extra receive CPU in this model
-                                // and must be suppressed upstream.
-                                ++stats_.duplicated;
-                                SGMS_TRACE_INSTANT(
-                                    tracer_, Net, "duplicate",
-                                    "faults", end, m->id,
-                                    static_cast<int64_t>(m->dst),
-                                    static_cast<int64_t>(m->kind));
-                                m->delivered(end, 0);
-                            }
-                        }
-                    } else {
-                        run_stage(m, stage + 1, end);
-                    }
-                });
+    res->submit(now, m.cost[stage], m.prio, m.id, m.kind, slot, stage);
+}
+
+/**
+ * Stage @p stage of the message in @p slot finished at @p end: submit
+ * the next stage, or end the message (lost, discarded or delivered)
+ * and free its slot.
+ */
+void
+Network::stage_done(uint32_t slot, uint8_t stage, Tick, Tick end)
+{
+    Msg &m = msgs_[slot];
+    const size_t k = static_cast<size_t>(m.kind);
+    // Injected losses take effect after the wire stage: the message
+    // burned sender CPU, DMA and wire time, then vanished.
+    if (stage == 2 && m.fate == fault::MsgFate::Drop) {
+        ++stats_.dropped;
+        ++fates_.dropped[k];
+        SGMS_TRACE_INSTANT(tracer_, Net, "drop", "faults", end, m.id,
+                           static_cast<int64_t>(m.dst),
+                           static_cast<int64_t>(m.kind));
+        SGMS_DPRINTF(Net, "msg %llu dropped on wire",
+                     static_cast<unsigned long long>(m.id));
+        free_msg(slot);
+        return;
+    }
+    if (stage < 4) {
+        submit_stage(slot, stage + 1, end);
+        return;
+    }
+    if (m.fate == fault::MsgFate::Corrupt) {
+        // Full delivery cost paid, payload discarded by the receiver.
+        ++stats_.corrupted;
+        ++fates_.corrupted[k];
+        SGMS_TRACE_INSTANT(tracer_, Net, "corrupt", "faults", end, m.id,
+                           static_cast<int64_t>(m.dst),
+                           static_cast<int64_t>(m.kind));
+        free_msg(slot);
+        return;
+    }
+    ++fates_.delivered[k];
+    // The callback may send, which can reuse this slot or grow the
+    // slab, so everything it needs leaves the slot first.
+    DeliveryFn delivered = std::move(m.delivered);
+    const Tick recv_cost = m.cost[4];
+    const bool duplicate = m.fate == fault::MsgFate::Duplicate;
+    const uint64_t id = m.id;
+    const NodeId dst = m.dst;
+    const MsgKind kind = m.kind;
+    free_msg(slot);
+    if (!delivered)
+        return;
+    delivered(end, recv_cost);
+    if (duplicate) {
+        // The same payload lands again back-to-back; the duplicate
+        // costs no extra receive CPU in this model and must be
+        // suppressed upstream.
+        ++stats_.duplicated;
+        SGMS_TRACE_INSTANT(tracer_, Net, "duplicate", "faults", end, id,
+                           static_cast<int64_t>(dst),
+                           static_cast<int64_t>(kind));
+        delivered(end, 0);
+    }
 }
 
 uint64_t
@@ -226,30 +233,39 @@ Network::send(Tick now, SendArgs args)
                  msg_kind_name(args.kind), args.src, args.dst,
                  args.bytes);
 
-    auto m = std::make_shared<MsgState>();
-    m->id = id;
-    m->kind = args.kind;
+    uint32_t slot;
+    if (!free_msgs_.empty()) {
+        slot = free_msgs_.back();
+        free_msgs_.pop_back();
+    } else {
+        slot = static_cast<uint32_t>(msgs_.size());
+        msgs_.emplace_back();
+    }
+    Msg &m = msgs_[slot];
+    m.id = id;
+    m.kind = args.kind;
+    m.fate = fault::MsgFate::Deliver;
     if (faults_ && faults_->enabled()) {
-        m->fate = faults_->fate(now, args.kind, args.src, args.dst);
-        if (m->fate != fault::MsgFate::Deliver) {
+        m.fate = faults_->fate(now, args.kind, args.src, args.dst);
+        if (m.fate != fault::MsgFate::Deliver) {
             SGMS_DPRINTF(Net, "msg %llu fated to %s",
                          static_cast<unsigned long long>(id),
-                         fault::msg_fate_name(m->fate));
+                         fault::msg_fate_name(m.fate));
         }
     }
-    m->prio = priority_of(args.kind);
-    m->src = args.src;
-    m->dst = args.dst;
-    m->cost[0] = args.kind == MsgKind::Request ? params_.send_cpu_request
-                                               : params_.send_cpu_data;
-    m->cost[1] = params_.dma_fixed + params_.dma_per_byte * args.bytes;
-    m->cost[2] = params_.wire_fixed + params_.wire_per_byte * args.bytes;
-    m->cost[3] = params_.dma_fixed + params_.dma_per_byte * args.bytes;
-    m->recv_cost = recv_cpu_cost(args);
-    m->cost[4] = m->recv_cost;
-    m->delivered = std::move(args.on_delivered);
+    m.prio = priority_of(args.kind);
+    m.src = args.src;
+    m.dst = args.dst;
+    m.cost[0] = args.kind == MsgKind::Request ? params_.send_cpu_request
+                                              : params_.send_cpu_data;
+    m.cost[1] = params_.dma_fixed + params_.dma_per_byte * args.bytes;
+    m.cost[2] = params_.wire_fixed + params_.wire_per_byte * args.bytes;
+    m.cost[3] = m.cost[1];
+    m.cost[4] = recv_cpu_cost(args);
+    m.live = true;
+    m.delivered = std::move(args.on_delivered);
 
-    run_stage(m, 0, now);
+    submit_stage(slot, 0, now);
     return id;
 }
 

@@ -8,6 +8,12 @@
  * different messages overlap across stages; that reproduces both the
  * paper's Figure 2 pipelining and its "sender pipelining" effect
  * (two 4K messages complete before one 8K message).
+ *
+ * In-flight messages live in a slab owned by the Network and recycled
+ * through an index free list; a stage item names its message by slab
+ * slot, and the stage's completion calls back into the Network, which
+ * submits the next stage or delivers. The delivery callback is the
+ * only type-erased closure a message carries.
  */
 
 #ifndef SGMS_NET_NETWORK_H
@@ -32,6 +38,7 @@ namespace sgms
 namespace fault
 {
 class FaultInjector;
+enum class MsgFate : uint8_t;
 } // namespace fault
 
 /** Aggregate traffic statistics kept by the network. */
@@ -47,10 +54,34 @@ struct NetStats
     uint64_t duplicated = 0;
 };
 
+/**
+ * How the messages sent so far ended, per kind. Kept apart from
+ * NetStats (and so out of results) for the conservation identity:
+ * per kind, sent == delivered + dropped + corrupted + in flight.
+ * Duplicate deliveries are NetStats::duplicated and are not counted
+ * here.
+ */
+struct MsgFates
+{
+    uint64_t delivered[kMsgKindCount] = {};
+    uint64_t dropped[kMsgKindCount] = {};
+    uint64_t corrupted[kMsgKindCount] = {};
+};
+
 /** Cluster interconnect plus per-node CPU/DMA contention model. */
-class Network
+class Network final : private StageSink
 {
   public:
+    /**
+     * Called at delivery (end of the receive-CPU stage).
+     * @p recv_cpu_cost is the receiver CPU time the message consumed,
+     * which the simulator may charge to the program. Inline capacity
+     * covers the simulator's delivery closures (run state, page
+     * identity and one segment's mask and timing).
+     */
+    using DeliveryFn =
+        InlineFunction<void(Tick delivered, Tick recv_cpu_cost), 80>;
+
     /** Parameters of one message injection. */
     struct SendArgs
     {
@@ -60,15 +91,8 @@ class Network
         MsgKind kind;
         /** Use the intelligent-controller receive cost. */
         bool pipelined_recv = false;
-        /**
-         * Called at delivery (end of the receive-CPU stage).
-         * @p recv_cpu_cost is the receiver CPU time the message
-         * consumed, which the simulator may charge to the program.
-         * Inline capacity sized for the simulator's largest delivery
-         * closures (run state + page identity + a FetchPlan copy).
-         */
-        InlineFunction<void(Tick delivered, Tick recv_cpu_cost), 120>
-            on_delivered;
+        /** Called at delivery; may be empty. */
+        DeliveryFn on_delivered;
     };
 
     /**
@@ -94,6 +118,10 @@ class Network
 
     const NetParams &params() const { return params_; }
     const NetStats &stats() const { return stats_; }
+    const MsgFates &fates() const { return fates_; }
+
+    /** Messages of @p kind still in flight: live slab slots. */
+    uint64_t in_flight(MsgKind kind) const;
 
     /** Per-node CPU resource (lazily created). */
     StageResource &cpu(NodeId node);
@@ -103,9 +131,30 @@ class Network
     StageResource &wire_to(NodeId node);
 
   private:
+    /** One in-flight message; a slab slot, live from send to its end. */
+    struct Msg
+    {
+        uint64_t id = 0;
+        /** Occupancy of the five stages, in pipeline order. */
+        Tick cost[5] = {};
+        NodeId src = 0;
+        NodeId dst = 0;
+        int prio = 0;
+        MsgKind kind = MsgKind::Request;
+        fault::MsgFate fate{}; // Deliver
+        bool live = false;
+        DeliveryFn delivered;
+    };
+
     int priority_of(MsgKind kind) const;
     Tick recv_cpu_cost(const SendArgs &args) const;
-    void run_stage(std::shared_ptr<void> msg, int stage, Tick now);
+    /** Submit stage @p stage of the message in @p slot at @p now. */
+    void submit_stage(uint32_t slot, uint8_t stage, Tick now);
+    void stage_done(uint32_t slot, uint8_t stage, Tick start,
+                    Tick end) override;
+    void free_msg(uint32_t slot);
+    /** This network as its stages' completion sink. */
+    StageSink &sink() { return *this; }
 
     EventQueue &eq_;
     NetParams params_;
@@ -114,7 +163,13 @@ class Network
     obs::Tracer *tracer_ = nullptr;
     fault::FaultInjector *faults_ = nullptr;
     NetStats stats_;
+    MsgFates fates_;
     uint64_t next_msg_id_ = 1;
+
+    // The message slab and its free slots. Steady-state sends reuse
+    // slots, so a message costs no allocation.
+    std::vector<Msg> msgs_;
+    std::vector<uint32_t> free_msgs_;
 
     // Registered metrics (null when no registry was attached).
     obs::Counter *c_messages_ = nullptr;

@@ -5,13 +5,13 @@ namespace sgms
 
 void
 StageResource::submit(Tick now, Tick duration, int priority,
-                      uint64_t msg_id, MsgKind kind, Done done)
+                      uint64_t msg_id, MsgKind kind, uint32_t slot,
+                      uint8_t stage)
 {
-    Item item{duration, priority, seq_++, msg_id, kind,
-              std::move(done)};
+    Item item{duration, seq_++, msg_id, priority, slot, stage, kind};
 
-    if (busy_ && preemption_ && priority > cur_prio_ &&
-        preemptible(cur_kind_)) {
+    if (busy_ && preemption_ && priority > cur_.priority &&
+        preemptible(cur_.kind)) {
         // Preempt the in-flight background item: requeue its
         // remaining occupancy (keeping its original arrival order
         // within its priority level) and start the demand item. This
@@ -20,17 +20,21 @@ StageResource::submit(Tick now, Tick duration, int priority,
         Tick remaining = busy_until_ - now;
         SGMS_ASSERT(remaining >= 0); // callers submit at current time
         total_busy_ -= remaining; // will be re-added when it resumes
-        ++generation_;            // orphan the scheduled completion
-        queue_.push(Item{remaining, cur_prio_, cur_seq_, cur_msg_id_,
-                         cur_kind_, std::move(cur_done_)});
+        // The part already served is occupancy too; the remainder
+        // records its own interval when it completes.
+        record(cur_, cur_start_, now);
+        ++generation_; // orphan the scheduled completion
+        Item rest = cur_;
+        rest.duration = remaining;
+        queue_.push(rest);
         busy_ = false;
     }
 
     if (busy_) {
-        queue_.push(std::move(item));
+        queue_.push(item);
         return;
     }
-    start(now, std::move(item));
+    start(now, item);
 }
 
 bool
@@ -40,47 +44,50 @@ StageResource::preemptible(MsgKind kind)
 }
 
 void
-StageResource::start(Tick now, Item item)
+StageResource::record(const Item &item, Tick start, Tick end)
+{
+    if (end <= start)
+        return;
+    if (recorder_)
+        recorder_->record(comp_, node_, item.msg_id, item.kind, start, end);
+    // One Net span per served interval: the track is the pipeline
+    // component, the name the message kind.
+    SGMS_TRACE_SPAN(tracer_, Net, msg_kind_name(item.kind),
+                    component_name(comp_), start, end, item.msg_id,
+                    static_cast<int64_t>(node_),
+                    static_cast<int64_t>(item.kind));
+}
+
+void
+StageResource::start(Tick now, const Item &item)
 {
     busy_ = true;
-    Tick end = now + item.duration;
-    busy_until_ = end;
-    cur_prio_ = item.priority;
-    cur_kind_ = item.kind;
-    cur_seq_ = item.seq;
-    cur_msg_id_ = item.msg_id;
-    cur_done_ = std::move(item.done);
+    cur_ = item;
+    cur_start_ = now;
+    busy_until_ = now + item.duration;
     total_busy_ += item.duration;
-
     uint64_t gen = generation_;
-    Tick duration = item.duration;
-    eq_.schedule(end, [this, gen, end, duration]() {
-        if (gen != generation_)
-            return; // this occupancy was preempted; ignore
-        busy_ = false;
-        ++completed_;
-        if (recorder_ && duration > 0) {
-            recorder_->record(comp_, node_, cur_msg_id_, cur_kind_,
-                              end - duration, end);
-        }
-        if (duration > 0) {
-            // One Net span per stage occupancy: the track is the
-            // pipeline component, the name the message kind.
-            SGMS_TRACE_SPAN(tracer_, Net, msg_kind_name(cur_kind_),
-                            component_name(comp_), end - duration, end,
-                            cur_msg_id_, static_cast<int64_t>(node_),
-                            static_cast<int64_t>(cur_kind_));
-        }
-        Done done = std::move(cur_done_);
-        done(end - duration, end);
-        // The completion callback may have submitted new work and
-        // restarted the stage; only pull from the queue if still idle.
-        if (!busy_ && !queue_.empty()) {
-            Item next = std::move(const_cast<Item &>(queue_.top()));
-            queue_.pop();
-            this->start(end, std::move(next));
-        }
-    });
+    eq_.schedule(busy_until_, [this, gen] { complete(gen); });
+}
+
+void
+StageResource::complete(uint64_t generation)
+{
+    if (generation != generation_)
+        return; // this occupancy was preempted; ignore
+    busy_ = false;
+    ++completed_;
+    Tick start = cur_start_;
+    Tick end = busy_until_;
+    record(cur_, start, end);
+    // The sink may submit new work here and restart the stage, which
+    // overwrites cur_; only pull from the queue if still idle.
+    sink_.stage_done(cur_.slot, cur_.stage, start, end);
+    if (!busy_ && !queue_.empty()) {
+        Item next = queue_.top();
+        queue_.pop();
+        this->start(end, next);
+    }
 }
 
 } // namespace sgms

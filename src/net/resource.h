@@ -8,6 +8,10 @@
  * pipelining that the paper's Figure 2 shows: message 2's server DMA
  * runs while message 1 occupies the wire, because they are different
  * resources.
+ *
+ * An item is plain data. Its completion is one call into the stage's
+ * StageSink (the network), which chains the message to its next stage
+ * or delivers it; no callable travels with the item.
  */
 
 #ifndef SGMS_NET_RESOURCE_H
@@ -17,7 +21,6 @@
 #include <queue>
 #include <vector>
 
-#include "common/inline_function.h"
 #include "common/types.h"
 #include "net/params.h"
 #include "net/timeline.h"
@@ -27,30 +30,38 @@
 namespace sgms
 {
 
+/** Receiver of stage completions; the network is the only one. */
+class StageSink
+{
+  public:
+    /**
+     * The occupancy [@p start, @p end) of stage @p stage of the
+     * message in slot @p slot has completed (the values given to
+     * StageResource::submit).
+     */
+    virtual void stage_done(uint32_t slot, uint8_t stage, Tick start,
+                            Tick end) = 0;
+
+  protected:
+    ~StageSink() = default;
+};
+
 /** One pipeline stage; serves queued work items in priority order. */
 class StageResource
 {
   public:
     /**
-     * Called when the item's occupancy [start, end) completes.
-     * Inline capacity covers the network's stage-chaining closures
-     * (this + shared_ptr message state + stage index); larger
-     * captures fall back to the heap, counted by
-     * inline_function_heap_fallbacks().
-     */
-    using Done = InlineFunction<void(Tick start, Tick end), 64>;
-
-    /**
+     * @param sink       receives every completion
      * @param preemption when true, a higher-priority submission
      *        preempts an in-flight background/putpage occupancy
      *        (ATM-cell-interleaving approximation); the preempted
      *        remainder is requeued.
      */
-    StageResource(EventQueue &eq, Component comp, NodeId node,
-                  TimelineRecorder *recorder, bool preemption = false,
-                  obs::Tracer *tracer = nullptr)
-        : eq_(eq), comp_(comp), node_(node), recorder_(recorder),
-          tracer_(tracer), preemption_(preemption)
+    StageResource(EventQueue &eq, StageSink &sink, Component comp,
+                  NodeId node, TimelineRecorder *recorder,
+                  bool preemption = false, obs::Tracer *tracer = nullptr)
+        : eq_(eq), sink_(sink), comp_(comp), node_(node),
+          recorder_(recorder), tracer_(tracer), preemption_(preemption)
     {}
 
     /**
@@ -62,10 +73,11 @@ class StageResource
      * @param priority larger values served first among queued items
      * @param msg_id   message id for timeline capture
      * @param kind     message kind for timeline capture
-     * @param done     completion callback
+     * @param slot     the sink's handle for the message
+     * @param stage    the message's pipeline stage, passed back
      */
     void submit(Tick now, Tick duration, int priority, uint64_t msg_id,
-                MsgKind kind, Done done);
+                MsgKind kind, uint32_t slot, uint8_t stage = 0);
 
     /** True if currently serving an item. */
     bool busy() const { return busy_; }
@@ -83,11 +95,12 @@ class StageResource
     struct Item
     {
         Tick duration;
-        int priority;
         uint64_t seq;
         uint64_t msg_id;
+        int priority;
+        uint32_t slot;
+        uint8_t stage;
         MsgKind kind;
-        Done done;
     };
 
     struct ItemLess
@@ -102,12 +115,16 @@ class StageResource
         }
     };
 
-    void start(Tick now, Item item);
+    void start(Tick now, const Item &item);
+    void complete(uint64_t generation);
+    /** Timeline entry and Net span for a served interval of @p item. */
+    void record(const Item &item, Tick start, Tick end);
 
     /** Kinds that may be preempted by higher-priority traffic. */
     static bool preemptible(MsgKind kind);
 
     EventQueue &eq_;
+    StageSink &sink_;
     Component comp_;
     NodeId node_;
     TimelineRecorder *recorder_;
@@ -121,12 +138,10 @@ class StageResource
     Tick total_busy_ = 0;
     uint64_t generation_ = 0;
 
-    // The in-flight item (valid while busy_).
-    int cur_prio_ = 0;
-    MsgKind cur_kind_ = MsgKind::Request;
-    uint64_t cur_seq_ = 0;
-    uint64_t cur_msg_id_ = 0;
-    Done cur_done_;
+    // The in-flight item and the time its occupancy began (valid
+    // while busy_).
+    Item cur_{};
+    Tick cur_start_ = 0;
 
     std::priority_queue<Item, std::vector<Item>, ItemLess> queue_;
 };

@@ -1,12 +1,44 @@
 #include "policy/fetch_policy.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/logging.h"
 #include "obs/debug.h"
 
 namespace sgms
 {
+
+void
+SegmentList::grow()
+{
+    uint32_t cap = std::max<uint32_t>(16, cap_ * 2);
+    TransferSegment *buf = new TransferSegment[cap];
+    std::copy(begin(), end(), buf);
+    delete[] heap_;
+    heap_ = buf;
+    cap_ = cap;
+}
+
+void
+SegmentList::append(const SegmentList &other)
+{
+    for (const TransferSegment &seg : other)
+        push_back(seg);
+}
+
+void
+SegmentList::take(SegmentList &other) noexcept
+{
+    heap_ = other.heap_;
+    size_ = other.size_;
+    cap_ = other.cap_;
+    if (!heap_)
+        std::copy(other.inline_, other.inline_ + size_, inline_);
+    other.heap_ = nullptr;
+    other.size_ = 0;
+    other.cap_ = kInline;
+}
 
 uint32_t
 FetchPlan::total_bytes() const

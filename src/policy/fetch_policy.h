@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "mem/page.h"
 #include "obs/metrics.h"
@@ -49,6 +48,74 @@ struct TransferSegment
     bool pipelined_recv = false;
 };
 
+/**
+ * A plan's segments in send order. The first kInline live in place:
+ * every policy the paper evaluates sends at most four (demand, two
+ * pipelined neighbours, rest of page), so planning one of its faults
+ * allocates nothing. Longer plans (pipelining-all,
+ * pipelining-adaptive) move to the heap.
+ */
+class SegmentList
+{
+  public:
+    static constexpr uint32_t kInline = 4;
+
+    SegmentList() = default;
+    SegmentList(const SegmentList &other) { append(other); }
+    SegmentList(SegmentList &&other) noexcept { take(other); }
+    ~SegmentList() { delete[] heap_; }
+
+    SegmentList &
+    operator=(const SegmentList &other)
+    {
+        if (this != &other) {
+            size_ = 0;
+            append(other);
+        }
+        return *this;
+    }
+
+    SegmentList &
+    operator=(SegmentList &&other) noexcept
+    {
+        if (this != &other) {
+            delete[] heap_;
+            take(other);
+        }
+        return *this;
+    }
+
+    void
+    push_back(const TransferSegment &seg)
+    {
+        if (size_ == cap_)
+            grow();
+        data()[size_++] = seg;
+    }
+
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+    const TransferSegment &operator[](size_t i) const { return data()[i]; }
+    const TransferSegment *begin() const { return data(); }
+    const TransferSegment *end() const { return data() + size_; }
+
+  private:
+    TransferSegment *data() { return heap_ ? heap_ : inline_; }
+    const TransferSegment *data() const { return heap_ ? heap_ : inline_; }
+
+    /** Move to a heap buffer of twice the capacity (at least 16). */
+    void grow();
+    void append(const SegmentList &other);
+    /** Take @p other's segments, leaving it empty and inline. */
+    void take(SegmentList &other) noexcept;
+
+    TransferSegment inline_[kInline];
+    TransferSegment *heap_ = nullptr;
+    uint32_t size_ = 0;
+    uint32_t cap_ = kInline;
+};
+
 /** What to transfer for one fault. */
 struct FetchPlan
 {
@@ -56,7 +123,7 @@ struct FetchPlan
     bool from_disk = false;
 
     /** Segments in send order; segments[0] is the demand segment. */
-    std::vector<TransferSegment> segments;
+    SegmentList segments;
 
     /** Total bytes across all segments. */
     uint32_t total_bytes() const;

@@ -37,10 +37,10 @@ class EventQueue
 {
   public:
     /**
-     * Inline capture budget. The largest steady-state closures are
-     * the simulator's fetch-request/delivery callbacks (~80 bytes:
-     * this, run state, page identity, a FetchPlan); anything larger
-     * spills to a counted heap fallback instead of failing.
+     * Inline capture budget. Steady-state closures (stage
+     * completions, a fault's request send, the reliability layer's
+     * timers) take at most about 56 bytes; anything larger spills to
+     * a counted heap fallback instead of failing.
      */
     static constexpr size_t kInlineCallbackBytes = 120;
 

@@ -233,6 +233,36 @@ struct Simulator::Run
     std::vector<Runnable> heap;
     uint32_t active = 0;
 
+    /**
+     * A fault's plan from the fault until the server answers its
+     * request, when every segment is sent. Stored by slot and
+     * recycled through a free list, so a fault copies no plan into
+     * its closures and allocates nothing.
+     */
+    struct PlannedFetch
+    {
+        FetchPlan plan;
+        PageId page = 0;
+        uint64_t fault_id = 0;
+        uint32_t client = 0;
+        NodeId srv = 0;
+    };
+    std::vector<PlannedFetch> plans;
+    std::vector<uint32_t> free_plans;
+
+    /** A free plan slot; the store grows only past its high-water mark. */
+    uint32_t
+    alloc_plan()
+    {
+        if (free_plans.empty()) {
+            plans.emplace_back();
+            return static_cast<uint32_t>(plans.size() - 1);
+        }
+        uint32_t slot = free_plans.back();
+        free_plans.pop_back();
+        return slot;
+    }
+
     bool budgeted = false;
     std::chrono::steady_clock::time_point deadline{};
 
@@ -307,6 +337,11 @@ struct Simulator::PendingFetch
     uint32_t attempt = 1;
     uint64_t generation = 0;
     bool done = false;
+    /**
+     * Each attempt's plan, by attempt index. A request can arrive
+     * late or twice, so a plan lives as long as the fetch does.
+     */
+    std::vector<FetchPlan> plans;
 };
 
 Simulator::Simulator(SimConfig cfg) : cfg_(std::move(cfg))
@@ -921,38 +956,53 @@ Simulator::issue_transfers(Run &r, Client &c, PageId page,
     // The fault-handling fixed cost elapses on the (blocked) faulting
     // CPU before the request message is injected.
     Tick t0 = c.now + cfg_.net.fault_handle;
-    uint32_t cid = c.id;
-    // Init-captures, not [plan]: copy-capturing a const reference
-    // gives the closure a const member whose "move" is a throwing
-    // vector copy, which forces InlineFunction's heap fallback on
-    // every fault.
-    r.eq.schedule(t0, [this, &r, cid, page, fault_id, srv,
-                       plan = plan, t0] {
+    uint32_t slot = r.alloc_plan();
+    Run::PlannedFetch &f = r.plans[slot];
+    f.plan = plan;
+    f.page = page;
+    f.fault_id = fault_id;
+    f.client = c.id;
+    f.srv = srv;
+    r.eq.schedule(t0, [this, &r, slot, t0] { send_request(r, slot, t0); });
+}
+
+/** Inject the request of the fault in plan slot @p slot at @p at. */
+void
+Simulator::send_request(Run &r, uint32_t slot, Tick at)
+{
+    const Run::PlannedFetch &f = r.plans[slot];
+    r.net.send(at, {f.client, f.srv, cfg_.net.request_bytes,
+                    MsgKind::Request, false,
+                    [this, &r, slot](Tick when, Tick) {
+                        serve_plan(r, slot, when);
+                    }});
+}
+
+/**
+ * The server received the request at @p at: send every segment of
+ * the plan back-to-back, then free the plan's slot. Each segment's
+ * delivery closure carries what deliver() needs.
+ */
+void
+Simulator::serve_plan(Run &r, uint32_t slot, Tick at)
+{
+    const Run::PlannedFetch &f = r.plans[slot];
+    Tick blocked_at_issue = r.clients[f.client].blocked_at(at);
+    for (const TransferSegment &seg : f.plan.segments) {
         r.net.send(
-            t0,
-            {cid, srv, cfg_.net.request_bytes, MsgKind::Request, false,
-             [this, &r, cid, page, fault_id, srv,
-              plan = plan](Tick when, Tick) {
-                 for (const auto &seg : plan.segments) {
-                     Client &cc = r.clients[cid];
-                     Tick blocked_at_issue = cc.blocked_at(when);
-                     r.net.send(
-                         when,
-                         {srv, cid, seg.bytes,
-                          seg.demand ? MsgKind::DemandData
-                                     : MsgKind::BackgroundData,
-                          seg.pipelined_recv,
-                          [this, &r, cid, page, fault_id,
-                           mask = seg.subpage_mask,
-                           demand = seg.demand, issued = when,
-                           blocked_at_issue](Tick d, Tick rc) {
-                              deliver(r, r.clients[cid], page,
-                                      fault_id, mask, demand, issued,
-                                      blocked_at_issue, d, rc);
-                          }});
-                 }
+            at,
+            {f.srv, f.client, seg.bytes,
+             seg.demand ? MsgKind::DemandData : MsgKind::BackgroundData,
+             seg.pipelined_recv,
+             [this, &r, cid = f.client, page = f.page,
+              fault_id = f.fault_id, mask = seg.subpage_mask,
+              demand = seg.demand, issued = at,
+              blocked_at_issue](Tick d, Tick rc) {
+                 deliver(r, r.clients[cid], page, fault_id, mask,
+                         demand, issued, blocked_at_issue, d, rc);
              }});
-    });
+    }
+    r.free_plans.push_back(slot);
 }
 
 bool
@@ -1022,8 +1072,9 @@ Simulator::start_attempt(Run &r,
 {
     Tick timeout =
         cfg_.retry.timeout_for(cfg_.net, plan.total_bytes());
-    r.eq.schedule(when, [this, &r, st, plan = std::move(plan), when,
-                         timeout] {
+    size_t attempt = st->plans.size();
+    st->plans.push_back(std::move(plan));
+    r.eq.schedule(when, [this, &r, st, attempt, when, timeout] {
         if (st->done)
             return;
         uint64_t gen = st->generation;
@@ -1031,10 +1082,10 @@ Simulator::start_attempt(Run &r,
             when,
             {st->client, st->srv, cfg_.net.request_bytes,
              MsgKind::Request, false,
-             [this, &r, st, plan = plan](Tick at, Tick) {
+             [this, &r, st, attempt](Tick at, Tick) {
                  if (st->done)
                      return;
-                 for (const auto &seg : plan.segments) {
+                 for (const auto &seg : st->plans[attempt].segments) {
                      Tick blocked_at_issue =
                          r.clients[st->client].blocked_at(at);
                      r.net.send(
@@ -1354,6 +1405,16 @@ Simulator::finish()
     res.putpages = r.gms.putpages();
     res.global_discards = r.gms.global_discards();
     res.net_stats = r.net.stats();
+    // Message conservation, per kind: every message sent was
+    // delivered, lost on the wire, discarded as corrupt, or is still
+    // in flight because its client finished first.
+    const MsgFates &fates = r.net.fates();
+    for (size_t k = 0; k < kMsgKindCount; ++k) {
+        SGMS_ASSERT(res.net_stats.messages_by_kind[k] ==
+                    fates.delivered[k] + fates.dropped[k] +
+                        fates.corrupted[k] +
+                        r.net.in_flight(static_cast<MsgKind>(k)));
+    }
     // "Requester" busy totals generalize to the sum over all client
     // nodes; at N=1 that is exactly node 0.
     Tick wire = 0, dma = 0, cpu = 0;

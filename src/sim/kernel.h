@@ -135,6 +135,8 @@ class Simulator
     void issue_transfers(Run &r, Client &c, PageId page,
                          uint64_t fault_id, const FetchPlan &plan,
                          SubpageIndex faulted, uint32_t byte_in_sub);
+    void send_request(Run &r, uint32_t plan_slot, Tick at);
+    void serve_plan(Run &r, uint32_t plan_slot, Tick at);
     void deliver(Run &r, Client &c, PageId page, uint64_t fault_id,
                  uint64_t mask, bool demand, Tick issued,
                  Tick blocked_at_issue, Tick delivered, Tick recv_cpu);

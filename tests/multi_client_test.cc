@@ -5,7 +5,8 @@
  * bytes pinned by digest, same-seed determinism at larger
  * client counts (including through the exec engine at any --jobs /
  * --workers), emergent contention, fault-injection interaction, and
- * zero steady-state allocations at N=256.
+ * zero steady-state allocations: fast-path hits at N=256 and
+ * fault-bound runs at N=1.
  *
  * This binary installs the allocation probe (common/alloc_probe.h).
  */
@@ -570,6 +571,59 @@ TEST(MultiClientAlloc, SteadyStateIsAllocationFreeAt256Clients)
     SimResult r = sim.finish();
     EXPECT_EQ(r.refs, N * (PAGES + CYCLES * PAGES));
     EXPECT_EQ(r.page_faults, N * PAGES);
+}
+
+TEST(MultiClientAlloc, SteadyStateFaultsAreAllocationFree)
+{
+    // One client at half memory cycling over 64 pages: every visit
+    // is a page fault, and its three write references (demand
+    // subpage, neighbour, far subpage) also drive in-flight waits and
+    // pipelined follow-ons. Every eviction is dirty, so each fault
+    // also sends PutPage traffic.
+    constexpr uint64_t PAGES = 64;
+    constexpr uint64_t WARM_CYCLES = 4;
+    constexpr uint64_t CYCLES = WARM_CYCLES + 160;
+    constexpr uint64_t MEASURED_FAULTS = 10000;
+    VectorTrace trace;
+    for (uint64_t k = 0; k < CYCLES; ++k) {
+        for (uint64_t p = 0; p < PAGES; ++p) {
+            uint64_t sp = (k + p) % 8;
+            trace.push(p * 8192 + sp * 1024, true);
+            trace.push(p * 8192 + ((sp + 1) % 8) * 1024 + 8, true);
+            trace.push(p * 8192 + ((sp + 5) % 8) * 1024 + 16, true);
+        }
+    }
+
+    for (const char *policy : {"eager", "pipelining"}) {
+        SCOPED_TRACE(policy);
+        SimConfig cfg;
+        cfg.policy = policy;
+        cfg.subpage_size = 1024;
+        cfg.mem_pages = PAGES / 2;
+        cfg.record_faults = false;
+        cfg.footprint_pages_hint = PAGES;
+
+        Simulator sim(cfg);
+        sim.begin({&trace});
+        // Warm: every page faulted and evicted at least once, so the
+        // directory, the page table, the event pool, the message
+        // slab, the stage queues and the plan store are at size.
+        while (sim.refs_executed() < WARM_CYCLES * PAGES * 3)
+            ASSERT_TRUE(sim.drive(1));
+        uint64_t fallbacks_before = inline_function_heap_fallbacks();
+        uint64_t before = alloc_probe_count();
+        while (sim.drive(8192)) {
+        }
+        EXPECT_EQ(alloc_probe_count(), before);
+        EXPECT_EQ(inline_function_heap_fallbacks(), fallbacks_before);
+
+        SimResult r = sim.finish();
+        // At most one page fault per visit fell in the warm window.
+        EXPECT_GE(r.page_faults, WARM_CYCLES * PAGES + MEASURED_FAULTS);
+        EXPECT_GT(r.net_stats.messages_by_kind[static_cast<int>(
+                      MsgKind::PutPage)],
+                  MEASURED_FAULTS);
+    }
 }
 
 } // namespace

@@ -1,7 +1,9 @@
 /**
  * @file
  * Property tests for the staged network model: conservation (every
- * message is delivered exactly once), resource exclusivity (no two
+ * message is delivered exactly once; under injected faults, every
+ * message of each kind is delivered, dropped, discarded as corrupt
+ * or still in flight), resource exclusivity (no two
  * occupancies of one stage overlap), latency lower bounds, and the
  * preemption mechanics of demand priority.
  */
@@ -13,10 +15,12 @@
 #include <vector>
 
 #include "common/random.h"
+#include "fault/fault_injector.h"
 #include "net/network.h"
 #include "net/resource.h"
 #include "net/timeline.h"
 #include "sim/event_queue.h"
+#include "stage_log.h"
 
 namespace sgms
 {
@@ -139,116 +143,167 @@ TEST_P(NetProperty, DeliveriesRespectMinimumLatency)
         EXPECT_GE(d, floor);
 }
 
+TEST_P(NetProperty, MessagesAreConservedPerKindUnderFaults)
+{
+    fault::FaultPlan plan;
+    plan.seed = GetParam();
+    plan.set_loss(0.1);
+    plan.set_corrupt(0.05);
+    plan.duplicate_prob = 0.05;
+    fault::FaultInjector finj(plan);
+    EventQueue eq;
+    Network net(eq, NetParams::an2(), 0, nullptr, nullptr, nullptr,
+                &finj);
+    Rng rng(GetParam());
+    uint64_t callbacks = 0;
+    bool saw_in_flight = false;
+    // Per kind: sent == delivered + dropped + corrupted + in flight.
+    auto check = [&] {
+        const MsgFates &f = net.fates();
+        for (size_t k = 0; k < kMsgKindCount; ++k) {
+            uint64_t live = net.in_flight(static_cast<MsgKind>(k));
+            saw_in_flight = saw_in_flight || live > 0;
+            EXPECT_EQ(net.stats().messages_by_kind[k],
+                      f.delivered[k] + f.dropped[k] + f.corrupted[k] +
+                          live)
+                << "kind " << k;
+        }
+    };
+    Tick now = 0;
+    for (int i = 0; i < 400; ++i) {
+        now += rng.below(ticks::from_us(50));
+        eq.run_until(now);
+        check();
+        auto kind = static_cast<MsgKind>(rng.below(kMsgKindCount));
+        net.send(now, {0, 1 + static_cast<NodeId>(rng.below(3)), 1024,
+                       kind, false, [&](Tick, Tick) { ++callbacks; }});
+    }
+    check();
+    eq.run_all();
+    check();
+    EXPECT_TRUE(saw_in_flight);
+    uint64_t delivered = 0, dropped = 0, corrupted = 0;
+    for (size_t k = 0; k < kMsgKindCount; ++k) {
+        EXPECT_EQ(net.in_flight(static_cast<MsgKind>(k)), 0u);
+        delivered += net.fates().delivered[k];
+        dropped += net.fates().dropped[k];
+        corrupted += net.fates().corrupted[k];
+    }
+    EXPECT_EQ(dropped, net.stats().dropped);
+    EXPECT_EQ(corrupted, net.stats().corrupted);
+    EXPECT_GT(dropped, 0u);
+    EXPECT_GT(corrupted, 0u);
+    // Duplicates call back a second time but are not a second fate.
+    EXPECT_GT(net.stats().duplicated, 0u);
+    EXPECT_EQ(callbacks, delivered + net.stats().duplicated);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, NetProperty,
                          ::testing::Values(1, 7, 42, 1234, 99999));
+
+/** Per resource, the sum of the recorded busy intervals. */
+Tick
+recorded_busy(const TimelineRecorder &rec)
+{
+    Tick sum = 0;
+    for (const TimelineEntry &e : rec.entries())
+        sum += e.end - e.start;
+    return sum;
+}
 
 TEST(Preemption, DemandPreemptsInFlightBackground)
 {
     EventQueue eq;
-    StageResource res(eq, Component::Wire, 0, nullptr,
+    TimelineRecorder rec;
+    test::StageLog log;
+    StageResource res(eq, log, Component::Wire, 0, &rec,
                       /*preemption=*/true);
-    std::vector<std::pair<int, Tick>> completions;
     // Long background item starts at t=0 (duration 1000).
-    res.submit(0, 1000, 0, 1, MsgKind::BackgroundData,
-               [&](Tick, Tick end) { completions.push_back({1, end}); });
+    res.submit(0, 1000, 0, 1, MsgKind::BackgroundData, 1);
     // Demand item arrives at t=100 with higher priority.
     eq.schedule(100, [&] {
-        res.submit(100, 50, 2, 2, MsgKind::DemandData,
-                   [&](Tick, Tick end) {
-                       completions.push_back({2, end});
-                   });
+        res.submit(100, 50, 2, 2, MsgKind::DemandData, 2);
     });
     eq.run_all();
-    ASSERT_EQ(completions.size(), 2u);
     // Demand completes first at 150; background resumes and finishes
     // its remaining 900 at 1050.
-    EXPECT_EQ(completions[0].first, 2);
-    EXPECT_EQ(completions[0].second, 150);
-    EXPECT_EQ(completions[1].first, 1);
-    EXPECT_EQ(completions[1].second, 1050);
+    EXPECT_EQ(log.ends(), (std::vector<std::pair<uint32_t, Tick>>{
+                              {2, 150}, {1, 1050}}));
     EXPECT_EQ(res.total_busy(), 1050);
+    // The preempted item's served part [0, 100) is recorded too, so
+    // the timeline accounts for every busy tick.
+    ASSERT_EQ(rec.entries().size(), 3u);
+    EXPECT_EQ(rec.entries()[0].msg_id, 1u);
+    EXPECT_EQ(rec.entries()[0].start, 0);
+    EXPECT_EQ(rec.entries()[0].end, 100);
+    EXPECT_EQ(recorded_busy(rec), res.total_busy());
 }
 
 TEST(Preemption, DisabledMeansFifo)
 {
     EventQueue eq;
-    StageResource res(eq, Component::Wire, 0, nullptr,
+    test::StageLog log;
+    StageResource res(eq, log, Component::Wire, 0, nullptr,
                       /*preemption=*/false);
-    std::vector<std::pair<int, Tick>> completions;
-    res.submit(0, 1000, 0, 1, MsgKind::BackgroundData,
-               [&](Tick, Tick end) { completions.push_back({1, end}); });
+    res.submit(0, 1000, 0, 1, MsgKind::BackgroundData, 1);
     eq.schedule(100, [&] {
-        res.submit(100, 50, 2, 2, MsgKind::DemandData,
-                   [&](Tick, Tick end) {
-                       completions.push_back({2, end});
-                   });
+        res.submit(100, 50, 2, 2, MsgKind::DemandData, 2);
     });
     eq.run_all();
-    ASSERT_EQ(completions.size(), 2u);
-    EXPECT_EQ(completions[0].first, 1);
-    EXPECT_EQ(completions[0].second, 1000);
-    EXPECT_EQ(completions[1].second, 1050);
+    EXPECT_EQ(log.ends(), (std::vector<std::pair<uint32_t, Tick>>{
+                              {1, 1000}, {2, 1050}}));
 }
 
 TEST(Preemption, DemandNeverPreemptsDemand)
 {
     EventQueue eq;
-    StageResource res(eq, Component::Wire, 0, nullptr, true);
-    std::vector<int> order;
-    res.submit(0, 1000, 2, 1, MsgKind::DemandData,
-               [&](Tick, Tick) { order.push_back(1); });
+    test::StageLog log;
+    StageResource res(eq, log, Component::Wire, 0, nullptr, true);
+    res.submit(0, 1000, 2, 1, MsgKind::DemandData, 1);
     eq.schedule(100, [&] {
-        res.submit(100, 50, 3, 2, MsgKind::Request,
-                   [&](Tick, Tick) { order.push_back(2); });
+        res.submit(100, 50, 3, 2, MsgKind::Request, 2);
     });
     eq.run_all();
     // DemandData is not preemptible, so the in-flight item finishes.
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(log.slots(), (std::vector<uint32_t>{1, 2}));
 }
 
 TEST(Preemption, RepeatedPreemptionResumesCorrectly)
 {
     EventQueue eq;
-    StageResource res(eq, Component::Wire, 0, nullptr, true);
-    Tick bg_end = 0;
-    std::vector<Tick> demand_ends;
-    res.submit(0, 1000, 0, 1, MsgKind::BackgroundData,
-               [&](Tick, Tick end) { bg_end = end; });
+    TimelineRecorder rec;
+    test::StageLog log;
+    StageResource res(eq, log, Component::Wire, 0, &rec, true);
+    res.submit(0, 1000, 0, 1, MsgKind::BackgroundData, 1);
     for (Tick t : {100, 300, 500}) {
         eq.schedule(t, [&, t] {
             res.submit(t, 50, 2, 10 + t, MsgKind::DemandData,
-                       [&](Tick, Tick end) {
-                           demand_ends.push_back(end);
-                       });
+                       static_cast<uint32_t>(10 + t));
         });
     }
     eq.run_all();
-    ASSERT_EQ(demand_ends.size(), 3u);
-    EXPECT_EQ(demand_ends[0], 150);
-    EXPECT_EQ(demand_ends[1], 350);
-    EXPECT_EQ(demand_ends[2], 550);
     // Background did 100+150+150 before/between demands; total work
     // 1000 plus 150 of demand-induced delay => ends at 1150.
-    EXPECT_EQ(bg_end, 1150);
+    EXPECT_EQ(log.ends(), (std::vector<std::pair<uint32_t, Tick>>{
+                              {110, 150}, {310, 350}, {510, 550},
+                              {1, 1150}}));
+    EXPECT_EQ(recorded_busy(rec), res.total_busy());
 }
 
 TEST(Preemption, QueuedBackgroundResumeOrderStable)
 {
     EventQueue eq;
-    StageResource res(eq, Component::Wire, 0, nullptr, true);
-    std::vector<int> order;
-    res.submit(0, 100, 0, 1, MsgKind::BackgroundData,
-               [&](Tick, Tick) { order.push_back(1); });
-    res.submit(0, 100, 0, 2, MsgKind::BackgroundData,
-               [&](Tick, Tick) { order.push_back(2); });
+    test::StageLog log;
+    StageResource res(eq, log, Component::Wire, 0, nullptr, true);
+    res.submit(0, 100, 0, 1, MsgKind::BackgroundData, 1);
+    res.submit(0, 100, 0, 2, MsgKind::BackgroundData, 2);
     eq.schedule(50, [&] {
-        res.submit(50, 10, 2, 3, MsgKind::DemandData,
-                   [&](Tick, Tick) { order.push_back(3); });
+        res.submit(50, 10, 2, 3, MsgKind::DemandData, 3);
     });
     eq.run_all();
     // Demand at 50 preempts item 1; item 1's remainder must resume
     // BEFORE item 2 (original arrival order).
-    EXPECT_EQ(order, (std::vector<int>{3, 1, 2}));
+    EXPECT_EQ(log.slots(), (std::vector<uint32_t>{3, 1, 2}));
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 #include "net/resource.h"
 #include "net/timeline.h"
 #include "sim/event_queue.h"
+#include "stage_log.h"
 
 namespace sgms
 {
@@ -94,15 +95,16 @@ TEST(EventQueue, CallbackCanSchedule)
 TEST(StageResource, SerializesWork)
 {
     EventQueue eq;
-    StageResource res(eq, Component::Wire, 0, nullptr);
-    std::vector<std::pair<Tick, Tick>> spans;
-    auto record = [&](Tick s, Tick e) { spans.emplace_back(s, e); };
-    res.submit(0, 100, 0, 1, MsgKind::DemandData, record);
-    res.submit(0, 50, 0, 2, MsgKind::DemandData, record);
+    test::StageLog log;
+    StageResource res(eq, log, Component::Wire, 0, nullptr);
+    res.submit(0, 100, 0, 1, MsgKind::DemandData, 1);
+    res.submit(0, 50, 0, 2, MsgKind::DemandData, 2);
     eq.run_all();
-    ASSERT_EQ(spans.size(), 2u);
-    EXPECT_EQ(spans[0], (std::pair<Tick, Tick>{0, 100}));
-    EXPECT_EQ(spans[1], (std::pair<Tick, Tick>{100, 150}));
+    ASSERT_EQ(log.done.size(), 2u);
+    EXPECT_EQ(log.done[0].start, 0);
+    EXPECT_EQ(log.done[0].end, 100);
+    EXPECT_EQ(log.done[1].start, 100);
+    EXPECT_EQ(log.done[1].end, 150);
     EXPECT_EQ(res.completed(), 2u);
     EXPECT_EQ(res.total_busy(), 150);
 }
@@ -110,26 +112,25 @@ TEST(StageResource, SerializesWork)
 TEST(StageResource, PriorityAmongQueued)
 {
     EventQueue eq;
-    StageResource res(eq, Component::Wire, 0, nullptr);
-    std::vector<int> order;
-    res.submit(0, 100, 0, 1, MsgKind::BackgroundData,
-               [&](Tick, Tick) { order.push_back(1); });
+    test::StageLog log;
+    StageResource res(eq, log, Component::Wire, 0, nullptr);
+    res.submit(0, 100, 0, 1, MsgKind::BackgroundData, 1);
     // Both queued while item 1 runs; the high-priority one (3) must
     // be served before the earlier-submitted low-priority one (2).
-    res.submit(0, 10, 0, 2, MsgKind::BackgroundData,
-               [&](Tick, Tick) { order.push_back(2); });
-    res.submit(0, 10, 5, 3, MsgKind::DemandData,
-               [&](Tick, Tick) { order.push_back(3); });
+    res.submit(0, 10, 0, 2, MsgKind::BackgroundData, 2);
+    res.submit(0, 10, 5, 3, MsgKind::DemandData, 3);
     eq.run_all();
-    EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+    EXPECT_EQ(log.slots(), (std::vector<uint32_t>{1, 3, 2}));
 }
 
 TEST(StageResource, RecordsTimeline)
 {
     EventQueue eq;
     TimelineRecorder rec;
-    StageResource res(eq, Component::SrvDma, 7, &rec);
-    res.submit(5, 20, 0, 42, MsgKind::DemandData, [](Tick, Tick) {});
+    test::StageLog log;
+    StageResource res(eq, log, Component::SrvDma, 7, &rec);
+    res.submit(5, 20, 0, 42, MsgKind::DemandData, /*slot=*/3,
+               /*stage=*/1);
     eq.run_all();
     ASSERT_EQ(rec.entries().size(), 1u);
     const auto &e = rec.entries()[0];
@@ -138,6 +139,10 @@ TEST(StageResource, RecordsTimeline)
     EXPECT_EQ(e.msg_id, 42u);
     EXPECT_EQ(e.start, 5);
     EXPECT_EQ(e.end, 25);
+    // The completion hands back the slot and stage it was given.
+    ASSERT_EQ(log.done.size(), 1u);
+    EXPECT_EQ(log.done[0].slot, 3u);
+    EXPECT_EQ(log.done[0].stage, 1u);
 }
 
 class NetworkFixture : public ::testing::Test

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "policy/fetch_policy.h"
 
 namespace sgms
@@ -261,6 +264,46 @@ TEST(PolicyGeometry2K, EagerWith2KSubpages)
     ASSERT_EQ(p.segments.size(), 2u);
     EXPECT_EQ(p.segments[0].bytes, 2048u);
     EXPECT_EQ(p.segments[1].bytes, 6144u);
+}
+
+TEST(SegmentList, SpillsPastInlineAndCopiesAndMoves)
+{
+    // pipelining-all at 1K subpages sends eight segments: four past
+    // the inline capacity.
+    PipeliningPolicy pol(PipelineStrategy::AllSubpages);
+    FetchPlan big = pol.plan(GEO_1K, 3, 0, all_mask(GEO_1K));
+    ASSERT_EQ(big.segments.size(), 8u);
+    EagerFullpagePolicy eager;
+    FetchPlan small = eager.plan(GEO_1K, 3, 0, all_mask(GEO_1K));
+    ASSERT_EQ(small.segments.size(), 2u);
+
+    auto masks = [](const FetchPlan &p) {
+        std::vector<uint64_t> out;
+        for (const TransferSegment &s : p.segments)
+            out.push_back(s.subpage_mask);
+        return out;
+    };
+    const std::vector<uint64_t> big_masks = masks(big);
+    const std::vector<uint64_t> small_masks = masks(small);
+
+    FetchPlan copy = big; // copy of a spilled list
+    EXPECT_EQ(masks(copy), big_masks);
+    copy = small; // a spilled list takes an inline one
+    EXPECT_EQ(masks(copy), small_masks);
+    copy = big;
+    EXPECT_EQ(masks(copy), big_masks);
+    const FetchPlan &alias = copy;
+    copy = alias; // self-assignment keeps the segments
+    EXPECT_EQ(masks(copy), big_masks);
+
+    FetchPlan moved = std::move(copy); // takes the heap buffer
+    EXPECT_EQ(masks(moved), big_masks);
+    EXPECT_TRUE(copy.segments.empty()); // NOLINT: moved-from is empty
+    copy = std::move(small); // an inline list moves by value
+    EXPECT_EQ(masks(copy), small_masks);
+    moved = std::move(copy);
+    EXPECT_EQ(masks(moved), small_masks);
+    EXPECT_EQ(moved.total_bytes(), 8 * 1024u);
 }
 
 } // namespace
