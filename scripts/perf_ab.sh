@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# A/B comparison of one benchmark workload between a base commit and
+# A/B comparison of benchmark workloads between a base commit and
 # the working tree.
 #
 #   scripts/perf_ab.sh BASE WORKLOAD [SEED] [PAIRS]
 #
 # BASE is any git revision (a commit, a branch, HEAD~1); WORKLOAD is
-# a BENCHMARK.json workload; SEED defaults to 1 and PAIRS to 10.
+# a BENCHMARK.json workload, or `all` for every one of them in turn;
+# SEED defaults to 1 and PAIRS to 10.
 #
 # The committed files of BASE are exported (git archive) into
 # .bench_build/ab-<sha>/, and each side builds its own perf/ into its
@@ -14,11 +15,13 @@
 # --trace 0`, with S the benchmark's run_seconds, base first in odd
 # pairs and the working tree first in even ones. It prints, per
 # end-to-end metric, the median and quartiles of each side, the ratio
-# of the medians and how many pairs the working tree won.
+# of the medians and how many pairs the working tree won: one table
+# per workload, each from its own log directory.
 #
-# Exits non-zero when a run fails, a point fails, or a result digest
-# differs between runs. No result is a gate by itself: read the
-# table.
+# Exits non-zero when, in any workload, a run fails, a point fails,
+# or a result digest differs between runs. A failed run ends its
+# workload; the next one still runs. No result is a gate by itself:
+# read the tables.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -38,6 +41,11 @@ pairs="${4:-10}"
 
 sha="$(git rev-parse --verify "${base_rev}^{commit}")"
 seconds="$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' BENCHMARK.json)"
+if [[ "$workload" == all ]]; then
+    mapfile -t workloads < <(python3 -c 'import json,sys; [print(w["name"]) for w in json.load(open(sys.argv[1]))["workloads"]]' BENCHMARK.json)
+else
+    workloads=("$workload")
+fi
 
 base_dir="$root/.bench_build/ab-${sha:0:12}"
 if [[ ! -f "$base_dir/perf/run.py" ]]; then
@@ -48,36 +56,39 @@ if [[ ! -f "$base_dir/perf/run.py" ]]; then
     mv "$base_dir.tmp" "$base_dir"
 fi
 
-logs="$root/.bench_build/ab-logs/$(date +%Y%m%d-%H%M%S)-$workload-s$seed"
-mkdir -p "$logs"
-echo "perf_ab: base ${sha:0:12} vs working tree, $workload seed $seed," \
-     "$pairs pairs at ${seconds}s; logs in ${logs#"$root"/}"
-
-# run SIDE DIR PAIR: one run.py in DIR, building into DIR/.bench_build.
+# run WORKLOAD LOGS SIDE DIR PAIR: one run.py in DIR, building into
+# DIR/.bench_build. Returns non-zero when the run fails.
 run() {
-    local side="$1" dir="$2" pair="$3"
+    local wl="$1" logs="$2" side="$3" dir="$4" pair="$5"
     local out="$logs/$side-$pair.txt"
     if ! (cd "$dir" && CARGO_TARGET_DIR="$dir/.bench_build" \
-            python3 perf/run.py --workload "$workload" --seed "$seed" \
+            python3 perf/run.py --workload "$wl" --seed "$seed" \
             --seconds "$seconds" --trace 0) >"$out" 2>&1; then
         tail -n 20 "$out"
-        echo "perf_ab: $side run of pair $pair failed (see $out)"
-        exit 1
+        echo "perf_ab: $wl: $side run of pair $pair failed (see $out)"
+        return 1
     fi
 }
 
-for ((i = 1; i <= pairs; i++)); do
-    if ((i % 2)); then
-        run base "$base_dir" "$i"
-        run change "$root" "$i"
-    else
-        run change "$root" "$i"
-        run base "$base_dir" "$i"
-    fi
-    echo "   pair $i/$pairs done"
-done
-
-python3 - "$logs" "$pairs" <<'EOF'
+# compare WORKLOAD: run its pairs into a fresh log directory, then
+# print its table. Returns non-zero on a failed run, point or digest.
+compare() {
+    local wl="$1" logs i
+    logs="$root/.bench_build/ab-logs/$(date +%Y%m%d-%H%M%S)-$wl-s$seed"
+    mkdir -p "$logs"
+    echo "perf_ab: base ${sha:0:12} vs working tree, $wl seed $seed," \
+         "$pairs pairs at ${seconds}s; logs in ${logs#"$root"/}"
+    for ((i = 1; i <= pairs; i++)); do
+        if ((i % 2)); then
+            run "$wl" "$logs" base "$base_dir" "$i" || return 1
+            run "$wl" "$logs" change "$root" "$i" || return 1
+        else
+            run "$wl" "$logs" change "$root" "$i" || return 1
+            run "$wl" "$logs" base "$base_dir" "$i" || return 1
+        fi
+        echo "   pair $i/$pairs done"
+    done
+    python3 - "$logs" "$pairs" <<'EOF'
 import json
 import statistics
 import sys
@@ -131,3 +142,10 @@ for m in spec["end_to_end"]:
           f"{wins:>3}/{pairs}")
 sys.exit(0 if ok else 1)
 EOF
+}
+
+status=0
+for wl in "${workloads[@]}"; do
+    compare "$wl" || status=1
+done
+exit "$status"

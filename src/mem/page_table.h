@@ -80,6 +80,15 @@ class PageTable
           policy_(make_replacement_policy(policy))
     {}
 
+    /**
+     * The dense frames, indexed by page id; dense_size() of them.
+     * Only install() grows (and so may move) them, so a caller that
+     * installs nothing may keep both: the simulator's reference loop
+     * tests one dense frame per reference (DESIGN.md §13).
+     */
+    Frame *dense_frames() { return dense_.data(); }
+    PageId dense_size() const { return dense_.size(); }
+
     /** Frame of @p page, or nullptr if not resident. */
     Frame *
     find(PageId page)

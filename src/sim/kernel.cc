@@ -31,9 +31,9 @@ namespace
 constexpr uint64_t TOUCH_GRANULARITY = 64;
 
 /**
- * References consumed from a client's trace per next_batch call. Also
- * the granularity of the wall-budget check: one clock read per batch
- * is noise (~20 ns per ~1024 references).
+ * Most references read from a client's trace per next_words call.
+ * Also the granularity of the wall-budget check: one clock read per
+ * batch is noise (~20 ns per ~1024 references).
  */
 constexpr size_t TRACE_BATCH = 1024;
 } // namespace
@@ -98,17 +98,19 @@ struct Simulator::Client
     Tick total_blocked = 0;
     Tick pending_steal = 0;
 
-    // Batched trace cursor into the run's flat buffer.
+    // The current batch: packed words read in place, either in the
+    // trace's shared array or in this client's scratch slots.
+    const uint64_t *words = nullptr;
     size_t batch_i = 0;
     size_t batch_n = 0;
 
-    // Current reference and the same-complete-page fast path. The
-    // frame pointer is valid while last_fast: no page can be
-    // installed (and thus no frame storage can move) without a
-    // fault, which goes through the slow path and refreshes it.
+    // Current reference and the last page a reference hit. For an
+    // overflow page (id past the dense frames) last_frame is its
+    // frame while complete and unwatched, else null: the loop's
+    // shortcut for those pages. Only this client's own faults install
+    // or evict its pages, and every fault refreshes both.
     TraceEvent cur_ev{};
     PageId last_page = ~0ULL;
-    bool last_fast = false;
     PageTable::Frame *last_frame = nullptr;
 
     // Parked continuation.
@@ -187,7 +189,7 @@ struct Simulator::Run
         clients.reserve(nclients);
         for (uint32_t i = 0; i < nclients; ++i)
             clients.emplace_back(i, cfg, geo, metrics);
-        batch_buf.resize(static_cast<size_t>(nclients) * TRACE_BATCH);
+        scratch_buf.resize(static_cast<size_t>(nclients) * TRACE_BATCH);
         heap.reserve(nclients + 1);
     }
 
@@ -218,11 +220,12 @@ struct Simulator::Run
 
     SimResult res;
 
-    // Dense per-client state plus one flat batch buffer (client i
-    // owns slots [i*TRACE_BATCH, (i+1)*TRACE_BATCH)); nothing here
-    // allocates after construction.
+    // Dense per-client state plus one flat scratch buffer for traces
+    // that do not hold packed words (client i owns slots
+    // [i*TRACE_BATCH, (i+1)*TRACE_BATCH)); nothing here allocates
+    // after construction.
     std::vector<Client> clients;
-    std::vector<TraceEvent> batch_buf;
+    std::vector<uint64_t> scratch_buf;
 
     /** Runnable-client min-heap entry, ordered by (at, id). */
     struct Runnable
@@ -287,11 +290,11 @@ struct Simulator::Run
         return page * n + client;
     }
 
-    /** Client @p c's slots of the batch buffer. */
-    TraceEvent *
-    batch(const Client &c)
+    /** Client @p c's slots of the scratch buffer. */
+    uint64_t *
+    scratch(const Client &c)
     {
-        return batch_buf.data() + static_cast<size_t>(c.id) * TRACE_BATCH;
+        return scratch_buf.data() + static_cast<size_t>(c.id) * TRACE_BATCH;
     }
 
     static bool
@@ -401,14 +404,13 @@ Simulator::begin(const std::vector<TraceSource *> &traces)
 void
 Simulator::prime_client(Run &r, Client &c)
 {
-    TraceEvent *buf = r.batch(c);
-    size_t got = c.trace->next_batch(buf, TRACE_BATCH);
+    size_t got = c.trace->next_words(c.words, r.scratch(c), TRACE_BATCH);
     if (got == 0) {
         c.finished = true;
         return;
     }
     c.batch_n = got;
-    c.cur_ev = buf[0];
+    c.cur_ev = unpack_trace_event(c.words[0]);
     c.batch_i = 1;
     c.phase = Phase::RefSteal;
     r.push_runnable(c, 0);
@@ -466,7 +468,7 @@ Simulator::finish_client(Run &r, Client &c)
 bool
 Simulator::refill_batch(Run &r, Client &c)
 {
-    size_t got = c.trace->next_batch(r.batch(c), TRACE_BATCH);
+    size_t got = c.trace->next_words(c.words, r.scratch(c), TRACE_BATCH);
     if (got == 0) {
         // End of this client's trace: its pending events are
         // abandoned, and no event due at or before c.now runs on its
@@ -497,7 +499,7 @@ Simulator::advance_after_ref(Run &r, Client &c, bool in_step)
     ++c.ref_index;
     if (c.batch_i == c.batch_n && !refill_batch(r, c))
         return false;
-    c.cur_ev = r.batch(c)[c.batch_i++];
+    c.cur_ev = unpack_trace_event(c.words[c.batch_i++]);
     c.phase = Phase::RefSteal;
     if (in_step && r.eq.next_time() > c.now)
         return true;
@@ -527,8 +529,12 @@ Simulator::step(Run &r, Client &c)
     const Tick step_len = r.step_len;
     const bool software_pal = r.software_pal;
     const PageGeometry geo = r.geo;
-    const TraceEvent *buf = r.batch(c);
+    // Only a page fault installs a page, and a fault leaves the loop
+    // first, so the dense frames stay put while it runs.
+    PageTable::Frame *const dense = c.pt.dense_frames();
+    const PageId dense_n = c.pt.dense_size();
     Tlb *const tlb = c.tlb.get();
+    const uint64_t *words = c.words;
     size_t batch_n = c.batch_n;
     Phase phase = c.phase;
     Tick steal = c.pending_steal;
@@ -537,7 +543,6 @@ Simulator::step(Run &r, Client &c)
     size_t batch_i = c.batch_i;
     TraceEvent ev = c.cur_ev;
     PageId last_page = c.last_page;
-    bool last_fast = c.last_fast;
     PageTable::Frame *last_frame = c.last_frame;
 
     auto save = [&](Phase at) {
@@ -546,7 +551,6 @@ Simulator::step(Run &r, Client &c)
         c.batch_i = batch_i;
         c.cur_ev = ev;
         c.last_page = last_page;
-        c.last_fast = last_fast;
         c.last_frame = last_frame;
         c.phase = at;
     };
@@ -579,12 +583,32 @@ Simulator::step(Run &r, Client &c)
             }
         }
 
+        // A hit needs nothing but the dirty bit: the frame is present,
+        // complete (so no subpage test and no PAL charge) and
+        // unwatched, and the replacement touch is not due (same page,
+        // or touched within TOUCH_GRANULARITY). Pages switch every
+        // second reference or so, so this is one test on the dense
+        // frame per reference, not a last-page compare that fails on
+        // every switch. Overflow pages keep the last-page shortcut,
+        // which spares them a hash lookup per reference.
         PageId page = geo.page_of(ev.addr);
-        if (page == last_page && last_fast) {
-            // Same complete page: only the dirty bit can change.
-            last_frame->dirty |= ev.write;
+        PageTable::Frame *frame;
+        bool hit;
+        if (page < dense_n) {
+            frame = dense + page;
+            hit = frame->present & frame->complete &
+                  (frame->watch_from < 0) &
+                  ((page == last_page) |
+                   (ref - frame->last_touch < TOUCH_GRANULARITY));
         } else {
-            PageTable::Frame *frame = c.pt.find(page);
+            frame = last_frame;
+            hit = page == last_page && frame != nullptr;
+        }
+        if (hit) {
+            frame->dirty |= ev.write;
+            last_page = page;
+        } else {
+            frame = c.pt.find(page);
             if (!frame) {
                 save(Phase::RefBody);
                 if (!yield_for_slow_path(r, c))
@@ -618,8 +642,9 @@ Simulator::step(Run &r, Client &c)
                 resolve_watch(r, c, *frame, sp);
             frame->dirty |= ev.write;
             last_page = page;
-            last_fast = frame->complete && frame->watch_from < 0;
-            last_frame = frame;
+            last_frame = frame->complete && frame->watch_from < 0
+                             ? frame
+                             : nullptr;
         }
 
         now += step_len;
@@ -628,10 +653,11 @@ Simulator::step(Run &r, Client &c)
             save(Phase::RefSteal);
             if (!refill_batch(r, c))
                 return;
+            words = c.words;
             batch_i = 0;
             batch_n = c.batch_n;
         }
-        ev = buf[batch_i++];
+        ev = unpack_trace_event(words[batch_i++]);
         phase = Phase::RefSteal;
         if (now >= horizon) {
             park(Phase::RefSteal);
@@ -746,8 +772,7 @@ Simulator::complete_ref_after_slow(Run &r, Client &c,
     PageTable::Frame *f = c.pt.find(page);
     SGMS_ASSERT(f);
     c.last_page = page;
-    c.last_fast = f->complete && f->watch_from < 0;
-    c.last_frame = f;
+    c.last_frame = f->complete && f->watch_from < 0 ? f : nullptr;
     return advance_after_ref(r, c, in_step);
 }
 

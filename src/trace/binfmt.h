@@ -18,12 +18,12 @@
  *       48    16  application name, NUL-padded
  *       64     -  records
  *
- * Each record is one 64-bit word, (addr << 1) | write — the same
- * packing the in-memory trace store uses (trace/trace_store.h), so a
- * mapped file replays through the exact unpack loop a heap buffer
- * does and the two are byte-equivalent by construction. The header
- * is exactly 64 bytes, so records in a mapped file are 8-byte
- * aligned.
+ * Each record is one 64-bit word, (addr << 1) | write
+ * (pack_trace_event in trace/trace.h) — the same packing the
+ * in-memory trace store uses (trace/trace_store.h), so a mapped file
+ * replays through the same cursor a heap buffer does and the two are
+ * byte-equivalent by construction. The header is exactly 64 bytes,
+ * so records in a mapped file are 8-byte aligned.
  *
  * Versioning rules (DESIGN.md §14): the record layout of a given
  * version never changes. Any incompatible change (record width, new
@@ -59,20 +59,6 @@ inline constexpr size_t kBinTraceHeaderBytes = 64;
 
 /** Fixed record width of version 1. */
 inline constexpr size_t kBinTraceRecordBytes = sizeof(uint64_t);
-
-/** Pack an event into its on-disk (and in-store) word. */
-inline uint64_t
-pack_trace_event(const TraceEvent &ev)
-{
-    return (ev.addr << 1) | (ev.write ? 1u : 0u);
-}
-
-/** Unpack an on-disk record word. */
-inline TraceEvent
-unpack_trace_event(uint64_t packed)
-{
-    return {packed >> 1, (packed & 1) != 0};
-}
 
 /** Decoded and validated SGMB header metadata. */
 struct BinTraceHeader

@@ -10,8 +10,10 @@
  * shared_ptr. ReplayTrace is the cursor over either: it holds an
  * aliasing pointer to the words (which keeps the owner alive), their
  * count, and its own position, so any number of threads replay one
- * array concurrently with no locking and no per-reference copy or
- * allocation, and heap and mapped replay run the same unpack loop.
+ * array concurrently with no locking and no allocation, and heap and
+ * mapped replay run the same code. next_words() hands out windows of
+ * the array itself, which the simulator reads in place; next_batch()
+ * unpacks each word into a TraceEvent.
  *
  * Because a mapping is backed by the file, replay throughput of a
  * cold trace is bounded by the page cache, not by a load pass:
@@ -110,6 +112,17 @@ class ReplayTrace final : public TraceSource
             return false;
         ev = unpack_trace_event(words_.get()[pos_++]);
         return true;
+    }
+
+    /** A window into the shared array itself: no copy. */
+    size_t
+    next_words(const uint64_t *&words, uint64_t *, size_t n) override
+    {
+        uint64_t avail = size_ - pos_;
+        size_t got = n < avail ? n : static_cast<size_t>(avail);
+        words = words_.get() + pos_;
+        pos_ += got;
+        return got;
     }
 
     size_t

@@ -8,6 +8,25 @@
 namespace sgms
 {
 
+size_t
+TraceSource::next_words(const uint64_t *&words, uint64_t *scratch,
+                        size_t n)
+{
+    TraceEvent batch[256];
+    size_t got = 0;
+    while (got < n) {
+        size_t want = std::min<size_t>(n - got, 256);
+        size_t k = next_batch(batch, want);
+        if (k == 0)
+            break;
+        for (size_t i = 0; i < k; ++i)
+            scratch[got + i] = pack_trace_event(batch[i]);
+        got += k;
+    }
+    words = scratch;
+    return got;
+}
+
 uint64_t
 measure_footprint_pages(TraceSource &trace, uint32_t page_size)
 {

@@ -28,6 +28,24 @@ struct TraceEvent
     bool write = false;
 };
 
+/**
+ * Pack an event into one word, (addr << 1) | write: the SGMB record
+ * (trace/binfmt.h), the trace store's in-memory word, and what
+ * TraceSource::next_words hands out.
+ */
+inline uint64_t
+pack_trace_event(const TraceEvent &ev)
+{
+    return (ev.addr << 1) | (ev.write ? 1u : 0u);
+}
+
+/** Unpack a packed word. */
+inline TraceEvent
+unpack_trace_event(uint64_t packed)
+{
+    return {packed >> 1, (packed & 1) != 0};
+}
+
 /** A restartable stream of trace events. */
 class TraceSource
 {
@@ -39,10 +57,9 @@ class TraceSource
 
     /**
      * Fill @p out with up to @p n events; returns the number
-     * produced (0 only at end of trace, for n > 0). The simulator's
-     * inner loop consumes references through this call so a source
-     * pays one virtual dispatch per batch, not per reference;
-     * sources with cheap bulk access override it (DESIGN.md §13).
+     * produced (0 only at end of trace, for n > 0). A source pays one
+     * virtual dispatch per batch, not per reference; sources with
+     * cheap bulk access override it.
      */
     virtual size_t
     next_batch(TraceEvent *out, size_t n)
@@ -52,6 +69,19 @@ class TraceSource
             ++got;
         return got;
     }
+
+    /**
+     * Hand out up to @p n of the next references as packed words
+     * (pack_trace_event): point @p words at them and return how many
+     * (0 only at end of trace, for n > 0). A source that holds packed
+     * words points into its own immutable array, with no copy; the
+     * default packs next_batch() output into @p scratch, which must
+     * hold @p n words. The words stay valid until the next call on
+     * this source. The simulator's reference loop reads its trace
+     * through this call (DESIGN.md §13).
+     */
+    virtual size_t next_words(const uint64_t *&words, uint64_t *scratch,
+                              size_t n);
 
     /** Rewind to the beginning. */
     virtual void reset() = 0;
@@ -174,6 +204,31 @@ class RotatedTrace : public TraceSource
     next(TraceEvent &ev) override
     {
         return next_batch(&ev, 1) == 1;
+    }
+
+    /**
+     * The base's words, forwarded as they are. A window never spans
+     * the wrap: the one that reaches the base's end is cut short, and
+     * the next call starts again at the base's first word.
+     */
+    size_t
+    next_words(const uint64_t *&words, uint64_t *scratch,
+               size_t n) override
+    {
+        if (length_ == 0)
+            return base_->next_words(words, scratch, n);
+        uint64_t left = length_ - produced_;
+        size_t want = n < left ? n : static_cast<size_t>(left);
+        if (want == 0)
+            return 0;
+        size_t got = base_->next_words(words, scratch, want);
+        if (got == 0 && !wrapped_) {
+            wrapped_ = true;
+            base_->reset();
+            got = base_->next_words(words, scratch, want);
+        }
+        produced_ += got;
+        return got;
     }
 
     size_t

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the simulator's event kernel (sim/kernel.h) and its
- * multi-client trace plumbing: rotated/seekable cursors, N=1 result
- * bytes pinned by digest, same-seed determinism at larger
+ * multi-client trace plumbing: rotated/seekable cursors and the word
+ * windows they hand the reference loop, N=1 result bytes pinned by
+ * digest, dense and overflow page ids, same-seed determinism at larger
  * client counts (including through the exec engine at any --jobs /
  * --workers), emergent contention, fault-injection interaction, and
  * zero steady-state allocations: fast-path hits at N=256 and
@@ -29,6 +30,7 @@
 #include "sim/kernel.h"
 #include "trace/apps.h"
 #include "trace/binfmt.h"
+#include "trace/mmap_trace.h"
 #include "trace/synthetic.h"
 #include "trace/trace.h"
 
@@ -120,6 +122,59 @@ TEST(RotatedTraceTest, OffsetReducesModuloLength)
     RotatedTrace rot(std::move(base), 8 * 5 + 2);
     EXPECT_EQ(rot.offset(), 2u);
     EXPECT_EQ(rot.size_hint(), 8u);
+}
+
+/** Every word next_words hands out, @p n at most per call. */
+std::vector<uint64_t>
+drain_words(TraceSource &t, size_t n, bool expect_in_place)
+{
+    std::vector<uint64_t> out, scratch(n);
+    const uint64_t *words = nullptr;
+    while (size_t got = t.next_words(words, scratch.data(), n)) {
+        EXPECT_LE(got, n);
+        EXPECT_EQ(words != scratch.data(), expect_in_place);
+        out.insert(out.end(), words, words + got);
+    }
+    return out;
+}
+
+TEST(RotatedTraceTest, WordsMatchBatchesAcrossTheWrap)
+{
+    // An 11-word trace read 4 words at a time: every offset below
+    // cuts a window at the wrap. The stored base is read in place,
+    // the vector base through the packing default; both must hand
+    // out exactly the words of the events next_batch yields, again
+    // after reset().
+    constexpr uint64_t L = 11;
+    VectorTrace vec;
+    auto stored = std::make_shared<PackedTrace>();
+    for (uint64_t i = 0; i < L; ++i) {
+        vec.push(i * 64, /*write=*/i % 3 == 0);
+        stored->push_back(pack_trace_event(vec.events().back()));
+    }
+
+    for (uint64_t offset : {uint64_t{0}, uint64_t{3}, L - 1}) {
+        SCOPED_TRACE(offset);
+        RotatedTrace batched(std::make_unique<VectorTrace>(vec), offset);
+        std::vector<uint64_t> want;
+        TraceEvent batch[5];
+        while (size_t got = batched.next_batch(batch, 5))
+            for (size_t i = 0; i < got; ++i)
+                want.push_back(pack_trace_event(batch[i]));
+        ASSERT_EQ(want.size(), L);
+        EXPECT_EQ(unpack_trace_event(want[0]).addr, offset * 64);
+
+        RotatedTrace in_place(std::make_unique<ReplayTrace>(stored),
+                              offset);
+        RotatedTrace packed(std::make_unique<VectorTrace>(vec), offset);
+        for (int pass = 0; pass < 2; ++pass) {
+            SCOPED_TRACE(pass);
+            EXPECT_EQ(drain_words(in_place, 4, true), want);
+            EXPECT_EQ(drain_words(packed, 4, false), want);
+            in_place.reset();
+            packed.reset();
+        }
+    }
 }
 
 // ---------------------------------------------------------------
@@ -322,6 +377,74 @@ TEST(ReferenceLoop, StealPendingAtReentryLandsOnNextReference)
     EXPECT_EQ(r.runtime, 909'756'800); // ps: 909.7568 us
 }
 
+/**
+ * A seeded walk over 16 pages starting at @p first_page: it mostly
+ * switches among three hot pages, as the synthetic apps do, and
+ * every 40th reference or so goes to a cold page.
+ */
+VectorTrace
+page_walk(PageId first_page, uint64_t refs)
+{
+    VectorTrace t;
+    uint64_t x = 12345;
+    PageId page = 0;
+    for (uint64_t i = 0; i < refs; ++i) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        uint64_t r = x >> 24;
+        if (r % 40 == 0)
+            page = 3 + (r >> 8) % 13;
+        else if (r % 2 == 0)
+            page = (r >> 8) % 3;
+        Addr offset = ((r >> 16) % 1024) * 8;
+        t.push((first_page + page) * 8192 + offset, (r >> 32) % 4 == 0);
+    }
+    return t;
+}
+
+TEST(ReferenceLoop, OverflowPageIdsMatchDensePageIds)
+{
+    // The same walk with its page ids near 0 (dense frames, one test
+    // per reference) and shifted past the page table's dense limit
+    // (hash-mapped frames, the last-page shortcut). One server, so
+    // placement cannot tell the two apart.
+    constexpr PageId kShift = PageId{1} << 17;
+    constexpr uint64_t kRefs = 40000;
+    VectorTrace dense = page_walk(0, kRefs);
+    VectorTrace overflow = page_walk(kShift, kRefs);
+    for (const char *policy : {"eager", "pipelining", "lazy"}) {
+        SCOPED_TRACE(policy);
+        SimConfig cfg;
+        cfg.policy = policy;
+        cfg.subpage_size = 1024;
+        cfg.mem_pages = 4;
+        cfg.gms.servers = 1;
+        SimResult a = Simulator(cfg).run(dense);
+        SimResult b = Simulator(cfg).run(overflow);
+        EXPECT_EQ(a.refs, kRefs);
+        EXPECT_GT(a.page_faults, 100u);
+        EXPECT_GT(a.evictions, 100u);
+        if (std::string(policy) == "lazy") {
+            EXPECT_GT(a.lazy_subpage_faults, 100u);
+        }
+        EXPECT_EQ(b.refs, a.refs);
+        EXPECT_EQ(b.page_faults, a.page_faults);
+        EXPECT_EQ(b.lazy_subpage_faults, a.lazy_subpage_faults);
+        EXPECT_EQ(b.evictions, a.evictions);
+        EXPECT_EQ(b.runtime, a.runtime);
+        ASSERT_EQ(b.faults.size(), a.faults.size());
+        for (size_t i = 0; i < a.faults.size(); ++i) {
+            SCOPED_TRACE(i);
+            const FaultRecord &fa = a.faults[i], &fb = b.faults[i];
+            EXPECT_EQ(fb.page, fa.page + kShift);
+            EXPECT_EQ(fb.ref_index, fa.ref_index);
+            EXPECT_EQ(fb.at, fa.at);
+            EXPECT_EQ(fb.sp_wait, fa.sp_wait);
+            EXPECT_EQ(fb.page_wait, fa.page_wait);
+            EXPECT_EQ(fb.from_disk, fa.from_disk);
+        }
+    }
+}
+
 // ---------------------------------------------------------------
 // Multi-client determinism and aggregation
 // ---------------------------------------------------------------
@@ -335,6 +458,52 @@ TEST(MultiClient, SameSeedIsByteIdenticalAtManyClientCounts)
         SimResult b = run_multi(cfg, n);
         EXPECT_EQ(result_blob(a), result_blob(b));
     }
+}
+
+TEST(MultiClient, ZeroCopyAndPackedReplayAreByteIdentical)
+{
+    // One 4-client point over the store's traces, whose words the
+    // kernel reads in place, and over VectorTrace copies of the same
+    // references, which it reads through the packing default. The
+    // trace length is not a multiple of the kernel's 1024-word
+    // batch, so rotated windows are cut at the wrap.
+    Experiment ex;
+    ex.app = "gdb";
+    ex.scale = 0.3;
+    ex.policy = "pipelining";
+    ex.subpage_size = 1024;
+    ex.mem = MemConfig::Half;
+    ex.clients = 4;
+    auto stored = ex.client_traces(ex.clients);
+    ASSERT_EQ(stored.size(), 4u);
+    ASSERT_NE(dynamic_cast<ReplayTrace *>(stored[0].get()), nullptr);
+    const VectorTrace copy(*stored[0]);
+    const uint64_t len = copy.size_hint();
+    ASSERT_NE(len % 1024, 0u);
+
+    std::vector<std::unique_ptr<TraceSource>> packed;
+    packed.push_back(std::make_unique<VectorTrace>(copy));
+    for (uint32_t c = 1; c < 4; ++c) {
+        uint64_t offset = len * c / 4;
+        ASSERT_NE((len - offset) % 1024, 0u);
+        packed.push_back(std::make_unique<RotatedTrace>(
+            std::make_unique<VectorTrace>(copy), offset));
+    }
+
+    auto run = [&](std::vector<std::unique_ptr<TraceSource>> &traces,
+                   bool in_place) {
+        std::vector<TraceSource *> ptrs;
+        for (auto &t : traces) {
+            const uint64_t *words = nullptr;
+            uint64_t scratch[1];
+            EXPECT_EQ(t->next_words(words, scratch, 1), 1u);
+            EXPECT_EQ(words != scratch, in_place);
+            ptrs.push_back(t.get());
+        }
+        return result_blob(Simulator(ex.config()).run(ptrs));
+    };
+    std::string zero_copy = run(stored, true);
+    EXPECT_EQ(run(packed, false), zero_copy);
 }
 
 TEST(MultiClient, AggregatesPerClientTalliesInClientOrder)
