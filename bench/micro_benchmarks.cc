@@ -13,7 +13,6 @@
 #include "cache/cache_sim.h"
 #include "common/random.h"
 #include "mem/page_table.h"
-#include "mem/replacement.h"
 #include "net/network.h"
 #include "sim/event_queue.h"
 #include "sim/kernel.h"
@@ -82,19 +81,27 @@ BM_PageTableFindHit(benchmark::State &state)
 }
 BENCHMARK(BM_PageTableFindHit);
 
+/**
+ * One LRU victim selection from a full table of 1024 pages, after a
+ * restamp of one page, so the victim search re-keys the pages used
+ * since their entries last surfaced.
+ */
 void
-BM_LruTouch(benchmark::State &state)
+BM_LruVictim(benchmark::State &state)
 {
-    LruPolicy lru;
+    PageGeometry geo(8192, 1024);
+    PageTable pt(geo, 1024, "lru");
+    uint64_t clock = 0;
     for (PageId p = 0; p < 1024; ++p)
-        lru.insert(p);
+        pt.install(p, ++clock);
     PageId p = 0;
     for (auto _ : state) {
-        lru.touch(p);
+        pt.find(p)->last_touch = ++clock;
         p = (p + 7) & 1023;
+        pt.install(pt.evict(), ++clock);
     }
 }
-BENCHMARK(BM_LruTouch);
+BENCHMARK(BM_LruVictim);
 
 void
 BM_TraceGeneration(benchmark::State &state)

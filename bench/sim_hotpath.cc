@@ -5,8 +5,9 @@
  *
  *   events   the allocation-free event kernel (pool-backed 4-ary
  *            heap, inline callbacks): schedule+dispatch rate
- *   lru      the intrusive replacement list: touch (move-to-front)
- *            rate for a resident working set
+ *   lru      LRU victim selection: evictions per second from a full
+ *            page table whose pages are restamped between faults
+ *            (their re-keys included)
  *   trace    synthetic generation vs replay from the shared trace
  *            store (the store turns per-point regeneration into a
  *            bulk copy out of an immutable buffer)
@@ -35,7 +36,7 @@
 
 #include "bench/bench_common.h"
 #include "common/inline_function.h"
-#include "mem/replacement.h"
+#include "mem/page_table.h"
 #include "sim/event_queue.h"
 #include "trace/apps.h"
 #include "trace/trace_store.h"
@@ -102,22 +103,30 @@ bench_events(uint64_t total)
     return static_cast<double>(eq.executed()) / secs;
 }
 
-/** Touch (move-to-front) rate of the intrusive LRU list. */
+/**
+ * LRU victim selections per second: a full table of @p pages pages,
+ * @p stamps_per_fault random pages restamped between faults, and each
+ * fault evicts the least recently used page and installs it again.
+ */
 double
-bench_lru(uint64_t touches, uint64_t pages)
+bench_lru(uint64_t faults, uint64_t pages, uint64_t stamps_per_fault)
 {
-    auto lru = make_replacement_policy("lru");
-    lru->reserve(pages);
+    PageTable pt(PageGeometry(8192, 8192), pages, "lru");
+    pt.reserve(pages);
+    uint64_t clock = 0;
     for (uint64_t p = 0; p < pages; ++p)
-        lru->insert(p);
+        pt.install(p, ++clock);
     auto t0 = std::chrono::steady_clock::now();
     uint64_t s = 1;
-    for (uint64_t i = 0; i < touches; ++i) {
-        s = mix64(s);
-        lru->touch(s % pages);
+    for (uint64_t i = 0; i < faults; ++i) {
+        for (uint64_t k = 0; k < stamps_per_fault; ++k) {
+            s = mix64(s);
+            pt.find(s % pages)->last_touch = ++clock;
+        }
+        pt.install(pt.evict(), ++clock);
     }
     double secs = seconds_since(t0);
-    return static_cast<double>(touches) / secs;
+    return static_cast<double>(faults) / secs;
 }
 
 /** Drain @p src to completion via next_batch; returns refs/sec. */
@@ -229,9 +238,9 @@ main(int argc, char **argv)
     std::printf("%.0f events/s, %llu heap fallbacks\n", events_ps,
                 static_cast<unsigned long long>(fallbacks));
 
-    bench::section("intrusive lru (touch)");
-    double lru_ps = bench_lru(20'000'000, 4096);
-    std::printf("%.0f touches/s\n", lru_ps);
+    bench::section("lru victim selection (8 stamps per fault)");
+    double lru_ps = bench_lru(2'000'000, 4096, 8);
+    std::printf("%.0f victims/s\n", lru_ps);
 
     bench::section("trace: generation vs stored replay");
     double gen_ps;
@@ -310,7 +319,7 @@ main(int argc, char **argv)
             "\"event_heap_fallbacks\":%llu,"
             "\"mc_events_per_sec\":%.0f,"
             "\"mc_kernel_events\":%llu,"
-            "\"lru_touches_per_sec\":%.0f,"
+            "\"lru_victims_per_sec\":%.0f,"
             "\"trace_generate_refs_per_sec\":%.0f,"
             "\"trace_replay_refs_per_sec\":%.0f,"
             "\"trace_store\":{\"hits\":%llu,\"misses\":%llu,"

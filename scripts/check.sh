@@ -33,7 +33,10 @@
 #                             sgms_perf + perf_test into
 #                             .bench_build/perf, runs perf_test, and
 #                             fails unless a traced fault_storm run
-#                             reports "correct": true)
+#                             reports "correct": true), and a
+#                             byte check of ablation_replacement
+#                             against results/ (the only committed
+#                             output with Clock rows)
 #   scripts/check.sh --quick  tier 1 and the smokes only
 #
 # Exits non-zero on the first failure.
@@ -157,6 +160,16 @@ if [[ $quick -eq 0 ]]; then
         SGMS_JOBS=2 \
         TSAN_OPTIONS=halt_on_error=1 \
         ctest --output-on-failure -j "$(nproc)")
+
+    echo "== results: ablation_replacement is byte-identical =="
+    # The only committed output with Clock (and FIFO) rows, so a
+    # replacement policy that drifts shows here even when every
+    # tier-1 count still matches.
+    SGMS_SCALE=1.0 SGMS_JOBS=4 ./build/bench/ablation_replacement \
+        >"$tmp_grid/ablation_replacement.txt"
+    cmp "$tmp_grid/ablation_replacement.txt" \
+        results/ablation_replacement.txt
+    echo "   ablation_replacement matches results/ byte for byte"
 
     echo "== bench: exec engine throughput =="
     mkdir -p results

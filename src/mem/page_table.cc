@@ -6,12 +6,13 @@ namespace sgms
 {
 
 PageTable::Frame &
-PageTable::install(PageId page)
+PageTable::install(PageId page, uint64_t stamp)
 {
     SGMS_ASSERT(!full());
     SGMS_ASSERT(!find(page));
     ++resident_;
-    policy_->insert(page);
+    policy_->insert(page, stamp);
+    Frame *f = nullptr;
     if (page < DENSE_LIMIT) {
         if (page >= dense_.size()) {
             size_t cap =
@@ -20,20 +21,16 @@ PageTable::install(PageId page)
             cap = std::min<size_t>(cap, DENSE_LIMIT);
             dense_.resize(cap);
         }
-        dense_[page] = Frame{};
-        dense_[page].present = true;
-        return dense_[page];
+        f = &dense_[page];
+        *f = Frame{};
+    } else {
+        auto [it, inserted] = overflow_.try_emplace(page);
+        SGMS_ASSERT(inserted);
+        f = &it->second;
     }
-    auto [it, inserted] = overflow_.try_emplace(page);
-    SGMS_ASSERT(inserted);
-    it->second.present = true;
-    return it->second;
-}
-
-void
-PageTable::touch(PageId page)
-{
-    policy_->touch(page);
+    f->present = true;
+    f->last_touch = stamp;
+    return *f;
 }
 
 void
@@ -52,7 +49,7 @@ PageTable::remove_storage(PageId page)
 PageId
 PageTable::evict(Frame *state)
 {
-    PageId victim = policy_->victim();
+    PageId victim = policy_->victim(*this);
     Frame *f = find(victim);
     SGMS_ASSERT(f);
     if (state)

@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mem/page.h"
@@ -57,7 +58,12 @@ class PageTable
         int16_t watch_from = -1;
         /** Id of the fault that brought this page in (accounting). */
         uint64_t fault_id = 0;
-        /** Reference index of the last replacement-policy touch. */
+        /**
+         * Recency stamp: when the page was last used, on the clock
+         * of whoever stamps it (the simulator's reference index).
+         * Stamps only grow; the replacement policy reads them at
+         * eviction (DESIGN.md §6).
+         */
         uint64_t last_touch = 0;
 
         /** True if subpage @p idx has a transfer in flight. */
@@ -90,17 +96,23 @@ class PageTable
     PageId dense_size() const { return dense_.size(); }
 
     /** Frame of @p page, or nullptr if not resident. */
-    Frame *
-    find(PageId page)
+    const Frame *
+    find(PageId page) const
     {
         if (page < dense_.size()) {
-            Frame *f = &dense_[page];
+            const Frame *f = &dense_[page];
             return f->present ? f : nullptr;
         }
         if (page < DENSE_LIMIT)
             return nullptr;
         auto it = overflow_.find(page);
         return it == overflow_.end() ? nullptr : &it->second;
+    }
+
+    Frame *
+    find(PageId page)
+    {
+        return const_cast<Frame *>(std::as_const(*this).find(page));
     }
 
     /** True when installing a page requires an eviction first. */
@@ -116,13 +128,26 @@ class PageTable
     size_t capacity() const { return capacity_; }
 
     /**
-     * Install @p page (must not be resident; table must not be full).
-     * The new frame starts with no valid subpages.
+     * Install @p page (must not be resident; table must not be full),
+     * stamped as used at @p stamp. The new frame starts with no valid
+     * subpages.
      */
-    Frame &install(PageId page);
+    Frame &install(PageId page, uint64_t stamp);
 
-    /** Record a reference for the replacement policy. */
-    void touch(PageId page);
+    /**
+     * The table's own clock, for callers that keep none: install()
+     * and touch() without a stamp make @p page the most recently used
+     * page. The simulator stamps frames with its reference index
+     * instead, so it uses neither.
+     */
+    Frame &install(PageId page) { return install(page, ++clock_); }
+    void
+    touch(PageId page)
+    {
+        Frame *f = find(page);
+        SGMS_ASSERT(f);
+        f->last_touch = ++clock_;
+    }
 
     /**
      * Evict the policy's victim; returns its id. If @p state is
@@ -178,6 +203,7 @@ class PageTable
     std::unordered_map<PageId, Frame> overflow_;
     size_t resident_ = 0;
     uint64_t evictions_ = 0;
+    uint64_t clock_ = 0;
 };
 
 } // namespace sgms

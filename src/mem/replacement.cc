@@ -1,30 +1,109 @@
 #include "mem/replacement.h"
 
 #include "common/logging.h"
+#include "mem/page_table.h"
 #include "obs/debug.h"
 
 namespace sgms
 {
 
-PageId
-LruPolicy::victim()
+void
+LruPolicy::insert(PageId page, uint64_t stamp)
 {
-    SGMS_ASSERT(!order_.empty());
-    PageId page = order_.pop_back();
-    SGMS_DPRINTF(Mem, "lru: evict page %llu",
-                 static_cast<unsigned long long>(page));
-    return page;
+    if (queue_.empty() || queue_.back().stamp <= stamp)
+        queue_.push_back({stamp, page});
+    else
+        heap_push({stamp, page}); // out of order: keep the queue sorted
 }
 
 void
-FifoPolicy::insert(PageId page)
+LruPolicy::heap_push(Entry e)
+{
+    size_t i = heap_.size();
+    heap_.push_back(e);
+    while (i > 0) {
+        size_t parent = (i - 1) / 2;
+        if (heap_[parent].stamp <= e.stamp)
+            break;
+        heap_[i] = heap_[parent];
+        i = parent;
+    }
+    heap_[i] = e;
+}
+
+/**
+ * Restore the heap after the key of entry @p i grew. A grown key is a
+ * recent stamp and belongs near the leaves, so the hole walks down
+ * the smaller children to a leaf, one branch-free comparison a level,
+ * and the entry climbs back from there, rarely far.
+ */
+void
+LruPolicy::sift_down(size_t i)
+{
+    const size_t n = heap_.size();
+    const Entry e = heap_[i];
+    size_t child = 2 * i + 1;
+    for (; child + 1 < n; child = 2 * i + 1) {
+        child += heap_[child + 1].stamp < heap_[child].stamp;
+        heap_[i] = heap_[child];
+        i = child;
+    }
+    if (child < n) {
+        heap_[i] = heap_[child];
+        i = child;
+    }
+    while (i > 0) {
+        size_t parent = (i - 1) / 2;
+        if (heap_[parent].stamp <= e.stamp)
+            break;
+        heap_[i] = heap_[parent];
+        i = parent;
+    }
+    heap_[i] = e;
+}
+
+PageId
+LruPolicy::victim(const PageTable &table)
+{
+    for (;;) {
+        Entry e{};
+        if (head_ < queue_.size() &&
+            (heap_.empty() || queue_[head_].stamp < heap_.front().stamp)) {
+            e = queue_[head_++];
+            if (2 * head_ >= queue_.size()) {
+                queue_.erase(queue_.begin(), queue_.begin() + head_);
+                head_ = 0;
+            }
+        } else {
+            SGMS_ASSERT(!heap_.empty());
+            e = heap_.front();
+            heap_.front() = heap_.back();
+            heap_.pop_back();
+            if (!heap_.empty())
+                sift_down(0);
+        }
+        const PageTable::Frame *f = table.find(e.page);
+        if (!f)
+            continue; // erased: drop its entry
+        if (f->last_touch != e.stamp) {
+            heap_push({f->last_touch, e.page}); // used since: re-key
+            continue;
+        }
+        SGMS_DPRINTF(Mem, "lru: evict page %llu",
+                     static_cast<unsigned long long>(e.page));
+        return e.page;
+    }
+}
+
+void
+FifoPolicy::insert(PageId page, uint64_t /* stamp */)
 {
     SGMS_ASSERT(!order_.contains(page));
     order_.push_back(page);
 }
 
 PageId
-FifoPolicy::victim()
+FifoPolicy::victim(const PageTable & /* table */)
 {
     SGMS_ASSERT(!order_.empty());
     PageId page = order_.pop_front();
@@ -34,52 +113,37 @@ FifoPolicy::victim()
 }
 
 void
-ClockPolicy::insert(PageId page)
+ClockPolicy::insert(PageId page, uint64_t /* stamp */)
 {
-    SGMS_ASSERT(!map_.count(page));
     // Reuse a dead slot if the ring has one at the hand; otherwise
     // grow. Growth keeps this simple; rings stay small (resident set).
+    ++live_;
     for (size_t probe = 0; probe < ring_.size(); ++probe) {
         size_t i = (hand_ + probe) % ring_.size();
         if (!ring_[i].valid) {
-            ring_[i] = {page, true, true};
-            map_[page] = i;
-            ++live_;
+            ring_[i] = {page, UNCLEARED, true};
             return;
         }
     }
-    map_[page] = ring_.size();
-    ring_.push_back({page, true, true});
-    ++live_;
-}
-
-void
-ClockPolicy::touch(PageId page)
-{
-    auto it = map_.find(page);
-    SGMS_ASSERT(it != map_.end());
-    ring_[it->second].referenced = true;
+    ring_.push_back({page, UNCLEARED, true});
 }
 
 void
 ClockPolicy::erase(PageId page)
 {
-    auto it = map_.find(page);
-    SGMS_ASSERT(it != map_.end());
-    ring_[it->second].valid = false;
-    map_.erase(it);
-    --live_;
-}
-
-void
-ClockPolicy::reserve(size_t pages)
-{
-    ring_.reserve(pages);
-    map_.reserve(pages);
+    // Testing / invalidation only, so a scan of the ring will do.
+    for (Entry &e : ring_) {
+        if (e.valid && e.page == page) {
+            e.valid = false;
+            --live_;
+            return;
+        }
+    }
+    SGMS_ASSERT(false);
 }
 
 PageId
-ClockPolicy::victim()
+ClockPolicy::victim(const PageTable &table)
 {
     SGMS_ASSERT(live_ > 0);
     for (;;) {
@@ -87,12 +151,13 @@ ClockPolicy::victim()
         hand_ = (hand_ + 1) % ring_.size();
         if (!e.valid)
             continue;
-        if (e.referenced) {
-            e.referenced = false;
+        const PageTable::Frame *f = table.find(e.page);
+        SGMS_ASSERT(f);
+        if (f->last_touch != e.cleared_at) {
+            e.cleared_at = f->last_touch; // referenced: clear the bit
             continue;
         }
         e.valid = false;
-        map_.erase(e.page);
         --live_;
         SGMS_DPRINTF(Mem, "clock: evict page %llu",
                      static_cast<unsigned long long>(e.page));

@@ -6,12 +6,13 @@
  * module; an LRU policy is used by default". LRU is the default here
  * too; FIFO and Clock are provided for the replacement ablation.
  *
- * LRU and FIFO share an intrusive order list (DESIGN.md §13): nodes
- * live in a contiguous pool linked by 32-bit indices, and a dense
- * page-indexed array maps a page id to its node in one array load —
- * no hashing and no per-insert allocation for pages below the dense
- * limit. A policy touch is the single hottest non-trace operation in
- * the simulator (one per TOUCH_GRANULARITY references).
+ * A policy keeps no recency of its own. Each resident page's frame
+ * carries a stamp, PageTable::Frame::last_touch: the time of its last
+ * use on the caller's clock (the simulator's reference index), which
+ * the caller stores on the frame it has already loaded (DESIGN.md
+ * §6). A policy hears only of arrivals and removals, and reads the
+ * stamps when it picks a victim: LRU orders the pages by stamp lazily,
+ * Clock derives its reference bits from them, FIFO ignores them.
  */
 
 #ifndef SGMS_MEM_REPLACEMENT_H
@@ -30,26 +31,25 @@
 namespace sgms
 {
 
+class PageTable;
+
 /** Interface for page replacement policies. */
 class ReplacementPolicy
 {
   public:
     virtual ~ReplacementPolicy() = default;
 
-    /** A page became resident. */
-    virtual void insert(PageId page) = 0;
-
-    /** A resident page was referenced. */
-    virtual void touch(PageId page) = 0;
+    /** @p page became resident, stamped @p stamp. */
+    virtual void insert(PageId page, uint64_t stamp) = 0;
 
     /** A page was explicitly removed (not via victim()). */
     virtual void erase(PageId page) = 0;
 
-    /** Choose and remove the replacement victim. */
-    virtual PageId victim() = 0;
-
-    /** Number of tracked pages. */
-    virtual size_t size() const = 0;
+    /**
+     * Choose and remove the replacement victim. @p table holds the
+     * frames of the resident pages, whose stamps only grow.
+     */
+    virtual PageId victim(const PageTable &table) = 0;
 
     /** Pre-size internal storage for @p pages resident pages. */
     virtual void reserve(size_t /* pages */) {}
@@ -58,28 +58,18 @@ class ReplacementPolicy
 };
 
 /**
- * Recency/arrival order list over pooled nodes.
+ * Arrival order list over pooled nodes (FIFO's queue).
  *
  * Pages below DENSE_LIMIT resolve to their node through a flat
  * array indexed by page id (NIL when absent); larger ids fall back
  * to a hash map. Nodes are recycled through a free list, so a
- * policy at steady state (insert/touch/victim churn) performs no
+ * policy at steady state (insert/victim churn) performs no
  * allocation at all.
  */
 class PageOrderList
 {
   public:
-    /** O(1): link @p page at the front (most-recent end). */
-    void
-    push_front(PageId page)
-    {
-        uint32_t n = acquire(page);
-        link_front(n);
-        store_index(page, n);
-        ++size_;
-    }
-
-    /** O(1): link @p page at the back (oldest end). */
+    /** O(1): link @p page at the back (newest end). */
     void
     push_back(PageId page)
     {
@@ -87,17 +77,6 @@ class PageOrderList
         link_back(n);
         store_index(page, n);
         ++size_;
-    }
-
-    /** O(1), allocation-free: move @p page to the front. */
-    void
-    move_front(PageId page)
-    {
-        uint32_t n = find_index(page);
-        if (n == head_)
-            return;
-        unlink(n);
-        link_front(n);
     }
 
     /** O(1): unlink @p page (must be present). */
@@ -108,19 +87,6 @@ class PageOrderList
         unlink(n);
         release(page, n);
         --size_;
-    }
-
-    /** Unlink and return the page at the back. */
-    PageId
-    pop_back()
-    {
-        SGMS_ASSERT(tail_ != NIL);
-        uint32_t n = tail_;
-        PageId page = nodes_[n].page;
-        unlink(n);
-        release(page, n);
-        --size_;
-        return page;
     }
 
     /** Unlink and return the page at the front. */
@@ -188,18 +154,6 @@ class PageOrderList
     {
         free_.push_back(n);
         drop_index(page);
-    }
-
-    void
-    link_front(uint32_t n)
-    {
-        nodes_[n].prev = NIL;
-        nodes_[n].next = head_;
-        if (head_ != NIL)
-            nodes_[head_].prev = n;
-        head_ = n;
-        if (tail_ == NIL)
-            tail_ = n;
     }
 
     void
@@ -271,36 +225,66 @@ class PageOrderList
     std::vector<uint32_t> free_;
     std::vector<uint32_t> dense_; // page id -> node, NIL when absent
     std::unordered_map<PageId, uint32_t> overflow_;
-    uint32_t head_ = NIL; // most recent (LRU) / newest (FIFO back)
+    uint32_t head_ = NIL; // oldest
     uint32_t tail_ = NIL;
     size_t size_ = 0;
 };
 
-/** Exact LRU over the intrusive order list; front = most recent. */
+/**
+ * LRU: evicts the resident page with the oldest stamp.
+ *
+ * Each resident page has one entry, {stamp, page}, made at install
+ * with the install stamp. Pages arrive with the newest stamp, so the
+ * install entries join the back of a queue that stays in stamp
+ * order. At eviction the older of the queue's front and a min-heap's
+ * top surfaces: an entry older than its page's stamp is pushed on the
+ * heap with that stamp, one whose page has left (erase is lazy) is
+ * dropped, and the first that surfaces current names the least
+ * recently used page. A recency refresh is thus one store into the
+ * frame. The order is paid for at eviction, once per page used since
+ * its entry last surfaced, and a page not used since its arrival
+ * leaves through the queue with no heap work at all.
+ */
 class LruPolicy : public ReplacementPolicy
 {
   public:
-    void insert(PageId page) override { order_.push_front(page); }
-    void touch(PageId page) override { order_.move_front(page); }
-    void erase(PageId page) override { order_.remove(page); }
-    PageId victim() override;
-    size_t size() const override { return order_.size(); }
-    void reserve(size_t pages) override { order_.reserve(pages); }
+    void insert(PageId page, uint64_t stamp) override;
+    /** Lazy: the page's entry is dropped when it surfaces. */
+    void erase(PageId /* page */) override {}
+    PageId victim(const PageTable &table) override;
+    void
+    reserve(size_t pages) override
+    {
+        queue_.reserve(2 * pages);
+        heap_.reserve(pages);
+    }
     const char *name() const override { return "lru"; }
 
   private:
-    PageOrderList order_;
+    struct Entry
+    {
+        uint64_t stamp;
+        PageId page;
+    };
+
+    void heap_push(Entry e);
+    void sift_down(size_t i);
+
+    // Entries before head_ have surfaced; the queue is compacted once
+    // they are half of it, so it never holds more than twice the
+    // entries still in it.
+    std::vector<Entry> queue_;
+    size_t head_ = 0;
+    std::vector<Entry> heap_; // min-heap on stamp
 };
 
-/** FIFO: evict in arrival order; references don't matter. */
+/** FIFO: evict in arrival order; stamps don't matter. */
 class FifoPolicy : public ReplacementPolicy
 {
   public:
-    void insert(PageId page) override;
-    void touch(PageId /* page */) override {}
+    void insert(PageId page, uint64_t stamp) override;
     void erase(PageId page) override { order_.remove(page); }
-    PageId victim() override;
-    size_t size() const override { return order_.size(); }
+    PageId victim(const PageTable &table) override;
     void reserve(size_t pages) override { order_.reserve(pages); }
     const char *name() const override { return "fifo"; }
 
@@ -308,30 +292,34 @@ class FifoPolicy : public ReplacementPolicy
     PageOrderList order_; // front = oldest
 };
 
-/** Second-chance Clock. */
+/**
+ * Second-chance Clock. A page's reference bit is "stamped since the
+ * hand last cleared it", and set from insert until the first clear.
+ */
 class ClockPolicy : public ReplacementPolicy
 {
   public:
-    void insert(PageId page) override;
-    void touch(PageId page) override;
+    void insert(PageId page, uint64_t stamp) override;
     void erase(PageId page) override;
-    PageId victim() override;
-    size_t size() const override { return map_.size(); }
-    void reserve(size_t pages) override;
+    PageId victim(const PageTable &table) override;
+    void reserve(size_t pages) override { ring_.reserve(pages); }
     const char *name() const override { return "clock"; }
 
   private:
+    /** cleared_at of a page the hand has not cleared yet. */
+    static constexpr uint64_t UNCLEARED = UINT64_MAX;
+
     struct Entry
     {
         PageId page;
-        bool referenced;
+        /** The page's stamp when the hand last cleared its bit. */
+        uint64_t cleared_at;
         bool valid;
     };
 
     std::vector<Entry> ring_;
     size_t hand_ = 0;
     size_t live_ = 0;
-    std::unordered_map<PageId, size_t> map_;
 };
 
 /** Factory: "lru", "fifo", or "clock". */

@@ -22,11 +22,11 @@ namespace sgms
 namespace
 {
 /**
- * Minimum references between replacement-policy touches per page.
- * Refreshing recency on every switch to another page would cost a
- * list splice each; coalescing to one touch per 64 references
- * approximates LRU. On memories of a few pages the fault counts
- * differ from exact LRU by a few either way (DESIGN.md §6).
+ * Minimum references between recency refreshes of a page. A page is
+ * restamped only on a switch to it from another page, at least this
+ * many references after its stamp, which approximates LRU: on
+ * memories of a few pages the fault counts differ from exact LRU by a
+ * few either way (DESIGN.md §6).
  */
 constexpr uint64_t TOUCH_GRANULARITY = 64;
 
@@ -36,6 +36,27 @@ constexpr uint64_t TOUCH_GRANULARITY = 64;
  * batch is noise (~20 ns per ~1024 references).
  */
 constexpr size_t TRACE_BATCH = 1024;
+
+/**
+ * The hit test and the recency rule for a reference at index @p ref
+ * to @p page, whose frame is @p f, after one to @p last_page. A hit
+ * needs nothing but the dirty bit: the frame is present, complete (so
+ * no subpage test and no PAL charge) and unwatched. Whether or not it
+ * hits, a resident page that is due a refresh is restamped with
+ * @p ref. Pages switch every second reference or so, so the store is
+ * a select, not a branch on the switch, which would mispredict about
+ * every other reference.
+ */
+inline bool
+hit_and_stamp(PageTable::Frame &f, PageId page, PageId last_page,
+              uint64_t ref)
+{
+    uint64_t lt = f.last_touch;
+    uint64_t due = f.present & (page != last_page) &
+                   (ref - lt >= TOUCH_GRANULARITY);
+    f.last_touch = lt ^ ((lt ^ ref) & -due);
+    return f.present & f.complete & (f.watch_from < 0);
+}
 } // namespace
 
 /**
@@ -509,10 +530,14 @@ Simulator::advance_after_ref(Run &r, Client &c, bool in_step)
 
 /**
  * Run @p c from its park point until it has to wait: the reference
- * loop (DESIGN.md §13, "Reference loop"). The client's hot state
- * stays in locals, which are written back only where the loop leaves
- * it: a slow path, the event horizon, a batch refill, or a charge
- * (steal or TLB refill) that crosses the horizon.
+ * loop (DESIGN.md §13, "Reference loop"). At a reference boundary
+ * with no steal pending and no TLB modelled, resident hits on dense
+ * pages run in a tight inner loop, bounded by the window's words and
+ * the event horizon; the first reference it cannot take (a miss, an
+ * overflow page) goes through the per-reference path below. The
+ * client's hot state stays in locals, which are written back only
+ * where the loop leaves it: a slow path, the event horizon, a batch
+ * refill, or a charge (steal or TLB refill) that crosses the horizon.
  */
 void
 Simulator::step(Run &r, Client &c)
@@ -540,7 +565,7 @@ Simulator::step(Run &r, Client &c)
     Tick steal = c.pending_steal;
     Tick now = c.now;
     uint64_t ref = c.ref_index;
-    size_t batch_i = c.batch_i;
+    size_t batch_i = c.batch_i; // the current reference is word batch_i - 1
     TraceEvent ev = c.cur_ev;
     PageId last_page = c.last_page;
     PageTable::Frame *last_frame = c.last_frame;
@@ -560,6 +585,57 @@ Simulator::step(Run &r, Client &c)
     };
 
     for (;;) {
+        if (phase == Phase::RefSteal && !steal && !tlb) {
+            // The hit run: it stops at the end of the window, at the
+            // last reference before the horizon (now < horizon here),
+            // or at a reference it cannot take, which becomes the
+            // current one.
+            size_t i = batch_i - 1;
+            size_t end = batch_n;
+            if (step_len > 0 && horizon != TICK_MAX) {
+                uint64_t left =
+                    static_cast<uint64_t>(horizon - now - 1) / step_len + 1;
+                if (left < end - i)
+                    end = i + left;
+            }
+            // Plain copies, so the run keeps them in registers.
+            const size_t first = i;
+            uint64_t run_ref = ref;
+            PageId run_last = last_page;
+            for (; i < end; ++i, ++run_ref) {
+                const uint64_t w = words[i];
+                const PageId page = geo.page_of(w >> 1);
+                if (page >= dense_n ||
+                    !hit_and_stamp(dense[page], page, run_last, run_ref))
+                    break;
+                dense[page].dirty |= static_cast<bool>(w & 1);
+                run_last = page;
+            }
+            ref = run_ref;
+            last_page = run_last;
+            if (i != first) {
+                now += static_cast<Tick>(i - first) * step_len;
+                const bool refill = i == batch_n;
+                if (refill) {
+                    batch_i = i;
+                    save(Phase::RefSteal);
+                    if (!refill_batch(r, c))
+                        return;
+                    words = c.words;
+                    batch_n = c.batch_n;
+                    i = 0;
+                }
+                batch_i = i + 1;
+                ev = unpack_trace_event(words[i]);
+                if (now >= horizon) {
+                    park(Phase::RefSteal);
+                    return;
+                }
+                if (refill)
+                    continue; // a fresh window: back to the hit run
+            }
+        }
+
         // Only a delivery adds a steal, so one is pending here only
         // if it arrived while the client was parked; when that was
         // past this reference's RefSteal point, it lands on the next.
@@ -583,42 +659,25 @@ Simulator::step(Run &r, Client &c)
             }
         }
 
-        // A hit needs nothing but the dirty bit: the frame is present,
-        // complete (so no subpage test and no PAL charge) and
-        // unwatched, and the replacement touch is not due (same page,
-        // or touched within TOUCH_GRANULARITY). Pages switch every
-        // second reference or so, so this is one test on the dense
-        // frame per reference, not a last-page compare that fails on
-        // every switch. Overflow pages keep the last-page shortcut,
-        // which spares them a hash lookup per reference.
+        // The same test, one reference at a time. Overflow pages (past
+        // the dense frames) keep a last-page shortcut, which spares
+        // them a hash lookup per reference.
         PageId page = geo.page_of(ev.addr);
-        PageTable::Frame *frame;
-        bool hit;
-        if (page < dense_n) {
-            frame = dense + page;
-            hit = frame->present & frame->complete &
-                  (frame->watch_from < 0) &
-                  ((page == last_page) |
-                   (ref - frame->last_touch < TOUCH_GRANULARITY));
-        } else {
-            frame = last_frame;
-            hit = page == last_page && frame != nullptr;
-        }
-        if (hit) {
+        PageTable::Frame *frame = page < dense_n     ? dense + page
+                                  : page == last_page ? last_frame
+                                                      : nullptr;
+        if (!frame)
+            frame = c.pt.find(page);
+        if (frame && hit_and_stamp(*frame, page, last_page, ref)) {
             frame->dirty |= ev.write;
             last_page = page;
+            last_frame = frame;
         } else {
-            frame = c.pt.find(page);
-            if (!frame) {
+            if (!frame || !frame->present) {
                 save(Phase::RefBody);
                 if (!yield_for_slow_path(r, c))
                     page_fault(r, c, page);
                 return; // parked on the fetch / disk sleep or yielded
-            }
-            if (ref - frame->last_touch >= TOUCH_GRANULARITY &&
-                page != last_page) {
-                c.pt.touch(page);
-                frame->last_touch = ref;
             }
             SubpageIndex sp = geo.subpage_of(ev.addr);
             if (!frame->valid.test(sp)) {
@@ -1283,14 +1342,13 @@ Simulator::page_fault(Run &r, Client &c, PageId page)
                        c.id);
     }
 
-    PageTable::Frame &frame = c.pt.install(page);
+    PageTable::Frame &frame = c.pt.install(page, c.ref_index);
     // Run-wide fault ordinal: it tells a refaulted frame apart from
     // its evicted predecessor, so late arrivals for the old copy are
     // dropped. It equals the index of the fault's record whenever
     // records are kept, and stays unique when they are not.
     uint64_t fault_id = r.res.page_faults - 1;
     frame.fault_id = fault_id;
-    frame.last_touch = c.ref_index;
 
     SubpageIndex sp = r.geo.subpage_of(ev.addr);
     uint32_t byte_in_sub = ev.addr & (cfg_.subpage_size - 1);

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the hot-path overhaul: the allocation-free event kernel
- * (FIFO tie-break, pool reuse, inline callbacks), the intrusive
- * LRU/FIFO order list (property-checked against a reference
- * implementation), batched trace replay, the shared trace store
+ * (FIFO tie-break, pool reuse, inline callbacks), the replacement
+ * policies over recency stamps (property-checked against reference
+ * implementations), batched trace replay, the shared trace store
  * (stored replay is byte-identical to streaming generation, safe to
  * replay concurrently), and the cooperative per-point wall budget.
  *
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 #include <thread>
 #include <unordered_map>
@@ -24,6 +25,7 @@
 #include "core/experiment.h"
 #include "exec/parallel_runner.h"
 #include "exec/result_codec.h"
+#include "mem/page_table.h"
 #include "mem/replacement.h"
 #include "sim/event_queue.h"
 #include "sim/kernel.h"
@@ -199,19 +201,39 @@ TEST(EventKernel, InlineCallbacksSkipTheHeap)
 }
 
 // ---------------------------------------------------------------
-// Intrusive order list / replacement policies
+// Replacement policies over recency stamps
 // ---------------------------------------------------------------
 
-/** Reference LRU/FIFO over std::list + map, the pre-overhaul shape. */
-class ReferenceOrderPolicy
+/**
+ * Reference LRU and FIFO over std::list + map, and a reference Clock
+ * over a ring of reference bits: the shapes from before recency
+ * stamps, in which every use of a page calls touch().
+ */
+class ReferencePolicy
 {
   public:
-    explicit ReferenceOrderPolicy(bool lru) : lru_(lru) {}
+    explicit ReferencePolicy(const std::string &name)
+        : lru_(name == "lru"), clock_(name == "clock")
+    {}
 
     void
     insert(PageId page)
     {
-        if (lru_) {
+        if (clock_) {
+            // Reuse the first dead slot from the hand, else grow.
+            size_t slot = ring_.size();
+            for (size_t probe = 0; probe < ring_.size(); ++probe) {
+                size_t i = (hand_ + probe) % ring_.size();
+                if (!ring_[i].valid) {
+                    slot = i;
+                    break;
+                }
+            }
+            if (slot == ring_.size())
+                ring_.push_back({});
+            ring_[slot] = {page, true, true};
+            slot_[page] = slot;
+        } else if (lru_) {
             order_.push_front(page);
             pos_[page] = order_.begin();
         } else {
@@ -223,94 +245,138 @@ class ReferenceOrderPolicy
     void
     touch(PageId page)
     {
-        if (!lru_)
-            return;
-        order_.splice(order_.begin(), order_, pos_[page]);
+        if (clock_)
+            ring_[slot_[page]].referenced = true;
+        else if (lru_)
+            order_.splice(order_.begin(), order_, pos_[page]);
     }
 
     void
     erase(PageId page)
     {
-        order_.erase(pos_[page]);
-        pos_.erase(page);
+        if (clock_) {
+            ring_[slot_[page]].valid = false;
+            slot_.erase(page);
+        } else {
+            order_.erase(pos_[page]);
+            pos_.erase(page);
+        }
     }
 
     PageId
     victim()
     {
-        PageId page = lru_ ? order_.back() : order_.front();
-        erase(page);
-        return page;
+        if (!clock_) {
+            PageId page = lru_ ? order_.back() : order_.front();
+            erase(page);
+            return page;
+        }
+        for (;;) {
+            Slot &s = ring_[hand_];
+            hand_ = (hand_ + 1) % ring_.size();
+            if (!s.valid)
+                continue;
+            if (s.referenced) {
+                s.referenced = false;
+                continue;
+            }
+            erase(s.page);
+            return s.page;
+        }
     }
 
-    size_t size() const { return order_.size(); }
-    bool contains(PageId p) const { return pos_.count(p) != 0; }
+    size_t size() const { return clock_ ? slot_.size() : pos_.size(); }
 
   private:
+    struct Slot
+    {
+        PageId page = 0;
+        bool referenced = false;
+        bool valid = false;
+    };
+
     bool lru_;
+    bool clock_;
     std::list<PageId> order_;
     std::unordered_map<PageId, std::list<PageId>::iterator> pos_;
+    std::vector<Slot> ring_;
+    size_t hand_ = 0;
+    std::unordered_map<PageId, size_t> slot_;
 };
 
+/**
+ * Random install / use / erase / evict traffic through a PageTable
+ * under policy @p name, against the reference model. A use stores a
+ * newer stamp in the page's frame, as the simulator does, and touches
+ * the reference. Some erased pages come straight back, so LRU holds
+ * an entry from the page's earlier residency.
+ */
 void
-order_property_check(const char *name, bool lru, uint64_t page_base)
+order_property_check(const char *name, uint64_t page_base)
 {
-    auto policy = make_replacement_policy(name);
-    ReferenceOrderPolicy ref(lru);
+    PageTable pt(PageGeometry(8192, 1024), /*capacity=*/0, name);
+    ReferencePolicy ref(name);
     Rng rng{1234};
     std::vector<PageId> resident;
     PageId next_page = page_base;
+    uint64_t clock = 0;
     for (int step = 0; step < 20000; ++step) {
         uint64_t op = rng.next() % 100;
         if (resident.empty() || op < 40) {
             PageId p = next_page++;
-            policy->insert(p);
+            pt.install(p, ++clock);
             ref.insert(p);
             resident.push_back(p);
         } else if (op < 70) {
             PageId p = resident[rng.next() % resident.size()];
-            policy->touch(p);
+            pt.find(p)->last_touch = ++clock;
             ref.touch(p);
         } else if (op < 85) {
             size_t i = rng.next() % resident.size();
             PageId p = resident[i];
-            policy->erase(p);
+            pt.erase(p);
             ref.erase(p);
-            resident[i] = resident.back();
-            resident.pop_back();
-        } else {
-            ASSERT_EQ(policy->victim(), ref.victim());
-            // Rebuild the resident set cheaply: drop the evicted one.
-            for (size_t i = 0; i < resident.size(); ++i) {
-                if (!ref.contains(resident[i])) {
-                    resident[i] = resident.back();
-                    resident.pop_back();
-                    break;
-                }
+            if (op < 75) {
+                pt.install(p, ++clock); // erase, then reinstall
+                ref.insert(p);
+            } else {
+                resident[i] = resident.back();
+                resident.pop_back();
             }
+        } else {
+            PageId v = pt.evict();
+            ASSERT_EQ(v, ref.victim());
+            auto it = std::find(resident.begin(), resident.end(), v);
+            ASSERT_NE(it, resident.end());
+            *it = resident.back();
+            resident.pop_back();
         }
-        ASSERT_EQ(policy->size(), ref.size());
+        ASSERT_EQ(pt.resident(), ref.size());
     }
     // Drain both completely: full eviction order must agree.
     while (ref.size() > 0)
-        ASSERT_EQ(policy->victim(), ref.victim());
+        ASSERT_EQ(pt.evict(), ref.victim());
 }
 
 TEST(OrderList, LruMatchesReferenceModel)
 {
-    order_property_check("lru", /*lru=*/true, /*page_base=*/0);
+    order_property_check("lru", /*page_base=*/0);
 }
 
 TEST(OrderList, FifoMatchesReferenceModel)
 {
-    order_property_check("fifo", /*lru=*/false, /*page_base=*/0);
+    order_property_check("fifo", /*page_base=*/0);
+}
+
+TEST(OrderList, ClockMatchesReferenceModel)
+{
+    order_property_check("clock", /*page_base=*/0);
 }
 
 TEST(OrderList, OverflowPagesBeyondDenseLimit)
 {
     // Page ids above the dense limit (1<<17) exercise the hash path.
-    order_property_check("lru", /*lru=*/true,
-                         /*page_base=*/1ULL << 40);
+    order_property_check("lru", /*page_base=*/1ULL << 40);
 }
 
 TEST(OrderList, MixedDenseAndOverflowIds)
@@ -318,29 +384,33 @@ TEST(OrderList, MixedDenseAndOverflowIds)
     PageOrderList list;
     PageId dense = 5;
     PageId sparse = (1ULL << 30) + 3;
-    list.push_front(dense);
-    list.push_front(sparse);
+    list.push_back(dense);
+    list.push_back(sparse);
     EXPECT_TRUE(list.contains(dense));
     EXPECT_TRUE(list.contains(sparse));
-    list.move_front(dense);
-    EXPECT_EQ(list.pop_back(), sparse);
-    EXPECT_EQ(list.pop_back(), dense);
+    list.remove(dense);
+    list.push_back(dense);
+    EXPECT_EQ(list.pop_front(), sparse);
+    EXPECT_EQ(list.pop_front(), dense);
     EXPECT_TRUE(list.empty());
 }
 
 TEST(OrderList, SteadyChurnDoesNotAllocate)
 {
-    auto lru = make_replacement_policy("lru");
-    lru->reserve(1024);
+    // Reserving the table reserves LRU's queue and heap with it.
+    PageTable pt(PageGeometry(8192, 1024), /*capacity=*/1024, "lru");
+    pt.reserve(1024);
+    uint64_t clock = 0;
     for (PageId p = 0; p < 1024; ++p)
-        lru->insert(p);
+        pt.install(p, ++clock);
     Rng rng{7};
     uint64_t before = alloc_probe_count();
     for (int i = 0; i < 50000; ++i) {
-        lru->touch(rng.next() % 1024);
+        if (PageTable::Frame *f = pt.find(rng.next() % 1024))
+            f->last_touch = ++clock;
         if (i % 16 == 0) {
-            PageId v = lru->victim();
-            lru->insert(v); // reuses the freed node
+            PageId v = pt.evict();
+            pt.install(v, ++clock); // reuses the freed slots
         }
     }
     EXPECT_EQ(alloc_probe_count(), before);
@@ -576,11 +646,12 @@ TEST(Reserve, PageTableReserveKeepsSemantics)
     PageTable pt(geo, /*mem_pages=*/16, "lru");
     pt.reserve(1024);
     for (PageId p = 0; p < 8; ++p)
-        pt.install(p);
+        pt.install(p, /*stamp=*/p);
     EXPECT_NE(pt.find(3), nullptr);
     EXPECT_EQ(pt.find(99), nullptr);
-    pt.touch(3);
+    pt.find(0)->last_touch = 8;
     EXPECT_EQ(pt.resident(), 8u);
+    EXPECT_EQ(pt.evict(), 1u);
 }
 
 } // namespace

@@ -118,68 +118,86 @@ TEST(SubpageBitmap, FillPartial)
     EXPECT_EQ(b.popcount(), 0u);
 }
 
+/**
+ * A table of unlimited capacity under replacement policy @p policy.
+ * The tests drive it as the simulator does: a page is installed with
+ * a stamp, a use stores a newer stamp in its frame, and evict() asks
+ * the policy for the victim.
+ */
+PageTable
+stamped_table(const char *policy)
+{
+    return PageTable(PageGeometry(8192, 1024), 0, policy);
+}
+
+void
+use(PageTable &pt, PageId page, uint64_t stamp)
+{
+    pt.find(page)->last_touch = stamp;
+}
+
 TEST(Lru, EvictsLeastRecentlyUsed)
 {
-    LruPolicy p;
-    p.insert(1);
-    p.insert(2);
-    p.insert(3);
-    p.touch(1); // order now: 1, 3, 2 (MRU..LRU)
-    EXPECT_EQ(p.victim(), 2u);
-    EXPECT_EQ(p.victim(), 3u);
-    EXPECT_EQ(p.victim(), 1u);
-    EXPECT_EQ(p.size(), 0u);
+    PageTable pt = stamped_table("lru");
+    pt.install(1, 1);
+    pt.install(2, 2);
+    pt.install(3, 3);
+    use(pt, 1, 4); // order now: 1, 3, 2 (MRU..LRU)
+    EXPECT_EQ(pt.evict(), 2u);
+    EXPECT_EQ(pt.evict(), 3u);
+    EXPECT_EQ(pt.evict(), 1u);
+    EXPECT_EQ(pt.resident(), 0u);
 }
 
 TEST(Lru, EraseRemoves)
 {
-    LruPolicy p;
-    p.insert(1);
-    p.insert(2);
-    p.erase(1);
-    EXPECT_EQ(p.size(), 1u);
-    EXPECT_EQ(p.victim(), 2u);
+    PageTable pt = stamped_table("lru");
+    pt.install(1, 1);
+    pt.install(2, 2);
+    pt.erase(1);
+    EXPECT_EQ(pt.resident(), 1u);
+    EXPECT_EQ(pt.evict(), 2u);
 }
 
 TEST(Fifo, EvictsInArrivalOrder)
 {
-    FifoPolicy p;
-    p.insert(1);
-    p.insert(2);
-    p.insert(3);
-    p.touch(1); // FIFO ignores touches
-    EXPECT_EQ(p.victim(), 1u);
-    EXPECT_EQ(p.victim(), 2u);
-    EXPECT_EQ(p.victim(), 3u);
+    PageTable pt = stamped_table("fifo");
+    pt.install(1, 1);
+    pt.install(2, 2);
+    pt.install(3, 3);
+    use(pt, 1, 4); // FIFO ignores stamps
+    EXPECT_EQ(pt.evict(), 1u);
+    EXPECT_EQ(pt.evict(), 2u);
+    EXPECT_EQ(pt.evict(), 3u);
 }
 
 TEST(Clock, GivesSecondChance)
 {
-    ClockPolicy p;
-    p.insert(1);
-    p.insert(2);
-    p.insert(3);
+    PageTable pt = stamped_table("clock");
+    pt.install(1, 1);
+    pt.install(2, 2);
+    pt.install(3, 3);
     // All have their reference bit set from insertion; a full sweep
     // clears them, so the first victim is the first inserted.
-    EXPECT_EQ(p.victim(), 1u);
-    p.touch(2); // re-referenced: 2 survives the next sweep
-    EXPECT_EQ(p.victim(), 3u);
-    EXPECT_EQ(p.victim(), 2u);
+    EXPECT_EQ(pt.evict(), 1u);
+    use(pt, 2, 4); // re-referenced: 2 survives the next sweep
+    EXPECT_EQ(pt.evict(), 3u);
+    EXPECT_EQ(pt.evict(), 2u);
 }
 
 TEST(Clock, ReusesDeadSlots)
 {
-    ClockPolicy p;
+    PageTable pt = stamped_table("clock");
     for (PageId i = 0; i < 8; ++i)
-        p.insert(i);
+        pt.install(i, i);
     for (int i = 0; i < 4; ++i)
-        p.victim();
+        pt.evict();
     for (PageId i = 100; i < 104; ++i)
-        p.insert(i);
-    EXPECT_EQ(p.size(), 8u);
+        pt.install(i, i);
+    EXPECT_EQ(pt.resident(), 8u);
     std::set<PageId> evicted;
     for (int i = 0; i < 8; ++i)
-        evicted.insert(p.victim());
+        evicted.insert(pt.evict());
     EXPECT_EQ(evicted.size(), 8u);
 }
 
@@ -196,29 +214,30 @@ class ReplacementProperty
 
 TEST_P(ReplacementProperty, VictimIsAlwaysTracked)
 {
-    // Property: under random insert/touch/victim traffic, every
-    // victim was previously inserted and never double-evicted.
-    auto p = make_replacement_policy(GetParam());
+    // Property: under random insert/use/evict traffic, every victim
+    // was previously inserted and never double-evicted.
+    PageTable pt = stamped_table(GetParam());
     Rng rng(99);
     std::set<PageId> tracked;
     PageId next = 0;
+    uint64_t clock = 0;
     for (int i = 0; i < 5000; ++i) {
         double r = rng.uniform();
         if (r < 0.45 || tracked.empty()) {
-            p->insert(next);
+            pt.install(next, ++clock);
             tracked.insert(next);
             ++next;
         } else if (r < 0.8) {
-            // touch a random tracked page
+            // use a random tracked page
             auto it = tracked.begin();
             std::advance(it, rng.below(tracked.size()));
-            p->touch(*it);
+            use(pt, *it, ++clock);
         } else {
-            PageId v = p->victim();
+            PageId v = pt.evict();
             ASSERT_TRUE(tracked.count(v)) << "policy " << GetParam();
             tracked.erase(v);
         }
-        ASSERT_EQ(p->size(), tracked.size());
+        ASSERT_EQ(pt.resident(), tracked.size());
     }
 }
 
@@ -230,15 +249,34 @@ TEST(PageTable, InstallFindEvict)
     PageGeometry geo(8192, 1024);
     PageTable pt(geo, 2);
     EXPECT_EQ(pt.find(7), nullptr);
-    pt.install(7);
+    pt.install(7, 1);
     ASSERT_NE(pt.find(7), nullptr);
+    EXPECT_EQ(pt.find(7)->last_touch, 1u);
     EXPECT_FALSE(pt.full());
-    pt.install(8);
+    pt.install(8, 2);
     EXPECT_TRUE(pt.full());
-    pt.touch(7); // 8 becomes LRU
+    use(pt, 7, 3); // 8 becomes LRU
     EXPECT_EQ(pt.evict(), 8u);
     EXPECT_EQ(pt.find(8), nullptr);
     EXPECT_EQ(pt.evictions(), 1u);
+}
+
+TEST(PageTable, OwnClockMakesMostRecent)
+{
+    // Without stamps, install() and touch() read the table's own
+    // clock: each makes its page the most recently used.
+    PageGeometry geo(8192, 1024);
+    PageTable pt(geo, 3);
+    pt.install(1);
+    pt.install(2);
+    pt.install(3);
+    pt.touch(1);
+    pt.touch(2);
+    EXPECT_EQ(pt.evict(), 3u);
+    pt.install(4);
+    pt.touch(1);
+    EXPECT_EQ(pt.evict(), 2u);
+    EXPECT_EQ(pt.evict(), 4u);
 }
 
 TEST(PageTable, UnlimitedCapacity)

@@ -445,6 +445,36 @@ TEST(ReferenceLoop, OverflowPageIdsMatchDensePageIds)
     }
 }
 
+TEST(ReferenceLoop, HitRunBoundKeepsItsBytes)
+{
+    // The hit loop runs up to the event horizon in one go, so its
+    // bound is a division by the step. A zero step (--ns-per-ref=0)
+    // must not divide, and a 1 ns step lands the clock exactly on
+    // event times, where an off-by-one in the bound would run one
+    // reference too many or too few before the client parks. Pinned
+    // from the per-reference loop the bound replaced.
+    const struct
+    {
+        Tick step;
+        uint32_t clients;
+        uint64_t digest;
+    } cases[] = {
+        {0, 1, 0xbe6235d14af4e15dull},
+        {0, 4, 0xe4ea756206eba7e1ull},
+        {ticks::from_ns(1), 1, 0xa4818e4880eaa62dull},
+        {ticks::from_ns(1), 4, 0x021b0a938078f27aull},
+    };
+    for (const auto &tc : cases) {
+        SCOPED_TRACE(testing::Message() << "step " << tc.step << " ps, "
+                                        << tc.clients << " clients");
+        SimConfig cfg = mc_config("pipelining");
+        cfg.ns_per_ref = tc.step;
+        SimResult r = run_multi(cfg, tc.clients);
+        EXPECT_GT(r.page_faults, 0u);
+        EXPECT_EQ(blob_digest(r), tc.digest);
+    }
+}
+
 // ---------------------------------------------------------------
 // Multi-client determinism and aggregation
 // ---------------------------------------------------------------

@@ -4,17 +4,20 @@
  * counts.
  *
  * The oracle is a plain demand pager written here from scratch: a
- * std::list resident set, no network, no clock. Fault and eviction
- * counts depend only on each client's reference order, never on
- * timing, so the kernel must agree with it exactly — for every app
- * and memory configuration, and per client at N > 1, where every
- * client has a private page table.
+ * std::list resident set (a ring of reference bits for Clock), no
+ * network, no clock. Fault and eviction counts depend only on each
+ * client's reference order, never on timing, so the kernel must
+ * agree with it exactly — for every app and memory configuration,
+ * and per client at N > 1, where every client has a private page
+ * table.
  *
  * The kernel approximates LRU: a resident page's recency is refreshed
  * at most once per 64 of its references, and only on a reference to
  * a page other than the previous reference's (DESIGN.md §6). The
  * oracle writes that rule out explicitly; with the interval set to 1
  * it is exact LRU, which the last test shows is a different model.
+ * Clock sets a page's reference bit at its fault and at each of
+ * those refreshes.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +25,7 @@
 #include <list>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/experiment.h"
 #include "sim/kernel.h"
@@ -43,23 +47,59 @@ struct PagerCounts
 
 /**
  * Replay @p trace through a pager with @p frames frames (0 =
- * unlimited). LRU refreshes a resident page's recency when it is
- * referenced after a different page and at least @p touch_interval
- * references have passed since its last refresh (or its fault);
- * FIFO never refreshes.
+ * unlimited) under replacement @p repl. A resident page is refreshed
+ * when it is referenced after a different page and at least
+ * @p touch_interval references have passed since its last refresh
+ * (or its fault). LRU moves it to the back of the eviction order,
+ * Clock sets its reference bit, FIFO ignores it. Clock's hand clears
+ * set bits until it finds a clear one, and an arrival takes the first
+ * free slot from the hand.
  */
 PagerCounts
-oracle_pager(TraceSource &trace, size_t frames, bool fifo,
+oracle_pager(TraceSource &trace, size_t frames, const std::string &repl,
              uint64_t touch_interval = kKernelTouchInterval,
              uint32_t page_size = 8192)
 {
-    std::list<PageId> order; // front = next victim
+    const bool clock = repl == "clock";
+    std::list<PageId> order; // LRU and FIFO: front = next victim
+    struct Slot
+    {
+        PageId page;
+        bool referenced;
+        bool live;
+    };
+    std::vector<Slot> ring; // Clock
+    size_t hand = 0;
     struct Entry
     {
         std::list<PageId>::iterator pos;
+        size_t slot;
         uint64_t last_touch;
     };
     std::unordered_map<PageId, Entry> resident;
+    auto clock_victim = [&] {
+        for (;; hand = (hand + 1) % ring.size()) {
+            Slot &s = ring[hand];
+            if (s.live && !s.referenced) {
+                s.live = false;
+                hand = (hand + 1) % ring.size();
+                return s.page;
+            }
+            s.referenced = false;
+        }
+    };
+    auto clock_place = [&](PageId page) {
+        for (size_t k = 0; k < ring.size(); ++k) {
+            size_t i = (hand + k) % ring.size();
+            if (!ring[i].live) {
+                ring[i] = {page, true, true};
+                return i;
+            }
+        }
+        ring.push_back({page, true, true});
+        return ring.size() - 1;
+    };
+
     PagerCounts counts;
     PageId last = ~0ULL;
     uint64_t index = 0;
@@ -73,14 +113,26 @@ oracle_pager(TraceSource &trace, size_t frames, bool fifo,
         if (it == resident.end()) {
             ++counts.faults;
             if (frames && resident.size() == frames) {
-                resident.erase(order.front());
-                order.pop_front();
+                if (clock) {
+                    resident.erase(clock_victim());
+                } else {
+                    resident.erase(order.front());
+                    order.pop_front();
+                }
                 ++counts.evictions;
             }
-            resident[page] = {order.insert(order.end(), page), index};
-        } else if (!fifo &&
+            Entry e{{}, 0, index};
+            if (clock)
+                e.slot = clock_place(page);
+            else
+                e.pos = order.insert(order.end(), page);
+            resident[page] = e;
+        } else if (repl != "fifo" &&
                    index - it->second.last_touch >= touch_interval) {
-            order.splice(order.end(), order, it->second.pos);
+            if (clock)
+                ring[it->second.slot].referenced = true;
+            else
+                order.splice(order.end(), order, it->second.pos);
             it->second.last_touch = index;
         }
         last = page;
@@ -112,7 +164,7 @@ gauge_of(const SimResult &r, const std::string &name)
 
 TEST(PagingOracle, FullpageCountsMatchForEveryAppAndMemory)
 {
-    for (const char *repl : {"lru", "fifo"}) {
+    for (const char *repl : {"lru", "fifo", "clock"}) {
         for (const std::string &app : app_names()) {
             for (MemConfig mem : {MemConfig::Half, MemConfig::Quarter}) {
                 SCOPED_TRACE(std::string(repl) + " " + app + " " +
@@ -120,8 +172,8 @@ TEST(PagingOracle, FullpageCountsMatchForEveryAppAndMemory)
                 Experiment ex = oracle_experiment(app, mem, repl);
                 SimResult r = ex.run();
                 auto trace = ex.trace();
-                PagerCounts want = oracle_pager(
-                    *trace, ex.config().mem_pages, repl[0] == 'f');
+                PagerCounts want =
+                    oracle_pager(*trace, ex.config().mem_pages, repl);
                 EXPECT_EQ(r.page_faults, want.faults);
                 EXPECT_EQ(r.evictions, want.evictions);
                 EXPECT_GT(want.evictions, 0u);
@@ -135,7 +187,7 @@ TEST(PagingOracle, PerClientCountsMatchAtFourClients)
     // Eager subpages at N=4: clients contend for the shared servers,
     // so their timing interleaves, yet each client's fault count is
     // still fixed by its own rotated trace.
-    for (const char *repl : {"lru", "fifo"}) {
+    for (const char *repl : {"lru", "fifo", "clock"}) {
         for (const std::string &app : app_names()) {
             SCOPED_TRACE(std::string(repl) + " " + app);
             Experiment ex =
@@ -148,8 +200,7 @@ TEST(PagingOracle, PerClientCountsMatchAtFourClients)
             auto traces = ex.client_traces(4);
             uint64_t evictions = 0;
             for (uint32_t c = 0; c < 4; ++c) {
-                PagerCounts want =
-                    oracle_pager(*traces[c], frames, repl[0] == 'f');
+                PagerCounts want = oracle_pager(*traces[c], frames, repl);
                 EXPECT_EQ(gauge_of(r, "client." + std::to_string(c) +
                                           ".page_faults"),
                           static_cast<double>(want.faults))
@@ -183,7 +234,7 @@ TEST(PagingOracle, RecencyCoalescingIsNotExactLru)
         Experiment ex = oracle_experiment(cell.app, cell.mem, "lru");
         EXPECT_EQ(ex.run().page_faults, cell.kernel);
         auto trace = ex.trace();
-        EXPECT_EQ(oracle_pager(*trace, ex.config().mem_pages, false, 1)
+        EXPECT_EQ(oracle_pager(*trace, ex.config().mem_pages, "lru", 1)
                       .faults,
                   cell.exact);
     }
