@@ -6,7 +6,10 @@
  * segments from the observed inter-subpage reference distances. This
  * bench runs both across all five application models and reports the
  * runtime delta, emitting a machine-readable summary (default
- * results/BENCH_adaptive.json) next to the human-readable table.
+ * results/BENCH_adaptive.json) next to the human-readable table. A
+ * second table puts every sequencing variant (eager, pipelining,
+ * pipelining-all, pipelining-adaptive) against fullpage p_8192 on
+ * modula3. Both tables come from one batch of points.
  *
  * Usage: ablation_adaptive [--scale=S] [--out=FILE]
  */
@@ -42,6 +45,22 @@ main(int argc, char **argv)
         ex.policy = "pipelining-adaptive";
         points.push_back(ex);
     }
+    // The variant table's points: p_8192, then each variant at 1K.
+    const std::vector<const char *> variants = {
+        "eager", "pipelining", "pipelining-all",
+        "pipelining-adaptive"};
+    const size_t variant_base = points.size();
+    Experiment vx;
+    vx.app = "modula3";
+    vx.scale = scale;
+    vx.mem = MemConfig::Half;
+    vx.subpage_size = 1024;
+    vx.policy = "fullpage";
+    points.push_back(vx);
+    for (const char *pol : variants) {
+        vx.policy = pol;
+        points.push_back(vx);
+    }
     std::vector<SimResult> results = bench::run_batch(points);
 
     Table t({"app", "fixed (ms)", "adaptive (ms)", "delta",
@@ -74,6 +93,20 @@ main(int argc, char **argv)
                 "(learned from observe_distance) and\nmatches fixed "
                 "sequencing where ascending is already right.\n");
 
+    bench::section("sequencing variants against p_8192 "
+                   "(modula3, 1/2-mem, 1K)");
+    Table tv({"policy", "runtime (ms)", "vs p_8192"});
+    const SimResult &full = results[variant_base];
+    for (size_t k = 0; k < variants.size(); ++k) {
+        const SimResult &r = results[variant_base + 1 + k];
+        tv.add_row({variants[k], format_ms(r.runtime),
+                    Table::fmt_pct(r.reduction_vs(full))});
+    }
+    tv.print(std::cout);
+    std::printf("expected: adaptive ordering matches or beats the "
+                "static +-distance\norder once it has learned the "
+                "workload's next-subpage distribution.\n");
+
     std::ofstream out(out_path);
     if (out) {
         out << "{\"bench\":\"ablation_adaptive\",\"scale\":" << scale
@@ -100,7 +133,8 @@ main(int argc, char **argv)
             out << buf;
         }
         out << "]}\n";
-        std::printf("wrote %s\n", out_path.c_str());
+        // stderr, so the table text does not depend on --out.
+        std::fprintf(stderr, "wrote %s\n", out_path.c_str());
     } else {
         warn("cannot write %s", out_path.c_str());
     }

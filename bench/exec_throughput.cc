@@ -4,7 +4,7 @@
  * grid run three ways —
  *
  *   serial     jobs=1, cache off (the historical run_sweep path)
- *   parallel   jobs=N, cache off (work-stealing pool, deterministic
+ *   parallel   jobs=N, cache off (worker threads, deterministic
  *              merge; N = SGMS_JOBS or all hardware threads)
  *   processes  workers=N, cache off (forked fleet + pipe IPC)
  *   warm-cache jobs=N, every point served from the result cache
@@ -12,7 +12,7 @@
  * Verifies along the way that all four produce byte-identical
  * result blobs and json_report output, and that the warm pass
  * simulates zero points. Then sweeps the parallelism degree for both
- * the thread pool and the process fleet, recording a points/sec
+ * the worker threads and the process fleet, recording a points/sec
  * scaling curve. Emits a machine-readable summary (default
  * results/BENCH_exec.json) to track the perf trajectory in CI.
  *
@@ -75,9 +75,9 @@ main(int argc, char **argv)
     unsigned jobs = static_cast<unsigned>(opts.get_u64(
         "jobs", env_u64("SGMS_JOBS", 0)));
     if (jobs == 0)
-        jobs = exec::ThreadPool::hardware_workers();
+        jobs = exec::hardware_workers();
     if (jobs < 2)
-        jobs = 2; // exercise the pool even on a 1-core box
+        jobs = 2; // exercise the threads even on a 1-core box
     std::string out_path = opts.get("out", "results/BENCH_exec.json");
 
     bench::banner("EXEC", "engine throughput: serial vs parallel vs "

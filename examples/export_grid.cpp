@@ -32,6 +32,9 @@
  * file. --trace-dir=DIR (SGMS_TRACE_DIR env) enables the trace
  * store's mapped tier: synthetic traces are baked there once and
  * mmap'd on every later run.
+ *
+ * An option that none of the above reads is fatal before any point
+ * runs.
  */
 
 #include <cstdio>
@@ -122,8 +125,13 @@ main(int argc, char **argv)
                          : spec.trace_bin.substr(slash + 1)};
     }
     apply_config_overrides(spec.base, opts);
+    std::string csv_path = opts.get("csv", "");
+    std::string json_path = opts.get("json", "");
 
     exec::ExecOptions eo = exec::ExecOptions::from_options(opts);
+    // Every option has been read by now, so a typo or a retired flag
+    // fails here, before any point runs.
+    opts.reject_unused();
     std::printf("running %zu experiment points (scale %g, jobs %u, "
                 "workers %u, cache %s)\n",
                 spec.point_count(), spec.scale, eo.jobs, eo.workers,
@@ -158,7 +166,6 @@ main(int argc, char **argv)
                    Table::fmt(ticks::to_ms(r.page_wait), 3)});
     }
 
-    std::string csv_path = opts.get("csv", "");
     if (!csv_path.empty()) {
         std::ofstream f(csv_path);
         t.print_csv(f);
@@ -167,7 +174,6 @@ main(int argc, char **argv)
         t.print_csv(std::cout);
     }
 
-    std::string json_path = opts.get("json", "");
     if (!json_path.empty()) {
         std::ofstream f(json_path);
         write_results_json(f, results);

@@ -70,26 +70,22 @@ main(int argc, char **argv)
     dense.refs = 16 * 128 * 10;
     spec.phases.push_back(dense);
 
-    // 2. Run it under three backing-store configurations.
+    // 2. Run it under three backing-store configurations. They honor
+    //    the shared overrides (--faults, --servers, ...) but keep
+    //    this run's policy/subpage/memory choices.
+    SimConfig base;
+    apply_config_overrides(base, opts);
+    opts.reject_unused();
     Table t({"config", "runtime", "faults", "sp_latency", "page_wait",
              "speedup vs disk"});
     SimResult disk_result;
     SimResult last;
     for (const char *policy : {"disk", "fullpage", "eager"}) {
-        SimConfig cfg;
+        SimConfig cfg = base;
         cfg.policy = policy;
         cfg.subpage_size =
             std::string(policy) == "eager" ? 1024 : 8192;
         cfg.mem_pages = mem_pages;
-        // Honor the shared overrides (--faults, --servers, ...) but
-        // keep this run's policy/subpage/memory choices.
-        std::string keep_policy = cfg.policy;
-        uint32_t keep_subpage = cfg.subpage_size;
-        uint64_t keep_mem = cfg.mem_pages;
-        apply_config_overrides(cfg, opts);
-        cfg.policy = keep_policy;
-        cfg.subpage_size = keep_subpage;
-        cfg.mem_pages = keep_mem;
         // The tracer is shared across the three configurations;
         // keep only the final (eager) run's spans.
         if (obs.tracer())

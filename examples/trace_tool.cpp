@@ -74,15 +74,6 @@ args(const Options &opts, size_t min, size_t max, const char *usage)
     return pos;
 }
 
-/** fatal() on any flag the command did not read. */
-void
-reject_unused(const Options &opts)
-{
-    auto unused = opts.unused();
-    if (!unused.empty())
-        fatal("unknown or unused option --%s", unused[0].c_str());
-}
-
 template <typename T>
 T
 number(const std::string &text, const char *what)
@@ -119,7 +110,7 @@ cmd_gen(const Options &opts)
     const auto &pos = args(opts, 3, 5, "gen <app> <file> [scale] [seed]");
     double scale = pos.size() > 3 ? number<double>(pos[3], "scale") : 0.02;
     uint64_t seed = pos.size() > 4 ? number<uint64_t>(pos[4], "seed") : 1;
-    reject_unused(opts);
+    opts.reject_unused();
     auto trace = make_app_trace(pos[1], scale, seed);
     write_trace(*trace, pos[2], pos[1], scale, seed);
     return 0;
@@ -134,7 +125,7 @@ cmd_convert(const Options &opts)
     std::string app = opts.get("app", pos[1]);
     double scale = opts.get_double("scale", 0.0);
     uint64_t seed = opts.get_u64("seed", 0);
-    reject_unused(opts);
+    opts.reject_unused();
     auto in = open_trace(pos[1]);
     write_trace(*in, pos[2], app, scale, seed);
     return 0;
@@ -149,7 +140,7 @@ cmd_bake(const Options &opts)
                                                  ".sgms-traces"));
     double scale = opts.get_double("scale", 1.0);
     uint64_t seed = opts.get_u64("seed", 1);
-    reject_unused(opts);
+    opts.reject_unused();
     std::string path = bake_app_trace(pos[1], scale, seed, dir);
     BinTraceHeader hdr;
     std::string error;
@@ -194,7 +185,7 @@ int
 cmd_info(const Options &opts)
 {
     const auto &pos = args(opts, 2, 2, "info <file>");
-    reject_unused(opts);
+    opts.reject_unused();
     if (is_bin_trace(pos[1]))
         print_bin_header(pos[1]);
     auto trace = open_trace(pos[1]);
@@ -237,7 +228,7 @@ cmd_sim(const Options &opts)
         cfg.subpage_size = cfg.page_size;
     cfg.mem_pages =
         pos.size() > 4 ? number<uint64_t>(pos[4], "mem_pages") : 0;
-    reject_unused(opts);
+    opts.reject_unused();
     auto trace = open_trace(pos[1]);
     obs.configure(cfg);
 

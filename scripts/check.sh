@@ -3,12 +3,15 @@
 #
 #   scripts/check.sh          configure + build + ctest (tier 1, run
 #                             twice: under SGMS_JOBS=2 for the
-#                             thread-pool engine path and under
+#                             engine's worker threads and under
 #                             SGMS_WORKERS=2 for the forked process
 #                             fleet), a multi-process byte-identity
-#                             smoke, a trace_tool smoke (convert
-#                             and bake round trips, payload-hash
-#                             check), then a -Wall -Wextra -Werror
+#                             smoke, an unknown-option smoke
+#                             (export_grid must reject a flag it
+#                             does not read), a trace_tool smoke
+#                             (convert and bake round trips,
+#                             payload-hash check), then a -Wall
+#                             -Wextra -Werror
 #                             rebuild in a separate tree
 #                             (build-strict/), an ASan+UBSan build +
 #                             ctest (build-asan/), a TSan build +
@@ -33,10 +36,11 @@
 #                             sgms_perf + perf_test into
 #                             .bench_build/perf, runs perf_test, and
 #                             fails unless a traced fault_storm run
-#                             reports "correct": true), and a
-#                             byte check of ablation_replacement
-#                             against results/ (the only committed
-#                             output with Clock rows)
+#                             reports "correct": true), and
+#                             byte checks against results/ of
+#                             ablation_replacement (the only
+#                             committed output with Clock rows) and
+#                             of ablation_adaptive (text and JSON)
 #   scripts/check.sh --quick  tier 1 and the smokes only
 #
 # Exits non-zero on the first failure.
@@ -53,12 +57,12 @@ cmake --build build -j "$(nproc)"
 
 echo "== tier 1: ctest (SGMS_JOBS=2) =="
 # SGMS_JOBS=2 routes every run_sweep/bench batch in the suite through
-# the work-stealing engine; results must stay byte-identical.
+# the engine's worker threads; results must stay byte-identical.
 (cd build && SGMS_JOBS=2 ctest --output-on-failure -j "$(nproc)")
 
 echo "== tier 1: ctest (SGMS_WORKERS=2, process fleet) =="
 # Same suite again with env-configured sweeps sharded across forked
-# worker processes instead of pool threads.
+# worker processes instead of threads.
 (cd build && SGMS_WORKERS=2 ctest --output-on-failure -j "$(nproc)")
 
 tmp_trace="$(mktemp /tmp/sgms-trace.XXXXXX.json)"
@@ -87,6 +91,16 @@ cmp "$tmp_grid/serial.json" "$tmp_grid/mapped.json"
 cmp "$tmp_grid/serial.csv" "$tmp_grid/mapped.csv"
 baked=$(ls "$tmp_grid/traces"/*.sgmb | wc -l)
 echo "   mapped replay matches heap byte for byte ($baked baked files)"
+
+echo "== smoke: export_grid rejects an unknown option =="
+# A flag nothing reads (here the retired --cluster-load) must fail
+# before any point runs instead of quietly running the default grid.
+if ./build/examples/export_grid --scale=0.01 --cluster-load=0.5 \
+    >/dev/null 2>&1; then
+    echo "export_grid accepted --cluster-load"
+    exit 1
+fi
+echo "   --cluster-load rejected"
 
 echo "== smoke: trace_tool gen / convert / bake / info =="
 # gen -> SGMB -> text -> SGMB (with the same provenance) must give
@@ -170,6 +184,16 @@ if [[ $quick -eq 0 ]]; then
     cmp "$tmp_grid/ablation_replacement.txt" \
         results/ablation_replacement.txt
     echo "   ablation_replacement matches results/ byte for byte"
+
+    echo "== results: ablation_adaptive is byte-identical =="
+    # The only committed output with pipelining-adaptive rows. Its
+    # "wrote" line goes to stderr, so --out does not change the text.
+    SGMS_SCALE=1.0 SGMS_JOBS=4 ./build/bench/ablation_adaptive \
+        --out="$tmp_grid/BENCH_adaptive.json" \
+        >"$tmp_grid/ablation_adaptive.txt"
+    cmp "$tmp_grid/ablation_adaptive.txt" results/ablation_adaptive.txt
+    cmp "$tmp_grid/BENCH_adaptive.json" results/BENCH_adaptive.json
+    echo "   ablation_adaptive text and JSON match results/ byte for byte"
 
     echo "== bench: exec engine throughput =="
     mkdir -p results

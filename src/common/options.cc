@@ -157,4 +157,12 @@ Options::unused() const
     return out;
 }
 
+void
+Options::reject_unused() const
+{
+    std::vector<std::string> names = unused();
+    if (!names.empty())
+        fatal("unknown or unused option --%s", names[0].c_str());
+}
+
 } // namespace sgms

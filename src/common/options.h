@@ -62,6 +62,9 @@ class Options
     /** Option names that were never read (typo detection). */
     std::vector<std::string> unused() const;
 
+    /** fatal() on the first option that was never read. */
+    void reject_unused() const;
+
   private:
     std::map<std::string, std::string> values_;
     mutable std::map<std::string, bool> read_;

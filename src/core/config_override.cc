@@ -23,8 +23,6 @@ apply_config_overrides(SimConfig &cfg, const Options &opts)
         cfg.gms.putpage_traffic = false;
     cfg.gms.server_capacity_pages = opts.get_u64(
         "global-capacity", cfg.gms.server_capacity_pages);
-    cfg.cluster_load.server_utilization = opts.get_double(
-        "cluster-load", cfg.cluster_load.server_utilization);
     if (opts.get_bool("software-pal"))
         cfg.protection = ProtectionMode::SoftwarePal;
     if (opts.has("tlb")) {
@@ -66,7 +64,7 @@ config_override_help()
 {
     return "config overrides: --page=N --subpage=N --policy=P "
            "--mem-pages=N --replacement=R\n  --servers=N --cold "
-           "--no-putpage --global-capacity=N --cluster-load=U\n"
+           "--no-putpage --global-capacity=N\n"
            "  --software-pal --tlb[=entries] --fifo-network "
            "--proto-controller --ns-per-ref=NS\n"
            "  --faults=SPEC (or SGMS_FAULTS; e.g. "

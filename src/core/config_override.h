@@ -13,7 +13,6 @@
  *   --cold                   cold global cache
  *   --no-putpage             suppress putpage traffic
  *   --global-capacity=<n>    per-server global memory pages
- *   --cluster-load=<u>       foreign server utilization 0..0.8
  *   --software-pal           PALcode protection instead of TLB bits
  *   --tlb[=entries]          enable the TLB model
  *   --fifo-network           disable demand priority + preemption

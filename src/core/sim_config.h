@@ -11,7 +11,6 @@
 #include <string>
 
 #include "fault/fault_plan.h"
-#include "gms/cluster_load.h"
 #include "gms/gms.h"
 #include "net/params.h"
 #include "net/timeline.h"
@@ -66,12 +65,6 @@ struct SimConfig
     /** Global memory cluster configuration. */
     GmsConfig gms;
 
-    /**
-     * Foreign GMS traffic at the servers (other active nodes);
-     * disabled by default, as in the paper's single-client setup.
-     */
-    ClusterLoadConfig cluster_load;
-
     /** Subpage protection: hardware TLB bits or PALcode emulation. */
     ProtectionMode protection = ProtectionMode::HardwareTlb;
 
@@ -107,8 +100,8 @@ struct SimConfig
      * The simulator (sim/kernel.h) interleaves one trace cursor per
      * client in a single simulated timeline, faulting against shared
      * network stage resources and GMS servers so contention is
-     * emergent. Clients occupy nodes 0..clients-1 and servers start
-     * at node clients.
+     * emergent; this is the only model of busy servers. Clients
+     * occupy nodes 0..clients-1 and servers start at node clients.
      */
     uint32_t clients = 1;
 

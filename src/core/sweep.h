@@ -5,8 +5,8 @@
  * Used by the data-export tooling and sensitivity studies.
  *
  * Since the exec engine landed, run_sweep is a thin front end over
- * exec::Engine (exec/parallel_runner.h): points are sharded across a
- * work-stealing pool — or, with SGMS_WORKERS set, a fleet of forked
+ * exec::Engine (exec/parallel_runner.h): points are shared out to
+ * worker threads — or, with SGMS_WORKERS set, a fleet of forked
  * worker processes — and merged back into serial order, so the
  * result vector is byte-identical whatever the parallelism.
  */
@@ -71,7 +71,7 @@ struct SweepSpec
  *
  * Progress-callback CONTRACT: @p progress, if set, fires exactly
  * once per point, before that point runs — but when jobs > 1 it
- * fires from WORKER threads, concurrently and in completion order.
+ * fires from WORKER threads, concurrently and in claim order.
  * Callbacks must be thread-safe: guard printing with a mutex, count
  * with atomics. (Enforced: the engine asserts one call per point.)
  * In multi-process mode (workers >= 1) callbacks fire on the calling

@@ -12,9 +12,11 @@
  *                   hardware threads. Env: SGMS_WORKERS (unset or 0 =
  *                   stay in-process). Output is byte-identical to the
  *                   serial path at any worker count.
+ *                   A thread or process count that does not fit an
+ *                   `unsigned` is fatal, on the flag and in the env.
  *   --point-timeout=MS  per-point wall-clock budget. In workers mode
  *                   a point over budget has its worker killed; in
- *                   serial/thread-pool mode the simulator checks the
+ *                   serial/thread mode the simulator checks the
  *                   budget cooperatively at trace-batch boundaries
  *                   and aborts the point. Either way the point is
  *                   surfaced as the same deterministic degraded
@@ -48,6 +50,9 @@
 
 namespace sgms::exec
 {
+
+/** A sensible default worker count for this machine (>= 1). */
+unsigned hardware_workers();
 
 struct ExecOptions
 {

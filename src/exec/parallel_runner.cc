@@ -1,7 +1,9 @@
 #include "exec/parallel_runner.h"
 
 #include <algorithm>
-#include <future>
+#include <exception>
+#include <mutex>
+#include <thread>
 
 #include "common/logging.h"
 #include "exec/supervisor.h"
@@ -110,19 +112,6 @@ Engine::Engine(ExecOptions opts) : opts_(opts)
 }
 
 Engine::~Engine() = default;
-
-ThreadPool &
-Engine::pool()
-{
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    if (!pool_) {
-        // Bound the waiting-task backlog to a few rounds per worker:
-        // grids can be huge and closures capture whole Experiments.
-        pool_ = std::make_unique<ThreadPool>(
-            opts_.jobs, static_cast<size_t>(opts_.jobs) * 4);
-    }
-    return *pool_;
-}
 
 SimResult
 Engine::execute_point(const Experiment &ex, bool &degraded)
@@ -250,39 +239,48 @@ Engine::run_all(const std::vector<Experiment> &points,
     if (opts_.workers >= 1 && points.size() > 1)
         return run_all_processes(points, progress);
 
+    // Each worker claims the next serial index and writes its result
+    // into that slot, so the slots are the deterministic merge.
     std::vector<SimResult> out(points.size());
-
-    if (opts_.jobs <= 1 || points.size() <= 1) {
-        // Serial fast path: historical semantics, caller's thread.
-        for (size_t i = 0; i < points.size(); ++i) {
-            if (progress)
-                progress(points[i]);
-            out[i] = run_point(points[i]);
-        }
-        return out;
-    }
-
-    // Parallel: each task computes into its serial slot, so waiting
-    // on the futures in any order yields the deterministic merge.
-    std::atomic<uint64_t> progress_calls{0};
-    std::vector<std::future<void>> done;
-    done.reserve(points.size());
-    ThreadPool &tp = pool();
-    for (size_t i = 0; i < points.size(); ++i) {
-        const Experiment &ex = points[i];
-        SimResult *slot = &out[i];
-        done.push_back(tp.submit([this, &ex, slot, &progress,
-                                  &progress_calls] {
-            if (progress) {
-                progress(ex); // worker thread; see header contract
-                progress_calls.fetch_add(1,
-                                         std::memory_order_relaxed);
+    std::atomic<size_t> next{0};
+    std::atomic<size_t> progress_calls{0};
+    std::mutex error_mutex;
+    std::exception_ptr error; // the first point that threw
+    auto work = [&] {
+        for (;;) {
+            size_t i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= points.size())
+                return;
+            try {
+                if (progress) {
+                    progress(points[i]);
+                    progress_calls.fetch_add(
+                        1, std::memory_order_relaxed);
+                }
+                out[i] = run_point(points[i]);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(error_mutex);
+                if (!error)
+                    error = std::current_exception();
+                next.store(points.size(), std::memory_order_relaxed);
             }
-            *slot = run_point(ex);
-        }));
+        }
+    };
+
+    size_t width = std::min<size_t>(opts_.jobs, points.size());
+    if (width <= 1) {
+        work(); // caller's thread: the historical serial path
+    } else {
+        ran_threads_.store(true, std::memory_order_relaxed);
+        // jthreads join on scope exit, also when a later spawn
+        // throws, so no worker outlives out, next or error.
+        std::vector<std::jthread> threads;
+        threads.reserve(width);
+        for (size_t t = 0; t < width; ++t)
+            threads.emplace_back(work);
     }
-    for (auto &f : done)
-        f.get();
+    if (error)
+        std::rethrow_exception(error);
     // One callback per point, no more, no fewer — catches progress
     // wrappers that swallow or double-fire under concurrency.
     SGMS_ASSERT(!progress ||
@@ -312,13 +310,8 @@ Engine::stats() const
     s.worker_respawns =
         worker_respawns_.load(std::memory_order_relaxed);
     s.proc_workers = opts_.workers;
-    {
-        std::lock_guard<std::mutex> lock(pool_mutex_);
-        if (pool_) {
-            s.pool = pool_->stats();
-            s.workers = pool_->worker_count();
-        }
-    }
+    if (ran_threads_.load(std::memory_order_relaxed))
+        s.workers = opts_.jobs;
     if (cache_)
         s.cache = cache_->stats();
     return s;
@@ -339,11 +332,8 @@ Engine::metrics_snapshot() const
     reg.counter("exec.timeouts").inc(s.timeouts);
     reg.counter("exec.worker_crashes").inc(s.worker_crashes);
     reg.counter("exec.worker_respawns").inc(s.worker_respawns);
-    reg.counter("exec.tasks_stolen").inc(s.pool.stolen);
     reg.gauge("exec.pool_workers").set(s.workers);
     reg.gauge("exec.proc_workers").set(s.proc_workers);
-    reg.gauge("exec.queue_peak")
-        .set(static_cast<double>(s.pool.peak_queued));
     return reg.snapshot();
 }
 

@@ -1,30 +1,36 @@
 /**
  * @file
- * Parallel experiment engine: shard a grid of independent simulation
- * points across a work-stealing pool, merge results back into exact
- * serial order, and serve repeated points from the result cache.
+ * Parallel experiment engine: run a grid of independent simulation
+ * points on worker threads, merge results back into exact serial
+ * order, and serve repeated points from the result cache.
  *
  * Every point is a pure function of its Experiment, so the engine
- * can schedule them in any order and still return a result vector
- * byte-identical to the historical serial `run_sweep` — results are
- * written into their precomputed slot (the serial index), which *is*
- * the deterministic merge; there is no reduction step to get wrong.
+ * can run them in any order and still return a result vector
+ * byte-identical to the historical serial `run_sweep`. Workers claim
+ * the next serial index from one shared counter and write its result
+ * into that index's slot, which *is* the deterministic merge; there
+ * is no reduction step to get wrong.
  *
- * Progress-callback contract: with jobs == 1 the callback fires on
- * the calling thread, in serial order, before each point — exactly
- * the historical behavior. With jobs > 1 it fires on WORKER threads,
- * concurrently and in completion order; callbacks must be
- * thread-safe (take a lock around printing, use atomics for
- * counting). The engine asserts that exactly one callback fired per
- * point. Cached points still get a callback: progress reports
- * points *delivered*, not simulations executed.
+ * Progress-callback contract: when one worker suffices (jobs == 1 or
+ * a single point) the callback fires on the calling thread, in
+ * serial order, before each point — exactly the historical behavior.
+ * Otherwise it fires on WORKER threads, concurrently and in claim
+ * order; callbacks must be thread-safe (take a lock around printing,
+ * use atomics for counting). The engine asserts that exactly one
+ * callback fired per point. Cached points still get a callback:
+ * progress reports points *delivered*, not simulations executed.
+ *
+ * Exception contract: a point (or its progress callback) that throws
+ * stops further claims; points already claimed run to completion.
+ * run_all rethrows the first exception on the calling thread only
+ * after every worker has joined, so no worker outlives the call.
  *
  * Cache interaction: a point whose config carries run observers
  * (cfg.tracer / cfg.timeline) is never served from — or stored to —
  * the cache, since a cached result cannot replay their side effects.
  *
  * Multi-process mode: with opts.workers >= 1 the grid is sharded
- * across a fleet of forked worker processes instead of pool threads
+ * across a fleet of forked worker processes instead of threads
  * (exec/supervisor.h). The parent still owns the serial point order,
  * consults the cache, and runs observer points inline; everything
  * else crosses a pipe as (index, fingerprint) and comes back as a
@@ -43,13 +49,11 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/sweep.h"
 #include "exec/exec_options.h"
 #include "exec/result_cache.h"
-#include "exec/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace sgms::exec
@@ -69,8 +73,7 @@ struct ExecStats
     uint64_t points_total = 0;  ///< points delivered (run + cached)
     uint64_t points_run = 0;    ///< simulated for real
     uint64_t points_cached = 0; ///< served from the result cache
-    unsigned workers = 0;       ///< pool size (0: never went parallel)
-    PoolStats pool;             ///< zero until a parallel run happens
+    unsigned workers = 0;       ///< thread width (0: never went parallel)
     CacheStats cache;           ///< zero when the cache is disabled
 
     // Multi-process mode (all zero when opts.workers == 0).
@@ -97,7 +100,7 @@ class Engine
 
     /**
      * Run every point, returning results in input order. See the
-     * file header for the progress contract.
+     * file header for the progress and exception contracts.
      */
     std::vector<SimResult>
     run_all(const std::vector<Experiment> &points,
@@ -117,8 +120,7 @@ class Engine
      * exec.points_run, exec.points_cached, exec.cache_stores,
      * exec.cache_decode_failures, exec.cache_evictions,
      * exec.points_degraded, exec.timeouts, exec.worker_crashes,
-     * exec.worker_respawns, exec.tasks_stolen, exec.pool_workers,
-     * exec.proc_workers, exec.queue_peak.
+     * exec.worker_respawns, exec.pool_workers, exec.proc_workers.
      */
     std::vector<obs::MetricSample> metrics_snapshot() const;
 
@@ -134,7 +136,7 @@ class Engine
     SimResult run_point(const Experiment &ex);
     /**
      * Simulate @p ex, applying the cooperative wall budget when
-     * opts_.point_timeout_ms is set (serial and thread-pool modes;
+     * opts_.point_timeout_ms is set (serial and thread modes;
      * the process fleet has its own SIGKILL watchdog). On budget
      * exhaustion @p degraded is set and the deterministic degraded
      * result shape — the same one the supervisor path produces — is
@@ -144,12 +146,10 @@ class Engine
     std::vector<SimResult>
     run_all_processes(const std::vector<Experiment> &points,
                       const Progress &progress);
-    ThreadPool &pool();
 
     ExecOptions opts_;
     std::unique_ptr<ResultCache> cache_;
-    mutable std::mutex pool_mutex_; ///< guards lazy pool_ creation
-    std::unique_ptr<ThreadPool> pool_;
+    std::atomic<bool> ran_threads_{false}; ///< a run went parallel
     std::atomic<uint64_t> points_run_{0};
     std::atomic<uint64_t> points_cached_{0};
     std::atomic<uint64_t> points_degraded_{0};

@@ -215,14 +215,6 @@ experiment_fingerprint(const Experiment &ex)
     fp.add("gms.server_capacity_pages",
            cfg.gms.server_capacity_pages);
 
-    fp.add("load.server_utilization",
-           cfg.cluster_load.server_utilization);
-    fp.add("load.subpage_bytes",
-           static_cast<uint64_t>(cfg.cluster_load.subpage_bytes));
-    fp.add("load.page_bytes",
-           static_cast<uint64_t>(cfg.cluster_load.page_bytes));
-    fp.add("load.seed", cfg.cluster_load.seed);
-
     fp.add("protection",
            static_cast<uint64_t>(cfg.protection));
     fp.add_i("pal.fast_load", cfg.pal.fast_load);

@@ -9,7 +9,7 @@
  * of that point, run the simulation, and reply with the lossless
  * result blob. On EOF (supervisor closed the task pipe) or any pipe
  * error it calls _exit — never exit() — so no inherited destructor
- * (static engines, thread-pool joins) runs in the child.
+ * (such as a static engine's) runs in the child.
  *
  * Test hooks (read from the environment at loop start, all unset in
  * normal operation):

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "fault/fault_injector.h"
-#include "gms/cluster_load.h"
 #include "gms/gms.h"
 #include "mem/tlb.h"
 #include "net/network.h"
@@ -197,11 +196,6 @@ struct Simulator::Run
             d_retry_delay =
                 &metrics.distribution("gms.retry_delay_ns");
         }
-        if (cfg.cluster_load.server_utilization > 0.0) {
-            cluster_load = std::make_unique<ClusterLoad>(
-                eq, net, cfg.cluster_load, cfg.gms.servers,
-                nclients - 1);
-        }
         res.policy = cfg.policy;
         res.page_size = cfg.page_size;
         res.subpage_size = cfg.subpage_size;
@@ -226,7 +220,6 @@ struct Simulator::Run
     Network net;
     GmsCluster gms;
     PageGeometry geo;
-    std::unique_ptr<ClusterLoad> cluster_load;
 
     obs::Counter *c_page_faults;
     obs::Counter *c_subpage_faults;

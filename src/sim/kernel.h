@@ -15,8 +15,8 @@
  * state, TLB, and PAL emulator, all faulting against *shared* network
  * stage resources and GMS servers — so with N > 1 cross-client
  * queueing, directory contention, and server CPU/DMA saturation are
- * emergent rather than the analytic cluster_load knob. N = 1 is the
- * paper's single-client setup.
+ * emergent, the only model of a busy cluster. N = 1 is the paper's
+ * single-client setup.
  *
  * Clients are plain state machines stored in one dense vector indexed
  * by client id; a small binary heap orders runnable clients by

@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the parallel execution engine (src/exec/): thread pool
- * semantics, result-blob codec fidelity, cache keying and blob
- * robustness, and the engine's determinism + progress contract.
+ * Tests for the parallel execution engine (src/exec/): option
+ * parsing, result-blob codec fidelity, cache keying and blob
+ * robustness, and the engine's determinism, progress and exception
+ * contracts.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <cfloat>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -28,8 +30,8 @@
 #include "exec/parallel_runner.h"
 #include "exec/result_cache.h"
 #include "exec/result_codec.h"
-#include "exec/thread_pool.h"
 #include "net/timeline.h"
+#include "sim/kernel.h"
 
 namespace sgms
 {
@@ -40,7 +42,6 @@ using exec::CacheKey;
 using exec::Engine;
 using exec::ExecOptions;
 using exec::ResultCache;
-using exec::ThreadPool;
 
 /** Fresh, empty per-test cache directory under the gtest temp dir. */
 std::string
@@ -68,112 +69,41 @@ report_of(const std::vector<SimResult> &results)
     return os.str();
 }
 
-// ---------------------------------------------------------------- pool
+// ------------------------------------------------------------- options
 
-TEST(ThreadPool, SubmitReturnsFutureResults)
+Options
+parse(std::vector<const char *> args)
 {
-    ThreadPool pool(3);
-    EXPECT_EQ(pool.worker_count(), 3u);
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 64; ++i)
-        futures.push_back(pool.submit([i] { return i * i; }));
-    for (int i = 0; i < 64; ++i)
-        EXPECT_EQ(futures[i].get(), i * i);
-    pool.wait_idle();
-    exec::PoolStats s = pool.stats();
-    EXPECT_EQ(s.submitted, 64u);
-    EXPECT_EQ(s.executed, 64u);
+    args.insert(args.begin(), "prog");
+    return Options(static_cast<int>(args.size()),
+                   const_cast<char **>(args.data()));
 }
 
-TEST(ThreadPool, PropagatesTaskExceptionsThroughFutures)
+TEST(ExecOptionsDeathTest, CountsThatDoNotFitUnsignedAreFatal)
 {
-    ThreadPool pool(2);
-    auto fut = pool.submit(
-        []() -> int { throw std::runtime_error("boom"); });
-    EXPECT_THROW(fut.get(), std::runtime_error);
-    // The pool itself survives a throwing task.
-    EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
-}
-
-TEST(ThreadPool, DestructorDrainsSubmittedWork)
-{
-    std::atomic<int> ran{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 32; ++i)
-            pool.submit([&ran] { ran.fetch_add(1); });
-        // No explicit wait: ~ThreadPool must finish everything.
-    }
-    EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(ThreadPool, WaitIdleBlocksUntilAllTasksFinish)
-{
-    ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 8; ++i) {
-        pool.submit([&ran] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            ran.fetch_add(1);
-        });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(ThreadPool, IdleWorkerStealsFromBusySiblingsDeque)
-{
-    ThreadPool pool(2);
-    // Gate the first task so the worker that takes it stays busy
-    // while 16 more tasks pile up round-robin across BOTH deques.
-    // The free worker can only run the blocked worker's share by
-    // stealing — we hold the gate until every fast task finished.
-    std::promise<void> gate;
-    std::shared_future<void> opened = gate.get_future().share();
-    auto blocker = pool.submit([opened] { opened.wait(); });
-    std::vector<std::future<void>> fast;
-    for (int i = 0; i < 16; ++i)
-        fast.push_back(pool.submit([] {}));
-    for (auto &f : fast)
-        f.wait();
-    EXPECT_GE(pool.stats().stolen, 1u);
-    gate.set_value();
-    blocker.wait();
-    pool.wait_idle();
-    EXPECT_EQ(pool.stats().executed, 17u);
-}
-
-TEST(ThreadPool, BoundedQueueBlocksSubmitters)
-{
-    ThreadPool pool(1, /*queue_capacity=*/2);
-    std::promise<void> gate;
-    std::shared_future<void> opened = gate.get_future().share();
-    pool.submit([opened] { opened.wait(); }); // occupies the worker
-    std::atomic<int> submitted{0}, ran{0};
-    std::thread submitter([&] {
-        for (int i = 0; i < 6; ++i) {
-            pool.submit([&ran] { ran.fetch_add(1); });
-            submitted.fetch_add(1);
-        }
-    });
-    // With the worker gated, only `queue_capacity` submits can land;
-    // the rest must block rather than buffer unboundedly.
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    EXPECT_LE(submitted.load(), 2);
-    gate.set_value();
-    submitter.join();
-    pool.wait_idle();
-    EXPECT_EQ(submitted.load(), 6);
-    EXPECT_EQ(ran.load(), 6);
-    EXPECT_LE(pool.stats().peak_queued, 2u);
-}
-
-TEST(ThreadPoolDeathTest, SubmitAfterShutdownPanics)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    ThreadPool pool(1);
-    pool.shutdown();
-    EXPECT_DEATH(pool.submit([] {}), "submit after shutdown");
+    // Each of these once wrapped around silently: 2^32 + 1 jobs ran
+    // serially and 2^32 workers stayed in-process. Parsing only; no
+    // engine is ever built at these widths.
+    EXPECT_DEATH(ExecOptions::from_options(parse({"--jobs=4294967297"})),
+                 "--jobs=4294967297 does not fit");
+    EXPECT_DEATH(
+        ExecOptions::from_options(parse({"--workers=4294967296"})),
+        "--workers=4294967296 does not fit");
+    EXPECT_DEATH(
+        {
+            ::setenv("SGMS_JOBS", "4294967297", 1);
+            ExecOptions::from_env();
+        },
+        "SGMS_JOBS=4294967297 does not fit");
+    EXPECT_DEATH(
+        {
+            ::setenv("SGMS_WORKERS", "4294967296", 1);
+            ExecOptions::from_env();
+        },
+        "SGMS_WORKERS=4294967296 does not fit");
+    EXPECT_EQ(
+        ExecOptions::from_options(parse({"--jobs=4294967295"})).jobs,
+        4294967295u);
 }
 
 // --------------------------------------------------------------- codec
@@ -769,7 +699,39 @@ TEST(Engine, ParallelResultsAreByteIdenticalToSerial)
     EXPECT_EQ(ps.points_run, s.size());
     EXPECT_EQ(ps.points_cached, 0u);
     EXPECT_EQ(ps.workers, 8u);
-    EXPECT_EQ(ps.pool.executed, s.size());
+}
+
+TEST(Engine, ThrowingPointReachesTheCallerAfterEveryWorkerStops)
+{
+    SweepSpec spec;
+    spec.apps = {"modula3"};
+    spec.policies = {"eager", "pipelining"};
+    spec.subpage_sizes = {1024, 2048};
+    spec.mems = {MemConfig::Half, MemConfig::Quarter};
+    spec.scale = 0.05;
+    std::vector<Experiment> points = exec::expand_sweep(spec);
+    ASSERT_EQ(points.size(), 8u);
+
+    ExecOptions eo;
+    eo.jobs = 4;
+    Engine engine(eo);
+    // With no engine timeout the budget is not degraded: point 0's
+    // SimTimeoutError escapes while the other workers still simulate
+    // the points they claimed, writing into run_all's result slots.
+    std::vector<Experiment> budgeted = points;
+    budgeted[0].base.wall_budget_ms = 1;
+    std::atomic<uint64_t> claimed{0};
+    EXPECT_THROW(engine.run_all(budgeted,
+                                [&](const Experiment &) {
+                                    claimed.fetch_add(1);
+                                }),
+                 SimTimeoutError);
+    // Every claimed point but the thrower finished before the throw.
+    EXPECT_EQ(engine.stats().points_run, claimed.load() - 1);
+
+    std::vector<SimResult> again = engine.run_all(points);
+    Engine serial(ExecOptions{});
+    EXPECT_EQ(blobs_of(again), blobs_of(serial.run_all(points)));
 }
 
 TEST(Engine, SerialProgressRunsOnCallerThreadInOrder)

@@ -1,13 +1,11 @@
 /**
  * @file
  * Tests for the extension features: adaptive pipelining (the paper's
- * future-work sequencing-by-likelihood) and the busy-cluster load
- * injector.
+ * future-work sequencing-by-likelihood).
  */
 
 #include <gtest/gtest.h>
 
-#include "gms/cluster_load.h"
 #include "policy/fetch_policy.h"
 #include "sim/kernel.h"
 #include "trace/trace.h"
@@ -96,78 +94,6 @@ TEST(AdaptivePolicy, SimulatorFeedsObservations)
     auto t2 = t;
     SimResult re = Simulator(eager).run(t2);
     EXPECT_LT(r.page_wait, re.page_wait);
-}
-
-TEST(ClusterLoad, DisabledInjectsNothing)
-{
-    EventQueue eq;
-    Network net(eq, NetParams::an2());
-    ClusterLoad load(eq, net, ClusterLoadConfig{}, 4, 0);
-    eq.run_until(ticks::from_ms(100));
-    EXPECT_EQ(load.injected(), 0u);
-    EXPECT_EQ(net.stats().messages, 0u);
-}
-
-TEST(ClusterLoad, InjectsAtConfiguredRate)
-{
-    EventQueue eq;
-    Network net(eq, NetParams::an2());
-    ClusterLoadConfig cfg;
-    cfg.server_utilization = 0.5;
-    ClusterLoad load(eq, net, cfg, 2, 0);
-    // Run 100 ms of simulated time.
-    eq.run_until(ticks::from_ms(100));
-    // DMA work per fetch ~ 0.167 ms at 8K; at 50% utilization each
-    // of 2 servers does ~0.1 s * 0.5 / 0.167 ms ~ 300 fetches.
-    EXPECT_GT(load.injected(), 400u);
-    EXPECT_LT(load.injected(), 800u);
-    // Two messages per fetch (subpage + rest).
-    EXPECT_EQ(net.stats().messages, 2 * load.injected());
-}
-
-TEST(ClusterLoad, SaturationRejected)
-{
-    EventQueue eq;
-    Network net(eq, NetParams::an2());
-    ClusterLoadConfig cfg;
-    cfg.server_utilization = 0.99;
-    EXPECT_DEATH({ ClusterLoad load(eq, net, cfg, 2, 0); },
-                 "saturate");
-}
-
-TEST(ClusterLoad, SlowsRemoteFaultsInSimulator)
-{
-    VectorTrace t;
-    for (int i = 0; i < 50; ++i)
-        t.push(i * 8192);
-    SimConfig idle;
-    idle.policy = "eager";
-    idle.subpage_size = 1024;
-    SimConfig busy = idle;
-    busy.cluster_load.server_utilization = 0.6;
-    auto t2 = t;
-    SimResult ri = Simulator(idle).run(t);
-    SimResult rb = Simulator(busy).run(t2);
-    EXPECT_GT(rb.runtime, ri.runtime);
-    EXPECT_GT(rb.sp_latency, ri.sp_latency);
-}
-
-TEST(ClusterLoad, DeterministicForSeed)
-{
-    auto run = [](uint64_t seed) {
-        VectorTrace t;
-        for (int i = 0; i < 30; ++i)
-            t.push(i * 8192);
-        SimConfig cfg;
-        cfg.policy = "eager";
-        cfg.subpage_size = 1024;
-        cfg.cluster_load.server_utilization = 0.4;
-        cfg.cluster_load.seed = seed;
-        Simulator sim(cfg);
-        return sim.run(t).runtime;
-    };
-    EXPECT_EQ(run(7), run(7));
-    EXPECT_NE(run(7), run(8));
 }
 
 } // namespace

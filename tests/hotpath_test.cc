@@ -615,7 +615,7 @@ TEST(WallBudget, EngineDegradesTimedOutPointsDeterministically)
     EXPECT_EQ(exec::result_blob(r1), exec::result_blob(r2));
 }
 
-TEST(WallBudget, ThreadPoolModeCountsTimeouts)
+TEST(WallBudget, ThreadModeCountsTimeouts)
 {
     exec::ExecOptions eo;
     eo.jobs = 2;

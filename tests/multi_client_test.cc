@@ -300,13 +300,6 @@ TEST(MultiClientIdentity, ByteIdenticalWithTlbAndSoftwarePal)
     EXPECT_EQ(blob_digest(run_multi(pal, 1)), 0x65ee8f0c06f0836aull);
 }
 
-TEST(MultiClientIdentity, ByteIdenticalWithClusterLoadKnob)
-{
-    SimConfig cfg = mc_config("eager");
-    cfg.cluster_load.server_utilization = 0.5;
-    EXPECT_EQ(blob_digest(run_multi(cfg, 1)), 0x87b781b9c9202abcull);
-}
-
 TEST(MultiClientIdentity, ByteIdenticalUnderFaultInjection)
 {
     fault::FaultPlan plan;

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "common/options.h"
@@ -79,7 +80,7 @@ TEST(OptionsDeathTest, MalformedNumbersAreFatal)
 {
     // Each of these once parsed as a prefix or wrapped around:
     // --seed=-1 as 2^64-1, --scale=0.01x as 0.01, --jobs=-1 as
-    // 2^64-1 pool threads.
+    // 2^64-1 worker threads.
     EXPECT_DEATH(parse({"--seed=-1"}).get_u64("seed", 1), "bad integer");
     EXPECT_DEATH(parse({"--jobs=-1"}).get_u64("jobs", 1), "bad integer");
     EXPECT_DEATH(parse({"--seed=3x"}).get_u64("seed", 1), "bad integer");
@@ -130,13 +131,15 @@ TEST(ConfigOverride, AppliesRecognizedKeys)
     EXPECT_FALSE(cfg.gms.warm);
     EXPECT_FALSE(cfg.gms.putpage_traffic);
     EXPECT_EQ(cfg.gms.server_capacity_pages, 1000u);
-    EXPECT_DOUBLE_EQ(cfg.cluster_load.server_utilization, 0.3);
     EXPECT_EQ(cfg.protection, ProtectionMode::SoftwarePal);
     EXPECT_TRUE(cfg.tlb_enabled);
     EXPECT_EQ(cfg.tlb_entries, 64u);
     EXPECT_FALSE(cfg.net.priority_scheduling);
     EXPECT_FALSE(cfg.net.preemptive_demand);
     EXPECT_EQ(cfg.ns_per_ref, ticks::from_ns(10));
+    // Busy servers are modelled only by N real clients, so no
+    // override reads --cluster-load.
+    EXPECT_EQ(o.unused(), std::vector<std::string>{"cluster-load"});
 }
 
 TEST(ConfigOverride, DefaultsUntouched)
