@@ -20,7 +20,7 @@ using namespace sgms;
 int
 main()
 {
-    double scale = scale_from_env(0.2);
+    double scale = scale_from_env(1.0);
     bench::banner("Table 1", "PALcode load/store emulation costs",
                   scale);
 

@@ -42,6 +42,11 @@
 #                             committed output with Clock rows) and
 #                             of ablation_adaptive (text and JSON)
 #   scripts/check.sh --quick  tier 1 and the smokes only
+#   scripts/check.sh --paper  also (after either mode) the paper
+#                             reproduction byte check,
+#                             scripts/paper.sh: every figure, table
+#                             and ablation bench at scale 1.0 against
+#                             results/ (opt-in: it takes minutes)
 #
 # Exits non-zero on the first failure.
 
@@ -49,7 +54,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 quick=0
-[[ "${1:-}" == "--quick" ]] && quick=1
+paper=0
+for arg in "$@"; do
+    case "$arg" in
+      --quick) quick=1 ;;
+      --paper) paper=1 ;;
+      *) echo "check.sh: unknown option '$arg'"; exit 2 ;;
+    esac
+done
 
 echo "== tier 1: configure + build =="
 cmake -B build -S . >/dev/null
@@ -289,6 +301,11 @@ assert result["correct"] is True, f"traced fault_storm not correct: {result}"
 points = result["attempted"]
 print(f"   traced fault_storm: {points} points, all correct")
 '
+fi
+
+if [[ $paper -eq 1 ]]; then
+    echo "== paper: every figure, table and ablation matches results/ =="
+    scripts/paper.sh
 fi
 
 echo "== all checks passed =="

@@ -26,48 +26,27 @@ Network::Network(EventQueue &eq, NetParams params, NodeId requester,
     }
 }
 
-StageResource &
-Network::cpu(NodeId node)
-{
-    if (node >= cpus_.size())
-        cpus_.resize(node + 1);
-    auto &slot = cpus_[node];
-    if (!slot) {
-        Component comp = node == requester_ ? Component::ReqCpu
-                                            : Component::SrvCpu;
-        slot = std::make_unique<StageResource>(
-            eq_, sink(), comp, node, recorder_,
-            params_.preemptive_demand, tracer_);
-    }
-    return *slot;
-}
+Network::Node::Node(Network &net, NodeId id, Component cpu_comp,
+                    Component dma_comp)
+    : cpu(net.eq_, net, cpu_comp, id, net.recorder_,
+          net.params_.preemptive_demand, net.tracer_),
+      dma(net.eq_, net, dma_comp, id, net.recorder_,
+          net.params_.preemptive_demand, net.tracer_),
+      wire(net.eq_, net, Component::Wire, id, net.recorder_,
+           net.params_.preemptive_demand, net.tracer_)
+{}
 
-StageResource &
-Network::dma(NodeId node)
+Network::Node &
+Network::node(NodeId id)
 {
-    if (node >= dmas_.size())
-        dmas_.resize(node + 1);
-    auto &slot = dmas_[node];
+    if (id >= nodes_.size())
+        nodes_.resize(id + 1);
+    auto &slot = nodes_[id];
     if (!slot) {
-        Component comp = node == requester_ ? Component::ReqDma
-                                            : Component::SrvDma;
-        slot = std::make_unique<StageResource>(
-            eq_, sink(), comp, node, recorder_,
-            params_.preemptive_demand, tracer_);
-    }
-    return *slot;
-}
-
-StageResource &
-Network::wire_to(NodeId node)
-{
-    if (node >= wires_.size())
-        wires_.resize(node + 1);
-    auto &slot = wires_[node];
-    if (!slot) {
-        slot = std::make_unique<StageResource>(
-            eq_, sink(), Component::Wire, node, recorder_,
-            params_.preemptive_demand, tracer_);
+        const bool req = id == requester_;
+        slot = std::make_unique<Node>(
+            *this, id, req ? Component::ReqCpu : Component::SrvCpu,
+            req ? Component::ReqDma : Component::SrvDma);
     }
     return *slot;
 }
@@ -130,27 +109,8 @@ void
 Network::submit_stage(uint32_t slot, uint8_t stage, Tick now)
 {
     const Msg &m = msgs_[slot];
-    StageResource *res = nullptr;
-    switch (stage) {
-      case 0:
-        res = &cpu(m.src);
-        break;
-      case 1:
-        res = &dma(m.src);
-        break;
-      case 2:
-        res = &wire_to(m.dst);
-        break;
-      case 3:
-        res = &dma(m.dst);
-        break;
-      case 4:
-        res = &cpu(m.dst);
-        break;
-      default:
-        panic("bad network stage %d", stage);
-    }
-    res->submit(now, m.cost[stage], m.prio, m.id, m.kind, slot, stage);
+    m.path[stage]->submit(now, m.cost[stage], m.prio, m.id, m.kind, slot,
+                          stage);
 }
 
 /**
@@ -254,8 +214,14 @@ Network::send(Tick now, SendArgs args)
         }
     }
     m.prio = priority_of(args.kind);
-    m.src = args.src;
     m.dst = args.dst;
+    Node &src = node(args.src);
+    Node &dst = node(args.dst);
+    m.path[0] = &src.cpu;
+    m.path[1] = &src.dma;
+    m.path[2] = &dst.wire;
+    m.path[3] = &dst.dma;
+    m.path[4] = &dst.cpu;
     m.cost[0] = args.kind == MsgKind::Request ? params_.send_cpu_request
                                               : params_.send_cpu_data;
     m.cost[1] = params_.dma_fixed + params_.dma_per_byte * args.bytes;

@@ -10,10 +10,12 @@
  * (two 4K messages complete before one 8K message).
  *
  * In-flight messages live in a slab owned by the Network and recycled
- * through an index free list; a stage item names its message by slab
- * slot, and the stage's completion calls back into the Network, which
- * submits the next stage or delivers. The delivery callback is the
- * only type-erased closure a message carries.
+ * through an index free list. A send resolves the message's five
+ * stages once into its slot (its stage path); a stage item names its
+ * message by slab slot, and the stage's completion, a typed event,
+ * calls the Network directly, which submits the item to the next
+ * stage on the path or delivers. The delivery callback is the only
+ * type-erased closure a message carries.
  */
 
 #ifndef SGMS_NET_NETWORK_H
@@ -69,7 +71,7 @@ struct MsgFates
 };
 
 /** Cluster interconnect plus per-node CPU/DMA contention model. */
-class Network final : private StageSink
+class Network final
 {
   public:
     /**
@@ -123,21 +125,38 @@ class Network final : private StageSink
     /** Messages of @p kind still in flight: live slab slots. */
     uint64_t in_flight(MsgKind kind) const;
 
-    /** Per-node CPU resource (lazily created). */
-    StageResource &cpu(NodeId node);
-    /** Per-node DMA engine resource (lazily created). */
-    StageResource &dma(NodeId node);
-    /** Inbound wire link of @p node (lazily created). */
-    StageResource &wire_to(NodeId node);
+    /** A pipeline stage whose completions this network receives. */
+    using Stage = StageResource<Network>;
+
+    /** CPU of node @p id (lazily created). */
+    Stage &cpu(NodeId id) { return node(id).cpu; }
+    /** DMA engine of node @p id (lazily created). */
+    Stage &dma(NodeId id) { return node(id).dma; }
+    /** Inbound wire link of node @p id (lazily created). */
+    Stage &wire_to(NodeId id) { return node(id).wire; }
 
   private:
+    friend Stage; // calls stage_done
+
+    /** A node's three stages, created together on first touch. */
+    struct Node
+    {
+        Node(Network &net, NodeId id, Component cpu_comp,
+             Component dma_comp);
+
+        Stage cpu;
+        Stage dma;
+        Stage wire; ///< the node's inbound link
+    };
+
     /** One in-flight message; a slab slot, live from send to its end. */
     struct Msg
     {
         uint64_t id = 0;
+        /** The five stages, in pipeline order, resolved at send. */
+        Stage *path[5] = {};
         /** Occupancy of the five stages, in pipeline order. */
         Tick cost[5] = {};
-        NodeId src = 0;
         NodeId dst = 0;
         int prio = 0;
         MsgKind kind = MsgKind::Request;
@@ -146,15 +165,14 @@ class Network final : private StageSink
         DeliveryFn delivered;
     };
 
+    /** The stages of node @p id, created on first touch. */
+    Node &node(NodeId id);
     int priority_of(MsgKind kind) const;
     Tick recv_cpu_cost(const SendArgs &args) const;
     /** Submit stage @p stage of the message in @p slot at @p now. */
     void submit_stage(uint32_t slot, uint8_t stage, Tick now);
-    void stage_done(uint32_t slot, uint8_t stage, Tick start,
-                    Tick end) override;
+    void stage_done(uint32_t slot, uint8_t stage, Tick start, Tick end);
     void free_msg(uint32_t slot);
-    /** This network as its stages' completion sink. */
-    StageSink &sink() { return *this; }
 
     EventQueue &eq_;
     NetParams params_;
@@ -176,14 +194,11 @@ class Network final : private StageSink
     obs::Counter *c_bytes_ = nullptr;
     obs::Counter *c_by_kind_[kMsgKindCount] = {};
 
-    // Per-node stage resources, indexed directly by NodeId. Node ids
-    // are small and dense (requester 0, servers 1..N), and these
-    // lookups sit on the per-message hot path — five stage hops per
-    // send — so a flat vector beats a red-black tree walk. Slots are
-    // still created lazily; the vectors grow on first touch of a node.
-    std::vector<std::unique_ptr<StageResource>> cpus_;
-    std::vector<std::unique_ptr<StageResource>> dmas_;
-    std::vector<std::unique_ptr<StageResource>> wires_;
+    // Per-node stages, indexed directly by NodeId (ids are small and
+    // dense: requester 0, servers 1..N). A node's stages are created
+    // on first touch and never move, so a message's path can point
+    // at them; a send looks up its two nodes once.
+    std::vector<std::unique_ptr<Node>> nodes_;
 };
 
 } // namespace sgms

@@ -9,9 +9,12 @@
  * runs while message 1 occupies the wire, because they are different
  * resources.
  *
- * An item is plain data. Its completion is one call into the stage's
- * StageSink (the network), which chains the message to its next stage
- * or delivers it; no callable travels with the item.
+ * An item is plain data and no callable travels with it. Its
+ * completion is a typed event on the stage (argument: the preemption
+ * generation it began in) and then one direct call,
+ * Sink::stage_done, into the stage's sink: the Network, which chains
+ * the message to its next stage or delivers it, or a test's log
+ * (tests/stage_log.h), which drives the discipline on its own.
  */
 
 #ifndef SGMS_NET_RESOURCE_H
@@ -30,24 +33,15 @@
 namespace sgms
 {
 
-/** Receiver of stage completions; the network is the only one. */
-class StageSink
-{
-  public:
-    /**
-     * The occupancy [@p start, @p end) of stage @p stage of the
-     * message in slot @p slot has completed (the values given to
-     * StageResource::submit).
-     */
-    virtual void stage_done(uint32_t slot, uint8_t stage, Tick start,
-                            Tick end) = 0;
-
-  protected:
-    ~StageSink() = default;
-};
-
-/** One pipeline stage; serves queued work items in priority order. */
-class StageResource
+/**
+ * One pipeline stage; serves queued work items in priority order.
+ *
+ * @tparam Sink receives every completion as
+ *         sink.stage_done(slot, stage, start, end): the occupancy
+ *         [start, end) of the item submitted with @p slot and
+ *         @p stage has completed.
+ */
+template <typename Sink> class StageResource final : public EventTarget
 {
   public:
     /**
@@ -57,12 +51,15 @@ class StageResource
      *        (ATM-cell-interleaving approximation); the preempted
      *        remainder is requeued.
      */
-    StageResource(EventQueue &eq, StageSink &sink, Component comp,
+    StageResource(EventQueue &eq, Sink &sink, Component comp,
                   NodeId node, TimelineRecorder *recorder,
                   bool preemption = false, obs::Tracer *tracer = nullptr)
         : eq_(eq), sink_(sink), comp_(comp), node_(node),
           recorder_(recorder), tracer_(tracer), preemption_(preemption)
     {}
+
+    StageResource(const StageResource &) = delete;
+    StageResource &operator=(const StageResource &) = delete;
 
     /**
      * Submit a work item at simulated time @p now. If the stage is
@@ -76,8 +73,40 @@ class StageResource
      * @param slot     the sink's handle for the message
      * @param stage    the message's pipeline stage, passed back
      */
-    void submit(Tick now, Tick duration, int priority, uint64_t msg_id,
-                MsgKind kind, uint32_t slot, uint8_t stage = 0);
+    void
+    submit(Tick now, Tick duration, int priority, uint64_t msg_id,
+           MsgKind kind, uint32_t slot, uint8_t stage = 0)
+    {
+        if (busy_ && preemption_ && priority > cur_.priority &&
+            preemptible(cur_.kind)) {
+            // Preempt the in-flight background item: requeue its
+            // remaining occupancy (keeping its original arrival order
+            // within its priority level) and start the demand item.
+            // This models ATM cell interleaving: a small demand
+            // transfer's cells pass a large background transfer in
+            // progress.
+            Tick remaining = busy_until_ - now;
+            SGMS_ASSERT(remaining >= 0); // callers submit at current time
+            total_busy_ -= remaining; // re-added when it resumes
+            // The part already served is occupancy too; the remainder
+            // records its own interval when it completes.
+            record(cur_, cur_start_, now);
+            ++generation_; // orphan the scheduled completion
+            Item rest = cur_;
+            rest.duration = remaining;
+            queue_.push(rest);
+            busy_ = false;
+        }
+
+        if (busy_) {
+            queue_.push(
+                Item{duration, seq_++, msg_id, priority, slot, stage, kind});
+            return;
+        }
+        // Idle: the item starts in place.
+        cur_ = Item{duration, seq_++, msg_id, priority, slot, stage, kind};
+        begin(now);
+    }
 
     /** True if currently serving an item. */
     bool busy() const { return busy_; }
@@ -115,16 +144,70 @@ class StageResource
         }
     };
 
-    void start(Tick now, const Item &item);
-    void complete(uint64_t generation);
+    /** Begin serving cur_ at @p now and schedule its completion. */
+    void
+    begin(Tick now)
+    {
+        busy_ = true;
+        cur_start_ = now;
+        busy_until_ = now + cur_.duration;
+        total_busy_ += cur_.duration;
+        eq_.schedule(busy_until_, *this, generation_);
+    }
+
+    /**
+     * The completion of the occupancy that began in @p generation.
+     * A preemption orphans it, even when a later item ends on the
+     * same tick: only the generation tells them apart.
+     */
+    void
+    on_event(Tick, uint64_t generation) override
+    {
+        if (generation != generation_)
+            return; // this occupancy was preempted; ignore
+        busy_ = false;
+        ++completed_;
+        const Tick start = cur_start_;
+        const Tick end = busy_until_;
+        record(cur_, start, end);
+        // The sink may submit new work here and restart the stage,
+        // which overwrites cur_; only pull from the queue if still
+        // idle.
+        sink_.stage_done(cur_.slot, cur_.stage, start, end);
+        if (!busy_ && !queue_.empty()) {
+            cur_ = queue_.top();
+            queue_.pop();
+            begin(end);
+        }
+    }
+
     /** Timeline entry and Net span for a served interval of @p item. */
-    void record(const Item &item, Tick start, Tick end);
+    void
+    record(const Item &item, Tick start, Tick end)
+    {
+        if (end <= start)
+            return;
+        if (recorder_) {
+            recorder_->record(comp_, node_, item.msg_id, item.kind, start,
+                              end);
+        }
+        // One Net span per served interval: the track is the pipeline
+        // component, the name the message kind.
+        SGMS_TRACE_SPAN(tracer_, Net, msg_kind_name(item.kind),
+                        component_name(comp_), start, end, item.msg_id,
+                        static_cast<int64_t>(node_),
+                        static_cast<int64_t>(item.kind));
+    }
 
     /** Kinds that may be preempted by higher-priority traffic. */
-    static bool preemptible(MsgKind kind);
+    static bool
+    preemptible(MsgKind kind)
+    {
+        return kind == MsgKind::BackgroundData || kind == MsgKind::PutPage;
+    }
 
     EventQueue &eq_;
-    StageSink &sink_;
+    Sink &sink_;
     Component comp_;
     NodeId node_;
     TimelineRecorder *recorder_;

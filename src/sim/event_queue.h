@@ -9,13 +9,22 @@
  * asynchronous — DMA stage completions, wire occupancy, message
  * deliveries — is an event.
  *
- * Layout (DESIGN.md §13): callbacks live in fixed-size pool slots
- * (InlineFunction small-buffer storage, recycled through a free
- * list), and ordering is a 4-ary heap of 16-byte (when, seq|slot)
- * records. Scheduling an event in steady state touches no allocator:
- * the slot comes from the free list and the capture is constructed
- * in place. FIFO tie-breaking between equal-time events is preserved
- * via the monotonically increasing sequence number.
+ * An event is either typed or a closure. A typed event is plain
+ * data: a target and a 64-bit argument, fired as
+ * target.on_event(when, arg). Stage completions (argument: the
+ * preemption generation) and the kernel's request injection
+ * (argument: the plan slot) are typed, so the per-message hops move
+ * no callable. Closures (InlineFunction small-buffer storage) stay
+ * the general API, used by the reliability layer, tests and benches.
+ *
+ * Layout (DESIGN.md §13): both kinds live in fixed-size pool slots,
+ * 16-byte records for typed events and callback slots for closures,
+ * each recycled through its own free list; ordering is one 4-ary heap
+ * of 16-byte (when, seq|tag) records. Both kinds draw seq from one
+ * counter, so FIFO tie-breaking between equal-time events holds
+ * across kinds. Scheduling an event in steady state touches no
+ * allocator: the slot comes from a free list and the record or
+ * capture is constructed in place.
  */
 
 #ifndef SGMS_SIM_EVENT_QUEUE_H
@@ -32,15 +41,27 @@
 namespace sgms
 {
 
+/** Receiver of typed events (EventQueue::schedule with a target). */
+class EventTarget
+{
+  public:
+    /** The event scheduled for @p when with argument @p arg fired. */
+    virtual void on_event(Tick when, uint64_t arg) = 0;
+
+  protected:
+    ~EventTarget() = default;
+};
+
 /** Time-ordered event queue with FIFO tie-breaking. */
 class EventQueue
 {
   public:
     /**
-     * Inline capture budget. Steady-state closures (stage
-     * completions, a fault's request send, the reliability layer's
-     * timers) take at most about 56 bytes; anything larger spills to
-     * a counted heap fallback instead of failing.
+     * Inline capture budget of a closure event. The steady-state
+     * closures left are the reliability layer's (a request attempt
+     * and its timeout, about 56 bytes); tests and benches use up to
+     * 72. Anything larger spills to a counted heap fallback instead
+     * of failing.
      */
     static constexpr size_t kInlineCallbackBytes = 120;
 
@@ -50,7 +71,6 @@ class EventQueue
     void
     schedule(Tick when, Callback fn)
     {
-        SGMS_ASSERT(when >= last_popped_);
         uint32_t slot;
         if (!free_.empty()) {
             slot = free_.back();
@@ -60,9 +80,27 @@ class EventQueue
             slot = static_cast<uint32_t>(pool_.size());
             pool_.push_back(std::move(fn));
         }
-        SGMS_ASSERT(slot < (1u << SLOT_BITS));
-        heap_.push_back(Entry{when, (seq_++ << SLOT_BITS) | slot});
-        sift_up(heap_.size() - 1);
+        push(when, slot, 0);
+    }
+
+    /**
+     * Schedule a typed event: at absolute time @p when, call
+     * @p target.on_event(when, @p arg). @p target must outlive the
+     * event.
+     */
+    void
+    schedule(Tick when, EventTarget &target, uint64_t arg)
+    {
+        uint32_t slot;
+        if (!free_typed_.empty()) {
+            slot = free_typed_.back();
+            free_typed_.pop_back();
+            typed_[slot] = Typed{&target, arg};
+        } else {
+            slot = static_cast<uint32_t>(typed_.size());
+            typed_.push_back(Typed{&target, arg});
+        }
+        push(when, slot, TYPED);
     }
 
     /** True if no events are pending. */
@@ -86,17 +124,24 @@ class EventQueue
     run_one()
     {
         SGMS_ASSERT(!heap_.empty());
-        Entry top = heap_[0];
-        uint32_t slot = top.slot();
-        // Move the callback out of its slot before running: the
-        // callback may schedule (growing the pool) or recursively
-        // drain the queue.
-        Callback fn = std::move(pool_[slot]);
-        free_.push_back(slot);
+        const Entry top = heap_[0];
+        const uint32_t tag = top.tag();
         pop_root();
         last_popped_ = top.when;
         ++executed_;
-        fn();
+        // Take the event out of its slot and free the slot before
+        // running it: the event may schedule (growing a pool) or
+        // recursively drain the queue.
+        if (tag & TYPED) {
+            const uint32_t slot = tag & SLOT_MASK;
+            const Typed ev = typed_[slot];
+            free_typed_.push_back(slot);
+            ev.target->on_event(top.when, ev.arg);
+        } else {
+            Callback fn = std::move(pool_[tag]);
+            free_.push_back(tag);
+            fn();
+        }
         return top.when;
     }
 
@@ -118,43 +163,68 @@ class EventQueue
         return last;
     }
 
-    /** Total events executed (for stats / debugging). */
+    /** Total events executed, typed and closure (stats / debugging). */
     uint64_t executed() const { return executed_; }
 
-    /** High-water mark of pool slots (fixed-size event records). */
+    /** High-water mark of closure pool slots. */
     size_t pool_capacity() const { return pool_.size(); }
 
   private:
-    static constexpr unsigned SLOT_BITS = 24;
+    /**
+     * The low TAG_BITS of an entry's second word: the slot, plus
+     * TYPED when the slot is in typed_ rather than pool_.
+     */
+    static constexpr unsigned TAG_BITS = 24;
+    static constexpr uint32_t TYPED = 1u << (TAG_BITS - 1);
+    static constexpr uint32_t SLOT_MASK = TYPED - 1;
 
-    /** Heap record: 16 bytes, ordering state only (callback in pool). */
+    /** A typed event's record: 16 bytes, no callable. */
+    struct Typed
+    {
+        EventTarget *target;
+        uint64_t arg;
+    };
+    static_assert(sizeof(Typed) == 16, "typed events stay compact");
+
+    /** Heap record: 16 bytes, ordering state only (event in a pool). */
     struct Entry
     {
         Tick when;
         /**
-         * (seq << SLOT_BITS) | slot. seq increases monotonically, so
-         * comparing the packed word breaks when-ties FIFO; the slot
-         * in the low bits never affects order between distinct seqs.
+         * (seq << TAG_BITS) | tag. seq increases monotonically over
+         * both kinds, so comparing the packed word breaks when-ties
+         * FIFO; the tag in the low bits never affects order between
+         * distinct seqs.
          */
-        uint64_t seq_slot;
+        uint64_t seq_tag;
 
         uint32_t
-        slot() const
+        tag() const
         {
-            return static_cast<uint32_t>(seq_slot &
-                                         ((1u << SLOT_BITS) - 1));
+            return static_cast<uint32_t>(seq_tag &
+                                         ((1u << TAG_BITS) - 1));
         }
 
         bool
         before(const Entry &o) const
         {
             return when != o.when ? when < o.when
-                                  : seq_slot < o.seq_slot;
+                                  : seq_tag < o.seq_tag;
         }
     };
     static_assert(sizeof(Entry) == 16, "heap entries stay compact");
 
     static constexpr size_t ARITY = 4;
+
+    /** Enter the event in @p slot (@p kind: 0 or TYPED) at @p when. */
+    void
+    push(Tick when, uint32_t slot, uint32_t kind)
+    {
+        SGMS_ASSERT(when >= last_popped_);
+        SGMS_ASSERT(slot < TYPED);
+        heap_.push_back(Entry{when, (seq_++ << TAG_BITS) | slot | kind});
+        sift_up(heap_.size() - 1);
+    }
 
     void
     sift_up(size_t i)
@@ -201,6 +271,8 @@ class EventQueue
     std::vector<Entry> heap_;
     std::vector<Callback> pool_;
     std::vector<uint32_t> free_;
+    std::vector<Typed> typed_;
+    std::vector<uint32_t> free_typed_;
     uint64_t seq_ = 0;
     uint64_t executed_ = 0;
     Tick last_popped_ = 0;

@@ -163,11 +163,14 @@ struct Simulator::Client
     }
 };
 
-/** All mutable state of one run. */
-struct Simulator::Run
+/**
+ * All mutable state of one run. The run is also the target of its
+ * faults' request events (argument: the plan slot).
+ */
+struct Simulator::Run final : EventTarget
 {
-    Run(const SimConfig &cfg, uint32_t nclients)
-        : n(nclients), tracer(cfg.tracer),
+    Run(Simulator &owner, const SimConfig &cfg, uint32_t nclients)
+        : sim(owner), n(nclients), tracer(cfg.tracer),
           finj(cfg.faults.enabled()
                    ? std::make_unique<fault::FaultInjector>(cfg.faults,
                                                             &metrics)
@@ -208,6 +211,14 @@ struct Simulator::Run
         heap.reserve(nclients + 1);
     }
 
+    /** The request of the fault in plan slot @p slot is due. */
+    void
+    on_event(Tick when, uint64_t slot) override
+    {
+        sim.send_request(*this, static_cast<uint32_t>(slot), when);
+    }
+
+    Simulator &sim;
     uint32_t n;
 
     // Declared before the components below, which register their
@@ -400,7 +411,7 @@ Simulator::begin(const std::vector<TraceSource *> &traces)
     SGMS_ASSERT(!run_);
     SGMS_ASSERT(!traces.empty());
     run_ = std::make_unique<Run>(
-        cfg_, static_cast<uint32_t>(traces.size()));
+        *this, cfg_, static_cast<uint32_t>(traces.size()));
     Run &r = *run_;
     r.budgeted = cfg_.wall_budget_ms > 0;
     if (r.budgeted) {
@@ -1040,7 +1051,7 @@ Simulator::issue_transfers(Run &r, Client &c, PageId page,
     f.fault_id = fault_id;
     f.client = c.id;
     f.srv = srv;
-    r.eq.schedule(t0, [this, &r, slot, t0] { send_request(r, slot, t0); });
+    r.eq.schedule(t0, r, slot);
 }
 
 /** Inject the request of the fault in plan slot @p slot at @p at. */

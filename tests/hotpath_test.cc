@@ -107,14 +107,33 @@ TEST(EventKernel, CallbackMayScheduleAtCurrentTick)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
+/** A typed-event target that logs (when, arg) as events fire. */
+struct LogTarget final : EventTarget
+{
+    explicit LogTarget(std::vector<std::pair<Tick, int>> &out) : got(out)
+    {}
+
+    void
+    on_event(Tick when, uint64_t arg) override
+    {
+        got.push_back({when, static_cast<int>(arg)});
+    }
+
+    std::vector<std::pair<Tick, int>> &got;
+};
+
 TEST(EventKernel, PropertyMatchesReferenceOrdering)
 {
-    // Random schedule/run churn: dispatch order must match a stable
-    // sort of (tick, schedule-seq) computed by a reference model.
+    // Random schedule/run churn over both event kinds: dispatch order
+    // must match a stable sort of (tick, schedule-seq) computed by a
+    // reference model, with typed events and closures interleaved at
+    // equal ticks.
     Rng rng{42};
     EventQueue eq;
     std::vector<std::pair<Tick, int>> expected;
     std::vector<std::pair<Tick, int>> got;
+    LogTarget target(got);
+    std::vector<bool> typed;
     int seq = 0;
     Tick floor = 0;
     for (int round = 0; round < 50; ++round) {
@@ -123,8 +142,13 @@ TEST(EventKernel, PropertyMatchesReferenceOrdering)
             Tick when = floor + static_cast<Tick>(rng.next() % 100);
             int s = seq++;
             expected.push_back({when, s});
-            eq.schedule(when,
-                        [&got, when, s] { got.push_back({when, s}); });
+            typed.push_back((rng.next() & 1) != 0);
+            if (typed.back()) {
+                eq.schedule(when, target, static_cast<uint64_t>(s));
+            } else {
+                eq.schedule(when,
+                            [&got, when, s] { got.push_back({when, s}); });
+            }
         }
         floor += static_cast<Tick>(rng.next() % 50);
         eq.run_until(floor);
@@ -138,6 +162,15 @@ TEST(EventKernel, PropertyMatchesReferenceOrdering)
                      });
     EXPECT_EQ(got, expected);
     EXPECT_EQ(eq.executed(), expected.size());
+    // The schedule really interleaves the kinds within a tick (48
+    // adjacent typed/closure pairs at one tick with this seed).
+    int mixed_ties = 0;
+    for (size_t i = 1; i < expected.size(); ++i) {
+        mixed_ties += expected[i].first == expected[i - 1].first &&
+                      typed[expected[i].second] !=
+                          typed[expected[i - 1].second];
+    }
+    EXPECT_GE(mixed_ties, 40);
 }
 
 TEST(EventKernel, PoolSlotsAreRecycled)
@@ -161,21 +194,31 @@ TEST(EventKernel, SteadyStateSchedulesWithoutAllocating)
 {
     EventQueue eq;
     uint64_t sink = 0;
+    std::vector<std::pair<Tick, int>> fired;
+    fired.reserve(16u * 260u);
+    LogTarget target(fired);
     Tick t = 0;
     auto wave = [&] {
-        for (int i = 0; i < 32; ++i)
-            eq.schedule(t + (i & 3), [&sink] { ++sink; });
+        for (int i = 0; i < 32; ++i) {
+            if (i & 1)
+                eq.schedule(t + (i & 3), target, static_cast<uint64_t>(i));
+            else
+                eq.schedule(t + (i & 3), [&sink] { ++sink; });
+        }
         t += 4;
         eq.run_until(t);
     };
-    // Warm up: grows the heap, pool, and free list to steady size.
+    // Warm up: grows the heap, both pools and free lists to steady
+    // size.
     for (int i = 0; i < 4; ++i)
         wave();
     uint64_t before = alloc_probe_count();
     for (int i = 0; i < 256; ++i)
         wave();
     EXPECT_EQ(alloc_probe_count(), before);
-    EXPECT_EQ(sink, 32u * 260u);
+    EXPECT_EQ(sink, 16u * 260u);
+    EXPECT_EQ(fired.size(), 16u * 260u);
+    EXPECT_EQ(eq.executed(), 32u * 260u);
 }
 
 TEST(EventKernel, InlineCallbacksSkipTheHeap)

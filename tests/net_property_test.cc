@@ -290,6 +290,38 @@ TEST(Preemption, RepeatedPreemptionResumesCorrectly)
     EXPECT_EQ(recorded_busy(rec), res.total_busy());
 }
 
+TEST(Preemption, StaleCompletionOnALiveTick)
+{
+    // A preempted item's completion event stays in the queue. Here it
+    // falls on the very tick another item completes: only the
+    // generation it carries, not its time, may tell the two apart.
+    EventQueue eq;
+    test::StageLog log;
+    StageResource res(eq, log, Component::Wire, 0, nullptr, true);
+    // Background [0, 1000): its completion is scheduled for t=1000.
+    res.submit(0, 1000, 0, 1, MsgKind::BackgroundData, 1);
+    // Scheduled after that completion, for the same tick.
+    size_t done_at_closure = 0;
+    eq.schedule(1000, [&] { done_at_closure = log.done.size(); });
+    // A 50-tick demand preempts the background at t=100; an 850-tick
+    // demand queued at t=120 then runs [150, 1000), ending on the
+    // tick of the background's stale completion.
+    eq.schedule(100, [&] {
+        res.submit(100, 50, 2, 2, MsgKind::DemandData, 2);
+    });
+    eq.schedule(120, [&] {
+        res.submit(120, 850, 2, 3, MsgKind::DemandData, 3);
+    });
+    eq.run_all();
+    // At t=1000 the stale completion fires first and is ignored, the
+    // closure sees only the 50-tick demand done, and the 850-tick
+    // demand completes after it, in its own event.
+    EXPECT_EQ(done_at_closure, 1u);
+    EXPECT_EQ(log.ends(), (std::vector<std::pair<uint32_t, Tick>>{
+                              {2, 150}, {3, 1000}, {1, 1900}}));
+    EXPECT_EQ(res.total_busy(), 1900);
+}
+
 TEST(Preemption, QueuedBackgroundResumeOrderStable)
 {
     EventQueue eq;

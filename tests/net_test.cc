@@ -2,21 +2,31 @@
  * @file
  * Tests for the staged network model, including the calibration
  * against the paper's Table 2 (page-fault latencies on the Alpha/AN2
- * prototype) — the central fidelity check of the whole reproduction.
+ * prototype) — the central fidelity check of the whole reproduction —
+ * and a closed-form single-fault oracle: plain stage arithmetic over
+ * NetParams, with no event queue, checked against the Network, the
+ * kernel's FaultRecord and Table 2.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/sim_config.h"
 #include "net/network.h"
 #include "net/params.h"
 #include "net/resource.h"
 #include "net/timeline.h"
+#include "policy/fetch_policy.h"
 #include "sim/event_queue.h"
+#include "sim/kernel.h"
 #include "stage_log.h"
+#include "trace/trace.h"
 
 namespace sgms
 {
@@ -152,40 +162,52 @@ class NetworkFixture : public ::testing::Test
     NetParams params = NetParams::an2();
 
     /**
-     * Model a complete demand fetch of @p demand_bytes with an
-     * optional background remainder of @p rest_bytes, as the
-     * simulator performs it: fault-handle on the requester, request
-     * message to the server, then the server responds with the
-     * demand message (and immediately queues the rest).
-     * Returns {demand arrival, rest arrival}.
+     * Model one fault's fetch as the simulator performs it:
+     * fault-handle on the requester, request message to the server,
+     * then the server sends every segment of @p segments
+     * back-to-back (the first is the demand segment the program
+     * blocks on). Returns each segment's arrival.
      */
-    std::pair<Tick, Tick>
-    run_fetch(uint32_t demand_bytes, uint32_t rest_bytes)
+    std::vector<Tick>
+    run_plan(const SegmentList &segments)
     {
         EventQueue eq; // fresh queue: each fetch starts at time zero
         Network net(eq, params, /*requester=*/0);
-        Tick demand_at = TICK_NONE, rest_at = TICK_NONE;
+        std::vector<Tick> at(segments.size(), TICK_NONE);
         Tick t0 = params.fault_handle;
         net.send(t0, {0, 1, params.request_bytes, MsgKind::Request,
                       false, [&](Tick when, Tick) {
-                          // Server now sends the demand subpage and,
-                          // for eager fullpage fetch, the remainder
-                          // right behind it.
-                          net.send(when,
-                                   {1, 0, demand_bytes,
-                                    MsgKind::DemandData, false,
-                                    [&](Tick d, Tick) { demand_at = d; }});
-                          if (rest_bytes) {
+                          for (size_t i = 0; i < segments.size(); ++i) {
+                              const TransferSegment &seg = segments[i];
                               net.send(when,
-                                       {1, 0, rest_bytes,
-                                        MsgKind::BackgroundData, false,
-                                        [&](Tick d, Tick) {
-                                            rest_at = d;
+                                       {1, 0, seg.bytes,
+                                        seg.demand
+                                            ? MsgKind::DemandData
+                                            : MsgKind::BackgroundData,
+                                        seg.pipelined_recv,
+                                        [&at, i](Tick d, Tick) {
+                                            at[i] = d;
                                         }});
                           }
                       }});
         eq.run_all();
-        return {demand_at, rest_at};
+        return at;
+    }
+
+    /**
+     * A demand fetch of @p demand_bytes with an optional background
+     * remainder of @p rest_bytes (eager fullpage fetch) right behind
+     * it. Returns {demand arrival, rest arrival}.
+     */
+    std::pair<Tick, Tick>
+    run_fetch(uint32_t demand_bytes, uint32_t rest_bytes)
+    {
+        SegmentList segments;
+        segments.push_back({0, demand_bytes, true, false});
+        if (rest_bytes)
+            segments.push_back({0, rest_bytes, false, false});
+        std::vector<Tick> at = run_plan(segments);
+        return {at[0], rest_bytes ? at[1] : TICK_NONE};
     }
 };
 
@@ -224,13 +246,168 @@ TEST_P(Table2Calibration, MatchesWithin8Percent)
         << "rest-of-page latency for " << row.size;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    PaperTable2, Table2Calibration,
-    ::testing::Values(Table2Row{256, 0.45, 1.49},
-                      Table2Row{512, 0.47, 1.46},
-                      Table2Row{1024, 0.52, 1.38},
-                      Table2Row{2048, 0.66, 1.25},
-                      Table2Row{4096, 0.94, 1.23}));
+const Table2Row kTable2[] = {
+    {256, 0.45, 1.49},  {512, 0.47, 1.46},  {1024, 0.52, 1.38},
+    {2048, 0.66, 1.25}, {4096, 0.94, 1.23},
+};
+
+INSTANTIATE_TEST_SUITE_P(PaperTable2, Table2Calibration,
+                         ::testing::ValuesIn(kTable2));
+
+// ---------------------------------------------------------------
+// Closed-form single-fault oracle
+// ---------------------------------------------------------------
+
+/**
+ * The five stage costs of a message, in pipeline order, restated
+ * from NetParams alone: send CPU, DMA, wire, DMA, receive CPU.
+ */
+std::array<Tick, 5>
+oracle_stages(const NetParams &p, MsgKind kind, uint32_t bytes,
+              bool pipelined_recv)
+{
+    const Tick dma = p.dma_fixed + p.dma_per_byte * bytes;
+    const Tick wire = p.wire_fixed + p.wire_per_byte * bytes;
+    if (kind == MsgKind::Request)
+        return {p.send_cpu_request, dma, wire, dma, p.request_proc};
+    const Tick recv =
+        pipelined_recv
+            ? p.pipelined_recv_fixed + p.pipelined_recv_per_byte * bytes
+            : p.recv_fixed + p.recv_per_byte * bytes;
+    return {p.send_cpu_data, dma, wire, dma, recv};
+}
+
+/** When the server has the request: fault handling plus its stages. */
+Tick
+oracle_request_done(const NetParams &p)
+{
+    Tick t = p.fault_handle;
+    for (Tick c :
+         oracle_stages(p, MsgKind::Request, p.request_bytes, false))
+        t += c;
+    return t;
+}
+
+/**
+ * Arrival of every segment of @p plan on an idle network, sent
+ * back-to-back when the request lands. Segments keep their send order
+ * at every stage (the demand segment leads and the rest share one
+ * priority), so this is a permutation flow shop: segment j leaves
+ * stage k at C[j][k] = max(C[j-1][k], C[j][k-1]) + cost[j][k].
+ */
+std::vector<Tick>
+oracle_arrivals(const NetParams &p, const FetchPlan &plan)
+{
+    std::array<Tick, 5> free_at{};
+    free_at.fill(oracle_request_done(p));
+    std::vector<Tick> arrivals;
+    for (const TransferSegment &seg : plan.segments) {
+        const auto cost =
+            oracle_stages(p,
+                          seg.demand ? MsgKind::DemandData
+                                     : MsgKind::BackgroundData,
+                          seg.bytes, seg.pipelined_recv);
+        Tick t = 0;
+        for (size_t k = 0; k < 5; ++k) {
+            t = std::max(t, free_at[k]) + cost[k];
+            free_at[k] = t;
+        }
+        arrivals.push_back(t);
+    }
+    return arrivals;
+}
+
+/**
+ * Idle-network demand latency of @p plan: fault handling, the
+ * request's five stages, then the demand segment's five.
+ */
+Tick
+oracle_demand_latency(const NetParams &p, const FetchPlan &plan)
+{
+    const TransferSegment &demand = plan.segments[0];
+    Tick t = oracle_request_done(p);
+    for (Tick c : oracle_stages(p, MsgKind::DemandData, demand.bytes,
+                                demand.pipelined_recv))
+        t += c;
+    return t;
+}
+
+struct OracleCase
+{
+    const char *policy;
+    Table2Row row;
+};
+
+/** Names each case, e.g. "eager_1024", in place of its raw bytes. */
+void
+PrintTo(const OracleCase &c, std::ostream *os)
+{
+    *os << c.policy << "_" << c.row.size;
+}
+
+class SingleFaultOracle : public NetworkFixture,
+                          public ::testing::WithParamInterface<OracleCase>
+{};
+
+TEST_P(SingleFaultOracle, MatchesKernelNetworkAndTable2)
+{
+    const OracleCase &c = GetParam();
+    const uint32_t size = static_cast<uint32_t>(c.row.size);
+    const PageGeometry geo(8192, size);
+    const uint32_t n = geo.subpages_per_page();
+    const uint64_t all = n >= 64 ? ~0ULL : (1ULL << n) - 1;
+    // The fault of a one-reference trace at address 0: subpage 0.
+    const FetchPlan plan =
+        make_fetch_policy(c.policy)->plan(geo, 0, 0, all);
+    ASSERT_FALSE(plan.from_disk);
+    const Tick demand = oracle_demand_latency(params, plan);
+    const std::vector<Tick> arrivals = oracle_arrivals(params, plan);
+    EXPECT_EQ(arrivals.front(), demand);
+
+    // The kernel's stall on the demand segment, tick for tick.
+    SimConfig cfg;
+    cfg.policy = c.policy;
+    cfg.subpage_size = size;
+    cfg.net = params;
+    VectorTrace trace;
+    trace.push(0, false);
+    SimResult r = Simulator(cfg).run(trace);
+    ASSERT_EQ(r.faults.size(), 1u);
+    EXPECT_EQ(r.faults[0].sp_wait, demand);
+
+    // The event-driven Network, driven as Table2Calibration drives
+    // it, tick for tick for every segment; the last is the
+    // rest-of-page arrival.
+    EXPECT_EQ(run_plan(plan.segments), arrivals);
+    if (std::string(c.policy) == "eager") {
+        // Eager's plan is Table 2's shape: subpage, then the rest.
+        ASSERT_EQ(plan.segments.size(), 2u);
+        auto [sp, rest] = run_fetch(size, 8192 - size);
+        EXPECT_EQ(sp, demand);
+        EXPECT_EQ(rest, arrivals.back());
+    }
+
+    // The paper's Table 2: a full page takes 1.48 ms, a subpage its
+    // row's latency, within the calibration's 8%.
+    const double paper_ms = std::string(c.policy) == "fullpage"
+                                ? 1.48
+                                : c.row.subpage_ms;
+    EXPECT_NEAR(ticks::to_ms(demand), paper_ms, paper_ms * 0.08);
+}
+
+std::vector<OracleCase>
+oracle_cases()
+{
+    std::vector<OracleCase> cases;
+    for (const char *policy : {"fullpage", "eager", "pipelining"}) {
+        for (const Table2Row &row : kTable2)
+            cases.push_back({policy, row});
+    }
+    return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(PoliciesBySubpage, SingleFaultOracle,
+                         ::testing::ValuesIn(oracle_cases()));
 
 TEST_F(NetworkFixture, SubpageLatencyMonotonicInSize)
 {

@@ -1,8 +1,9 @@
 /**
  * @file
- * A StageSink that logs completions, for driving a StageResource on
+ * A stage sink that logs completions, for driving a StageResource on
  * its own: a stage item carries no callback, so a test observes it
- * through the sink the resource calls.
+ * through the sink the resource calls (StageResource<StageLog>, which
+ * `StageResource res(eq, log, ...)` deduces).
  */
 
 #ifndef SGMS_TESTS_STAGE_LOG_H
@@ -18,7 +19,7 @@ namespace sgms::test
 {
 
 /** Every completion a StageResource reported, in order. */
-class StageLog final : public StageSink
+class StageLog
 {
   public:
     struct Done
@@ -30,8 +31,7 @@ class StageLog final : public StageSink
     };
 
     void
-    stage_done(uint32_t slot, uint8_t stage, Tick start,
-               Tick end) override
+    stage_done(uint32_t slot, uint8_t stage, Tick start, Tick end)
     {
         done.push_back({slot, stage, start, end});
     }
