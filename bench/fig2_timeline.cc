@@ -4,8 +4,10 @@
  * fault served with full 8K pages, 2K subpages, and 1K subpages
  * under eager fullpage fetch.
  *
- * Rows are the five components of the paper's timelines (Req-CPU,
- * Req-DMA, Wire, Srv-DMA, Srv-CPU); glyphs mark what occupies each:
+ * The chart is drawn from the fault's Net spans (obs/tracer.h): a
+ * row is a span track, one of the five components of the paper's
+ * timelines (Req-CPU, Req-DMA, Wire, Srv-DMA, Srv-CPU), and a glyph
+ * is the message kind that occupies it:
  *   r = request message, D = demand subpage, b = rest of page,
  *   f = fault handling fixed cost on the requesting CPU.
  */
@@ -13,9 +15,10 @@
 #include "bench/bench_common.h"
 
 #include <map>
+#include <string>
 
 #include "net/network.h"
-#include "net/timeline.h"
+#include "obs/tracer.h"
 #include "sim/event_queue.h"
 
 using namespace sgms;
@@ -28,8 +31,8 @@ show_timeline(uint32_t demand_bytes, uint32_t rest_bytes)
 {
     EventQueue eq;
     NetParams params = NetParams::an2();
-    TimelineRecorder rec;
-    Network net(eq, params, 0, &rec);
+    obs::Tracer tracer(64); // ample for one fault's stage spans
+    Network net(eq, params, 0, &tracer);
     Tick demand_at = 0, rest_at = 0;
 
     Tick t0 = params.fault_handle;
@@ -50,6 +53,7 @@ show_timeline(uint32_t demand_bytes, uint32_t rest_bytes)
                       }
                   }});
     eq.run_all();
+    SGMS_ASSERT(tracer.dropped() == 0);
 
     char title[128];
     if (rest_bytes) {
@@ -66,19 +70,23 @@ show_timeline(uint32_t demand_bytes, uint32_t rest_bytes)
     const Component order[] = {Component::ReqCpu, Component::ReqDma,
                                Component::Wire, Component::SrvDma,
                                Component::SrvCpu};
-    std::map<Component, std::vector<GanttSpan>> rows;
+    std::map<std::string, std::vector<GanttSpan>> rows;
     // Fault-handling fixed cost occupies the requesting CPU first.
-    rows[Component::ReqCpu].push_back({0, t0, 'f'});
-    for (const auto &e : rec.entries()) {
+    rows[component_name(Component::ReqCpu)].push_back({0, t0, 'f'});
+    for (const obs::Span &s : tracer.spans()) {
+        // A Net span's arg1 is its message kind.
+        const auto kind = static_cast<MsgKind>(s.arg1);
         char glyph = 'r';
-        if (e.kind == MsgKind::DemandData)
+        if (kind == MsgKind::DemandData)
             glyph = 'D';
-        else if (e.kind == MsgKind::BackgroundData)
+        else if (kind == MsgKind::BackgroundData)
             glyph = 'b';
-        rows[e.comp].push_back({e.start, e.end, glyph});
+        rows[s.track].push_back({s.start, s.end, glyph});
     }
-    for (Component comp : order)
-        chart.add_row(component_name(comp), rows[comp]);
+    for (Component comp : order) {
+        const char *track = component_name(comp);
+        chart.add_row(track, rows[track]);
+    }
     chart.print(std::cout, 96);
     std::printf("  program resumes at %s", format_ms(demand_at).c_str());
     if (rest_bytes)

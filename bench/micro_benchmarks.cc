@@ -2,15 +2,14 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot paths:
  * event queue, stage resources, page table, replacement policies,
- * RNG / Zipf sampling, trace generation, cache simulation, and a
- * complete remote fetch through the staged network. These guard the
- * simulator's own performance (it has to chew through hundreds of
- * millions of trace events per experiment).
+ * RNG / Zipf sampling, trace generation, and a complete remote
+ * fetch through the staged network. These guard the simulator's own
+ * performance (it has to chew through hundreds of millions of trace
+ * events per experiment).
  */
 
 #include <benchmark/benchmark.h>
 
-#include "cache/cache_sim.h"
 #include "common/random.h"
 #include "mem/page_table.h"
 #include "net/network.h"
@@ -116,18 +115,6 @@ BM_TraceGeneration(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TraceGeneration);
-
-void
-BM_CacheSimAccess(benchmark::State &state)
-{
-    CacheSim sim = CacheSim::alpha250();
-    Rng rng(3);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            sim.access(rng.below(1 << 22)));
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CacheSimAccess);
 
 void
 BM_RemoteFetch8K(benchmark::State &state)

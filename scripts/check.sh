@@ -10,7 +10,11 @@
 #                             (export_grid must reject a flag it
 #                             does not read), a trace_tool smoke
 #                             (convert and bake round trips,
-#                             payload-hash check), then a -Wall
+#                             payload-hash check), a byte check
+#                             of Figure 2 and Table 2 against
+#                             results/ (each builds its one fault
+#                             by hand and runs in milliseconds),
+#                             then a -Wall
 #                             -Wextra -Werror
 #                             rebuild in a separate tree
 #                             (build-strict/), an ASan+UBSan build +
@@ -41,7 +45,8 @@
 #                             ablation_replacement (the only
 #                             committed output with Clock rows) and
 #                             of ablation_adaptive (text and JSON)
-#   scripts/check.sh --quick  tier 1 and the smokes only
+#   scripts/check.sh --quick  tier 1, the smokes and the Figure 2 /
+#                             Table 2 byte check only
 #   scripts/check.sh --paper  also (after either mode) the paper
 #                             reproduction byte check,
 #                             scripts/paper.sh: every figure, table
@@ -146,6 +151,16 @@ if "$tool" info "$tdir/bad.sgmb" >/dev/null 2>&1; then
     exit 1
 fi
 echo "   round trips and bake byte-identical, bake reused, corruption caught"
+
+echo "== results: fig2_timeline and table2_fault_latency are byte-identical =="
+# Figure 2 is drawn from the Net spans of its hand-built fault, and
+# Table 2 times the same fault: both pin the staged network tick for
+# tick.
+for bench in fig2_timeline table2_fault_latency; do
+    "./build/bench/$bench" >"$tmp_grid/$bench.txt"
+    cmp "$tmp_grid/$bench.txt" "results/$bench.txt"
+done
+echo "   fig2_timeline and table2_fault_latency match results/ byte for byte"
 
 echo "== smoke: trace export =="
 ./build/examples/quickstart --trace-out="$tmp_trace" >/dev/null

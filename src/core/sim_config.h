@@ -13,7 +13,6 @@
 #include "fault/fault_plan.h"
 #include "gms/gms.h"
 #include "net/params.h"
-#include "net/timeline.h"
 #include "proto/palcode.h"
 
 namespace sgms
@@ -51,8 +50,9 @@ struct SimConfig
 
     /**
      * Simulation clock: CPU time per trace event. The paper
-     * calibrated ~12 ns/event with its cache simulator (section 3.2);
-     * cache/cache_sim.h reproduces that number.
+     * calibrated ~12 ns/event with a cache simulator (section 3.2);
+     * DESIGN.md §6 keeps the derivation and what an Alpha 250 cache
+     * model gives on the synthetic traces.
      */
     Tick ns_per_ref = ticks::from_ns(12);
 
@@ -130,9 +130,6 @@ struct SimConfig
      * contents, and is excluded from the result-cache fingerprint.
      */
     uint64_t wall_budget_ms = 0;
-
-    /** Optional capture of component busy spans (Figure 2). */
-    TimelineRecorder *timeline = nullptr;
 
     /**
      * Optional span tracer (obs/tracer.h): records fault, network-

@@ -24,7 +24,7 @@ has_subpage_dimension(const std::string &policy)
 bool
 has_observers(const Experiment &ex)
 {
-    return ex.base.tracer != nullptr || ex.base.timeline != nullptr;
+    return ex.base.tracer != nullptr;
 }
 
 /**

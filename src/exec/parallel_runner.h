@@ -25,9 +25,9 @@
  * run_all rethrows the first exception on the calling thread only
  * after every worker has joined, so no worker outlives the call.
  *
- * Cache interaction: a point whose config carries run observers
- * (cfg.tracer / cfg.timeline) is never served from — or stored to —
- * the cache, since a cached result cannot replay their side effects.
+ * Cache interaction: a point whose config carries a run observer
+ * (cfg.tracer) is never served from — or stored to — the cache,
+ * since a cached result cannot replay its side effects.
  *
  * Multi-process mode: with opts.workers >= 1 the grid is sharded
  * across a fleet of forked worker processes instead of threads

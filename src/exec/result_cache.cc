@@ -264,9 +264,8 @@ experiment_fingerprint(const Experiment &ex)
         fp.add("clients", static_cast<uint64_t>(cfg.clients));
         fp.add("metrics_per_client", cfg.metrics_per_client);
     }
-    // cfg.timeline / cfg.tracer are pure observers of the run; the
-    // engine refuses to serve cached results to traced runs instead
-    // of keying on them.
+    // cfg.tracer is a pure observer of the run; the engine refuses
+    // to serve cached results to traced runs instead of keying on it.
     return fp.take();
 }
 

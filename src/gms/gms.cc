@@ -9,8 +9,12 @@ void
 GmsCluster::put_page(Tick now, PageId page, uint32_t page_bytes,
                      bool dirty, NodeId from)
 {
-    bool newly_stored = evicted_.insert(page).second;
-    if (cfg_.server_capacity_pages != 0 && newly_stored) {
+    // A warm cache already holds every page, so the directory of
+    // evicted pages matters only to a cold cache or a capacity bound.
+    const bool bounded = cfg_.server_capacity_pages != 0;
+    const bool newly_stored =
+        (!cfg_.warm || bounded) && evicted_.insert(page).second;
+    if (bounded && newly_stored) {
         ServerStore &store = per_server_[server_of(page)];
         store.fifo.push_back(page);
         if (store.fifo.size() > cfg_.server_capacity_pages) {

@@ -62,8 +62,9 @@ class GmsCluster
     /**
      * @param net       cluster interconnect
      * @param cfg       cluster configuration
-     * @param requester node id of the faulting (traced) node;
-     *                  servers get ids requester+1 ... requester+N
+     * @param requester highest faulting (client) node id, as for
+     *                  Network; servers get ids requester+1 ...
+     *                  requester+N
      * @param tracer    optional span tracer (putpage/discard events)
      * @param metrics   optional registry for gms.* counters
      */
@@ -125,17 +126,6 @@ class GmsCluster
                   bool dirty, NodeId from);
 
     /**
-     * Pre-size the directory for @p pages stored pages; keeps the
-     * eviction path rehash-free during a steady-state window.
-     */
-    void
-    reserve_pages(size_t pages)
-    {
-        if (pages)
-            evicted_.reserve(pages);
-    }
-
-    /**
      * Mark @p server failed until @p until (directory invalidation):
      * the directory treats its stored pages as unreachable, so
      * faults on them degrade straight to disk until recovery. Used
@@ -166,7 +156,6 @@ class GmsCluster
     /** Directory invalidations recorded by mark_server_failed. */
     uint64_t server_failures() const { return server_failures_; }
 
-    NodeId requester() const { return requester_; }
     const GmsConfig &config() const { return cfg_; }
     uint64_t putpages() const { return putpages_; }
 

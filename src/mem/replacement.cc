@@ -1,5 +1,7 @@
 #include "mem/replacement.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "mem/page_table.h"
 #include "obs/debug.h"
@@ -96,17 +98,23 @@ LruPolicy::victim(const PageTable &table)
 }
 
 void
-FifoPolicy::insert(PageId page, uint64_t /* stamp */)
+FifoPolicy::erase(PageId page)
 {
-    SGMS_ASSERT(!order_.contains(page));
-    order_.push_back(page);
+    // Testing / invalidation only, so a scan of the queue will do.
+    auto it = std::find(queue_.begin() + head_, queue_.end(), page);
+    SGMS_ASSERT(it != queue_.end());
+    queue_.erase(it);
 }
 
 PageId
 FifoPolicy::victim(const PageTable & /* table */)
 {
-    SGMS_ASSERT(!order_.empty());
-    PageId page = order_.pop_front();
+    SGMS_ASSERT(head_ < queue_.size());
+    PageId page = queue_[head_++];
+    if (2 * head_ >= queue_.size()) {
+        queue_.erase(queue_.begin(), queue_.begin() + head_);
+        head_ = 0;
+    }
     SGMS_DPRINTF(Mem, "fifo: evict page %llu",
                  static_cast<unsigned long long>(page));
     return page;

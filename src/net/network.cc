@@ -9,11 +9,10 @@ namespace sgms
 {
 
 Network::Network(EventQueue &eq, NetParams params, NodeId requester,
-                 TimelineRecorder *recorder, obs::Tracer *tracer,
-                 obs::MetricsRegistry *metrics,
+                 obs::Tracer *tracer, obs::MetricsRegistry *metrics,
                  fault::FaultInjector *faults)
-    : eq_(eq), params_(params), requester_(requester),
-      recorder_(recorder), tracer_(tracer), faults_(faults)
+    : eq_(eq), params_(params), requester_(requester), tracer_(tracer),
+      faults_(faults)
 {
     if (metrics) {
         c_messages_ = &metrics->counter("net.messages");
@@ -28,11 +27,11 @@ Network::Network(EventQueue &eq, NetParams params, NodeId requester,
 
 Network::Node::Node(Network &net, NodeId id, Component cpu_comp,
                     Component dma_comp)
-    : cpu(net.eq_, net, cpu_comp, id, net.recorder_,
-          net.params_.preemptive_demand, net.tracer_),
-      dma(net.eq_, net, dma_comp, id, net.recorder_,
-          net.params_.preemptive_demand, net.tracer_),
-      wire(net.eq_, net, Component::Wire, id, net.recorder_,
+    : cpu(net.eq_, net, cpu_comp, id, net.params_.preemptive_demand,
+          net.tracer_),
+      dma(net.eq_, net, dma_comp, id, net.params_.preemptive_demand,
+          net.tracer_),
+      wire(net.eq_, net, Component::Wire, id,
            net.params_.preemptive_demand, net.tracer_)
 {}
 
@@ -43,7 +42,7 @@ Network::node(NodeId id)
         nodes_.resize(id + 1);
     auto &slot = nodes_[id];
     if (!slot) {
-        const bool req = id == requester_;
+        const bool req = id <= requester_;
         slot = std::make_unique<Node>(
             *this, id, req ? Component::ReqCpu : Component::SrvCpu,
             req ? Component::ReqDma : Component::SrvDma);

@@ -29,7 +29,6 @@
 #include "common/types.h"
 #include "net/params.h"
 #include "net/resource.h"
-#include "net/timeline.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "sim/event_queue.h"
@@ -100,9 +99,11 @@ class Network final
     /**
      * @param eq        shared event queue
      * @param params    latency parameters
-     * @param requester node the traced program runs on (used only to
-     *                  label components in timeline capture)
-     * @param recorder  optional Figure-2 timeline capture
+     * @param requester highest node a traced program runs on: nodes
+     *                  0..requester are clients and label their
+     *                  stages Req-CPU/Req-DMA, higher nodes are
+     *                  servers (Srv-CPU/Srv-DMA); used only to name
+     *                  the tracks of Net spans
      * @param tracer    optional span tracer (per-stage Net spans)
      * @param metrics   optional registry for net.* counters
      * @param faults    optional fault injector; when set, each send
@@ -110,7 +111,6 @@ class Network final
      *                  wire, corrupt on arrival, duplicate delivery)
      */
     Network(EventQueue &eq, NetParams params, NodeId requester = 0,
-            TimelineRecorder *recorder = nullptr,
             obs::Tracer *tracer = nullptr,
             obs::MetricsRegistry *metrics = nullptr,
             fault::FaultInjector *faults = nullptr);
@@ -177,7 +177,6 @@ class Network final
     EventQueue &eq_;
     NetParams params_;
     NodeId requester_;
-    TimelineRecorder *recorder_;
     obs::Tracer *tracer_ = nullptr;
     fault::FaultInjector *faults_ = nullptr;
     NetStats stats_;
@@ -195,9 +194,10 @@ class Network final
     obs::Counter *c_by_kind_[kMsgKindCount] = {};
 
     // Per-node stages, indexed directly by NodeId (ids are small and
-    // dense: requester 0, servers 1..N). A node's stages are created
-    // on first touch and never move, so a message's path can point
-    // at them; a send looks up its two nodes once.
+    // dense: clients 0..requester_, then the servers). A node's
+    // stages are created on first touch and never move, so a
+    // message's path can point at them; a send looks up its two
+    // nodes once.
     std::vector<std::unique_ptr<Node>> nodes_;
 };
 

@@ -45,7 +45,7 @@ inline constexpr size_t kMsgKindCount =
 static_assert(kMsgKindCount >= 1 && kMsgKindCount <= 64,
               "MsgKind count out of sane range");
 
-/** Pipeline components, for timeline capture (Figure 2 rows). */
+/** Pipeline components: the tracks of Net spans (Figure 2 rows). */
 enum class Component : uint8_t
 {
     ReqCpu, ///< faulting-node CPU (fault handling, receive interrupt)

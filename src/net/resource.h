@@ -26,7 +26,6 @@
 
 #include "common/types.h"
 #include "net/params.h"
-#include "net/timeline.h"
 #include "obs/tracer.h"
 #include "sim/event_queue.h"
 
@@ -52,10 +51,10 @@ template <typename Sink> class StageResource final : public EventTarget
      *        remainder is requeued.
      */
     StageResource(EventQueue &eq, Sink &sink, Component comp,
-                  NodeId node, TimelineRecorder *recorder,
-                  bool preemption = false, obs::Tracer *tracer = nullptr)
-        : eq_(eq), sink_(sink), comp_(comp), node_(node),
-          recorder_(recorder), tracer_(tracer), preemption_(preemption)
+                  NodeId node, bool preemption = false,
+                  obs::Tracer *tracer = nullptr)
+        : eq_(eq), sink_(sink), comp_(comp), node_(node), tracer_(tracer),
+          preemption_(preemption)
     {}
 
     StageResource(const StageResource &) = delete;
@@ -68,8 +67,8 @@ template <typename Sink> class StageResource final : public EventTarget
      * @param now      current simulated time
      * @param duration stage occupancy for this item
      * @param priority larger values served first among queued items
-     * @param msg_id   message id for timeline capture
-     * @param kind     message kind for timeline capture
+     * @param msg_id   message id, the id of its Net spans
+     * @param kind     message kind, the name of its Net spans
      * @param slot     the sink's handle for the message
      * @param stage    the message's pipeline stage, passed back
      */
@@ -181,16 +180,12 @@ template <typename Sink> class StageResource final : public EventTarget
         }
     }
 
-    /** Timeline entry and Net span for a served interval of @p item. */
+    /** The Net span of a served interval of @p item. */
     void
     record(const Item &item, Tick start, Tick end)
     {
         if (end <= start)
             return;
-        if (recorder_) {
-            recorder_->record(comp_, node_, item.msg_id, item.kind, start,
-                              end);
-        }
         // One Net span per served interval: the track is the pipeline
         // component, the name the message kind.
         SGMS_TRACE_SPAN(tracer_, Net, msg_kind_name(item.kind),
@@ -210,7 +205,6 @@ template <typename Sink> class StageResource final : public EventTarget
     Sink &sink_;
     Component comp_;
     NodeId node_;
-    TimelineRecorder *recorder_;
     obs::Tracer *tracer_;
     bool preemption_;
 

@@ -48,10 +48,6 @@ ObsSession::ObsSession(const Options &opts)
         uint64_t cap =
             opts.get_u64("trace-spans", Tracer::DEFAULT_CAPACITY);
         tracer_ = std::make_unique<Tracer>(cap);
-        if (!SGMS_OBS_TRACING) {
-            warn("tracing requested but compiled out "
-                 "(SGMS_ENABLE_TRACING=OFF); traces will be empty");
-        }
     }
 }
 

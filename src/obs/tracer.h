@@ -9,9 +9,8 @@
  * run's Figure-2 timeline at full resolution.
  *
  * Cost model: every instrumentation site goes through the
- * SGMS_TRACE_* macros, which compile to nothing when SGMS_OBS_TRACING
- * is 0 (CMake option SGMS_ENABLE_TRACING=OFF) and to a single null
- * pointer test when tracing is compiled in but no Tracer is attached.
+ * SGMS_TRACE_* macros, which cost a single null pointer test when no
+ * Tracer is attached.
  *
  * Exports: Chrome trace_event JSON (chrome://tracing, Perfetto) and a
  * human-readable per-fault timeline dump (obs/chrome_trace.h).
@@ -134,16 +133,7 @@ class Tracer
 
 } // namespace sgms::obs
 
-/**
- * Instrumentation macros. `tr` is an `obs::Tracer *` (may be null).
- * With SGMS_OBS_TRACING defined to 0 the calls vanish entirely, so a
- * tracing-disabled build pays nothing — not even the null test.
- */
-#ifndef SGMS_OBS_TRACING
-#define SGMS_OBS_TRACING 1
-#endif
-
-#if SGMS_OBS_TRACING
+/** Instrumentation macros. `tr` is an `obs::Tracer *` (may be null). */
 #define SGMS_TRACE_SPAN(tr, cat, name, track, start, end, ...)          \
     do {                                                                \
         if (tr) {                                                       \
@@ -158,9 +148,5 @@ class Tracer
                           at, ##__VA_ARGS__);                           \
         }                                                               \
     } while (0)
-#else
-#define SGMS_TRACE_SPAN(tr, cat, name, track, start, end, ...) ((void)0)
-#define SGMS_TRACE_INSTANT(tr, cat, name, track, at, ...) ((void)0)
-#endif
 
 #endif // SGMS_OBS_TRACER_H

@@ -175,7 +175,7 @@ struct Simulator::Run final : EventTarget
                    ? std::make_unique<fault::FaultInjector>(cfg.faults,
                                                             &metrics)
                    : nullptr),
-          net(eq, cfg.net, /*requester=*/0, cfg.timeline, cfg.tracer,
+          net(eq, cfg.net, /*requester=*/nclients - 1, cfg.tracer,
               &metrics, finj.get()),
           gms(net, cfg.gms, /*requester=*/nclients - 1, cfg.tracer,
               &metrics),

@@ -30,7 +30,7 @@
 #include "exec/parallel_runner.h"
 #include "exec/result_cache.h"
 #include "exec/result_codec.h"
-#include "net/timeline.h"
+#include "obs/tracer.h"
 #include "sim/kernel.h"
 
 namespace sgms
@@ -853,11 +853,11 @@ TEST(Engine, ObservedRunsBypassTheCache)
 
     // Attach an observer: the cached result cannot replay its side
     // effects, so the engine must simulate — and must not store.
-    TimelineRecorder recorder;
+    obs::Tracer tracer(1 << 12);
     Experiment observed = ex;
-    observed.base.timeline = &recorder;
+    observed.base.tracer = &tracer;
     engine.run(observed);
-    EXPECT_FALSE(recorder.entries().empty());
+    EXPECT_GT(tracer.recorded(obs::SpanCategory::Net), 0u);
 
     exec::ExecStats s = engine.stats();
     EXPECT_EQ(s.points_run, 2u);

@@ -343,8 +343,6 @@ TEST(FaultSim, OutagesDegradeToDiskAndRecover)
     EXPECT_GT(metric_value(r, "gms.degraded_fetches"), 0.0);
 }
 
-#if SGMS_OBS_TRACING
-
 TEST(FaultSim, RetryAndDegradationSpansAppearInTrace)
 {
     obs::Tracer tracer;
@@ -372,8 +370,6 @@ TEST(FaultSim, RetryAndDegradationSpansAppearInTrace)
     EXPECT_TRUE(saw_fault_instant);
     EXPECT_TRUE(saw_degraded);
 }
-
-#endif // SGMS_OBS_TRACING
 
 } // namespace
 } // namespace sgms

@@ -418,45 +418,37 @@ TEST(OrderList, ClockMatchesReferenceModel)
 
 TEST(OrderList, OverflowPagesBeyondDenseLimit)
 {
-    // Page ids above the dense limit (1<<17) exercise the hash path.
-    order_property_check("lru", /*page_base=*/1ULL << 40);
-}
-
-TEST(OrderList, MixedDenseAndOverflowIds)
-{
-    PageOrderList list;
-    PageId dense = 5;
-    PageId sparse = (1ULL << 30) + 3;
-    list.push_back(dense);
-    list.push_back(sparse);
-    EXPECT_TRUE(list.contains(dense));
-    EXPECT_TRUE(list.contains(sparse));
-    list.remove(dense);
-    list.push_back(dense);
-    EXPECT_EQ(list.pop_front(), sparse);
-    EXPECT_EQ(list.pop_front(), dense);
-    EXPECT_TRUE(list.empty());
+    // Page ids above the page table's dense limit (1<<17) exercise
+    // its hash path under every policy.
+    for (const char *name : {"lru", "fifo", "clock"}) {
+        SCOPED_TRACE(name);
+        order_property_check(name, /*page_base=*/1ULL << 40);
+    }
 }
 
 TEST(OrderList, SteadyChurnDoesNotAllocate)
 {
-    // Reserving the table reserves LRU's queue and heap with it.
-    PageTable pt(PageGeometry(8192, 1024), /*capacity=*/1024, "lru");
-    pt.reserve(1024);
-    uint64_t clock = 0;
-    for (PageId p = 0; p < 1024; ++p)
-        pt.install(p, ++clock);
-    Rng rng{7};
-    uint64_t before = alloc_probe_count();
-    for (int i = 0; i < 50000; ++i) {
-        if (PageTable::Frame *f = pt.find(rng.next() % 1024))
-            f->last_touch = ++clock;
-        if (i % 16 == 0) {
-            PageId v = pt.evict();
-            pt.install(v, ++clock); // reuses the freed slots
+    // Reserving the table reserves LRU's queue and heap, and FIFO's
+    // queue, with it.
+    for (const char *name : {"lru", "fifo"}) {
+        SCOPED_TRACE(name);
+        PageTable pt(PageGeometry(8192, 1024), /*capacity=*/1024, name);
+        pt.reserve(1024);
+        uint64_t clock = 0;
+        for (PageId p = 0; p < 1024; ++p)
+            pt.install(p, ++clock);
+        Rng rng{7};
+        uint64_t before = alloc_probe_count();
+        for (int i = 0; i < 50000; ++i) {
+            if (PageTable::Frame *f = pt.find(rng.next() % 1024))
+                f->last_touch = ++clock;
+            if (i % 16 == 0) {
+                PageId v = pt.evict();
+                pt.install(v, ++clock); // reuses the freed slots
+            }
         }
+        EXPECT_EQ(alloc_probe_count(), before);
     }
-    EXPECT_EQ(alloc_probe_count(), before);
 }
 
 // ---------------------------------------------------------------

@@ -5,9 +5,10 @@
  * windows they hand the reference loop, N=1 result bytes pinned by
  * digest, dense and overflow page ids, same-seed determinism at larger
  * client counts (including through the exec engine at any --jobs /
- * --workers), emergent contention, fault-injection interaction, and
- * zero steady-state allocations: fast-path hits at N=256 and
- * fault-bound runs at N=1.
+ * --workers), emergent contention, the requester and server tracks
+ * of every node's Net spans, fault-injection interaction, and zero
+ * steady-state allocations: fast-path hits at N=256 and fault-bound
+ * runs at N=1.
  *
  * This binary installs the allocation probe (common/alloc_probe.h).
  */
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "exec/result_cache.h"
 #include "exec/result_codec.h"
 #include "fault/fault_plan.h"
+#include "obs/tracer.h"
 #include "sim/event_queue.h"
 #include "sim/kernel.h"
 #include "trace/apps.h"
@@ -594,6 +597,36 @@ TEST(MultiClient, ContentionIsEmergent)
     // Shared-wire accounting shows cross-client traffic.
     EXPECT_GE(sixteen.net_stats.messages,
               16 * one.net_stats.messages);
+}
+
+TEST(MultiClient, EveryClientTracesOnRequesterStages)
+{
+    // Clients sit at nodes 0..N-1 and servers from node N, so every
+    // client's CPU and DMA spans belong on the requester tracks and
+    // every server's on the server tracks.
+    SimConfig cfg = mc_config("eager");
+    obs::Tracer tracer(1 << 16);
+    cfg.tracer = &tracer;
+    run_multi(cfg, 2);
+    const std::set<std::string> client_tracks = {"Req-CPU", "Req-DMA",
+                                                 "Wire"};
+    const std::set<std::string> server_tracks = {"Srv-CPU", "Srv-DMA",
+                                                 "Wire"};
+    uint64_t wrong = 0;
+    std::set<std::pair<int64_t, std::string>> seen;
+    for (const obs::Span &s : tracer.spans()) {
+        if (s.cat != obs::SpanCategory::Net)
+            continue;
+        seen.insert({s.arg0, s.track});
+        const auto &allowed = s.arg0 < 2 ? client_tracks : server_tracks;
+        wrong += allowed.count(s.track) == 0;
+    }
+    EXPECT_EQ(wrong, 0u);
+    for (int64_t node : {0, 1}) {
+        EXPECT_TRUE(seen.count({node, "Req-CPU"})) << node;
+        EXPECT_TRUE(seen.count({node, "Req-DMA"})) << node;
+    }
+    EXPECT_TRUE(seen.count({2, "Srv-CPU"}));
 }
 
 // ---------------------------------------------------------------

@@ -12,13 +12,14 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "fault/fault_injector.h"
 #include "net/network.h"
 #include "net/resource.h"
-#include "net/timeline.h"
+#include "obs/tracer.h"
 #include "sim/event_queue.h"
 #include "stage_log.h"
 
@@ -31,7 +32,8 @@ struct RandomTrafficResult
 {
     uint64_t sent = 0;
     uint64_t delivered = 0;
-    std::vector<TimelineEntry> timeline;
+    /** The Net spans of every stage occupancy. */
+    std::vector<obs::Span> timeline;
     std::vector<Tick> delivery_times;
 };
 
@@ -42,8 +44,8 @@ run_random_traffic(uint64_t seed, bool preemption, int messages)
     NetParams params = NetParams::an2();
     params.preemptive_demand = preemption;
     params.priority_scheduling = true;
-    TimelineRecorder rec;
-    Network net(eq, params, 0, &rec);
+    obs::Tracer tracer(1 << 14);
+    Network net(eq, params, 0, &tracer);
     Rng rng(seed);
 
     RandomTrafficResult out;
@@ -84,7 +86,8 @@ run_random_traffic(uint64_t seed, bool preemption, int messages)
                        }});
     }
     eq.run_all();
-    out.timeline = rec.entries();
+    EXPECT_EQ(tracer.dropped(), 0u);
+    out.timeline = tracer.spans();
     return out;
 }
 
@@ -105,18 +108,15 @@ TEST_P(NetProperty, StageOccupanciesNeverOverlap)
 {
     for (bool preempt : {false, true}) {
         auto r = run_random_traffic(GetParam(), preempt, 400);
-        // Group timeline entries by (component, node); within each
+        // Group Net spans by (component track, node); within each
         // resource, busy intervals must not overlap.
-        std::map<std::pair<int, NodeId>, std::vector<TimelineEntry>>
+        std::map<std::pair<std::string, int64_t>, std::vector<obs::Span>>
             by_resource;
-        for (const auto &e : r.timeline) {
-            by_resource[{static_cast<int>(e.comp), e.node}].push_back(
-                e);
-        }
+        for (const auto &e : r.timeline)
+            by_resource[{e.track, e.arg0}].push_back(e);
         for (auto &[key, entries] : by_resource) {
             std::sort(entries.begin(), entries.end(),
-                      [](const TimelineEntry &a,
-                         const TimelineEntry &b) {
+                      [](const obs::Span &a, const obs::Span &b) {
                           return a.start < b.start;
                       });
             for (size_t i = 1; i < entries.size(); ++i) {
@@ -152,8 +152,7 @@ TEST_P(NetProperty, MessagesAreConservedPerKindUnderFaults)
     plan.duplicate_prob = 0.05;
     fault::FaultInjector finj(plan);
     EventQueue eq;
-    Network net(eq, NetParams::an2(), 0, nullptr, nullptr, nullptr,
-                &finj);
+    Network net(eq, NetParams::an2(), 0, nullptr, nullptr, &finj);
     Rng rng(GetParam());
     uint64_t callbacks = 0;
     bool saw_in_flight = false;
@@ -203,21 +202,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, NetProperty,
 
 /** Per resource, the sum of the recorded busy intervals. */
 Tick
-recorded_busy(const TimelineRecorder &rec)
+recorded_busy(const obs::Tracer &tracer)
 {
     Tick sum = 0;
-    for (const TimelineEntry &e : rec.entries())
-        sum += e.end - e.start;
+    for (const obs::Span &e : tracer.spans())
+        sum += e.duration();
     return sum;
 }
 
 TEST(Preemption, DemandPreemptsInFlightBackground)
 {
     EventQueue eq;
-    TimelineRecorder rec;
+    obs::Tracer tracer(16);
     test::StageLog log;
-    StageResource res(eq, log, Component::Wire, 0, &rec,
-                      /*preemption=*/true);
+    StageResource res(eq, log, Component::Wire, 0, /*preemption=*/true,
+                      &tracer);
     // Long background item starts at t=0 (duration 1000).
     res.submit(0, 1000, 0, 1, MsgKind::BackgroundData, 1);
     // Demand item arrives at t=100 with higher priority.
@@ -232,18 +231,19 @@ TEST(Preemption, DemandPreemptsInFlightBackground)
     EXPECT_EQ(res.total_busy(), 1050);
     // The preempted item's served part [0, 100) is recorded too, so
     // the timeline accounts for every busy tick.
-    ASSERT_EQ(rec.entries().size(), 3u);
-    EXPECT_EQ(rec.entries()[0].msg_id, 1u);
-    EXPECT_EQ(rec.entries()[0].start, 0);
-    EXPECT_EQ(rec.entries()[0].end, 100);
-    EXPECT_EQ(recorded_busy(rec), res.total_busy());
+    const std::vector<obs::Span> spans = tracer.spans();
+    ASSERT_EQ(spans.size(), 3u);
+    EXPECT_EQ(spans[0].id, 1u);
+    EXPECT_EQ(spans[0].start, 0);
+    EXPECT_EQ(spans[0].end, 100);
+    EXPECT_EQ(recorded_busy(tracer), res.total_busy());
 }
 
 TEST(Preemption, DisabledMeansFifo)
 {
     EventQueue eq;
     test::StageLog log;
-    StageResource res(eq, log, Component::Wire, 0, nullptr,
+    StageResource res(eq, log, Component::Wire, 0,
                       /*preemption=*/false);
     res.submit(0, 1000, 0, 1, MsgKind::BackgroundData, 1);
     eq.schedule(100, [&] {
@@ -258,7 +258,7 @@ TEST(Preemption, DemandNeverPreemptsDemand)
 {
     EventQueue eq;
     test::StageLog log;
-    StageResource res(eq, log, Component::Wire, 0, nullptr, true);
+    StageResource res(eq, log, Component::Wire, 0, true);
     res.submit(0, 1000, 2, 1, MsgKind::DemandData, 1);
     eq.schedule(100, [&] {
         res.submit(100, 50, 3, 2, MsgKind::Request, 2);
@@ -271,9 +271,9 @@ TEST(Preemption, DemandNeverPreemptsDemand)
 TEST(Preemption, RepeatedPreemptionResumesCorrectly)
 {
     EventQueue eq;
-    TimelineRecorder rec;
+    obs::Tracer tracer(16);
     test::StageLog log;
-    StageResource res(eq, log, Component::Wire, 0, &rec, true);
+    StageResource res(eq, log, Component::Wire, 0, true, &tracer);
     res.submit(0, 1000, 0, 1, MsgKind::BackgroundData, 1);
     for (Tick t : {100, 300, 500}) {
         eq.schedule(t, [&, t] {
@@ -287,7 +287,7 @@ TEST(Preemption, RepeatedPreemptionResumesCorrectly)
     EXPECT_EQ(log.ends(), (std::vector<std::pair<uint32_t, Tick>>{
                               {110, 150}, {310, 350}, {510, 550},
                               {1, 1150}}));
-    EXPECT_EQ(recorded_busy(rec), res.total_busy());
+    EXPECT_EQ(recorded_busy(tracer), res.total_busy());
 }
 
 TEST(Preemption, StaleCompletionOnALiveTick)
@@ -297,7 +297,7 @@ TEST(Preemption, StaleCompletionOnALiveTick)
     // generation it carries, not its time, may tell the two apart.
     EventQueue eq;
     test::StageLog log;
-    StageResource res(eq, log, Component::Wire, 0, nullptr, true);
+    StageResource res(eq, log, Component::Wire, 0, true);
     // Background [0, 1000): its completion is scheduled for t=1000.
     res.submit(0, 1000, 0, 1, MsgKind::BackgroundData, 1);
     // Scheduled after that completion, for the same tick.
@@ -326,7 +326,7 @@ TEST(Preemption, QueuedBackgroundResumeOrderStable)
 {
     EventQueue eq;
     test::StageLog log;
-    StageResource res(eq, log, Component::Wire, 0, nullptr, true);
+    StageResource res(eq, log, Component::Wire, 0, true);
     res.submit(0, 100, 0, 1, MsgKind::BackgroundData, 1);
     res.submit(0, 100, 0, 2, MsgKind::BackgroundData, 2);
     eq.schedule(50, [&] {

@@ -21,7 +21,7 @@
 #include "net/network.h"
 #include "net/params.h"
 #include "net/resource.h"
-#include "net/timeline.h"
+#include "obs/tracer.h"
 #include "policy/fetch_policy.h"
 #include "sim/event_queue.h"
 #include "sim/kernel.h"
@@ -106,7 +106,7 @@ TEST(StageResource, SerializesWork)
 {
     EventQueue eq;
     test::StageLog log;
-    StageResource res(eq, log, Component::Wire, 0, nullptr);
+    StageResource res(eq, log, Component::Wire, 0);
     res.submit(0, 100, 0, 1, MsgKind::DemandData, 1);
     res.submit(0, 50, 0, 2, MsgKind::DemandData, 2);
     eq.run_all();
@@ -123,7 +123,7 @@ TEST(StageResource, PriorityAmongQueued)
 {
     EventQueue eq;
     test::StageLog log;
-    StageResource res(eq, log, Component::Wire, 0, nullptr);
+    StageResource res(eq, log, Component::Wire, 0);
     res.submit(0, 100, 0, 1, MsgKind::BackgroundData, 1);
     // Both queued while item 1 runs; the high-priority one (3) must
     // be served before the earlier-submitted low-priority one (2).
@@ -136,17 +136,24 @@ TEST(StageResource, PriorityAmongQueued)
 TEST(StageResource, RecordsTimeline)
 {
     EventQueue eq;
-    TimelineRecorder rec;
+    obs::Tracer tracer(16);
     test::StageLog log;
-    StageResource res(eq, log, Component::SrvDma, 7, &rec);
+    StageResource res(eq, log, Component::SrvDma, 7,
+                      /*preemption=*/false, &tracer);
     res.submit(5, 20, 0, 42, MsgKind::DemandData, /*slot=*/3,
                /*stage=*/1);
     eq.run_all();
-    ASSERT_EQ(rec.entries().size(), 1u);
-    const auto &e = rec.entries()[0];
-    EXPECT_EQ(e.comp, Component::SrvDma);
-    EXPECT_EQ(e.node, 7u);
-    EXPECT_EQ(e.msg_id, 42u);
+    // One Net span: track = component, arg0 = node, id = message,
+    // name and arg1 = message kind.
+    const std::vector<obs::Span> spans = tracer.spans();
+    ASSERT_EQ(spans.size(), 1u);
+    const obs::Span &e = spans[0];
+    EXPECT_EQ(e.cat, obs::SpanCategory::Net);
+    EXPECT_STREQ(e.track, component_name(Component::SrvDma));
+    EXPECT_EQ(e.arg0, 7);
+    EXPECT_EQ(e.id, 42u);
+    EXPECT_STREQ(e.name, msg_kind_name(MsgKind::DemandData));
+    EXPECT_EQ(e.arg1, static_cast<int64_t>(MsgKind::DemandData));
     EXPECT_EQ(e.start, 5);
     EXPECT_EQ(e.end, 25);
     // The completion hands back the slot and stage it was given.
@@ -514,13 +521,18 @@ TEST_F(NetworkFixture, PrototypePipelinedRecvCostMatchesPaper)
 
 TEST_F(NetworkFixture, TimelineCapturesAllComponents)
 {
-    TimelineRecorder rec;
-    Network net(eq, params, 0, &rec);
+    obs::Tracer tracer(16);
+    Network net(eq, params, 0, &tracer);
     net.send(0, {1, 0, 8192, MsgKind::DemandData, false, nullptr});
     eq.run_all();
     bool seen[5] = {};
-    for (const auto &e : rec.entries())
-        seen[static_cast<int>(e.comp)] = true;
+    for (const obs::Span &e : tracer.spans()) {
+        for (int c = 0; c < 5; ++c) {
+            if (std::string(e.track) ==
+                component_name(static_cast<Component>(c)))
+                seen[c] = true;
+        }
+    }
     EXPECT_TRUE(seen[static_cast<int>(Component::SrvCpu)]);
     EXPECT_TRUE(seen[static_cast<int>(Component::SrvDma)]);
     EXPECT_TRUE(seen[static_cast<int>(Component::Wire)]);

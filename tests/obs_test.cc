@@ -249,10 +249,6 @@ TEST(Tracer, RingOverflowDropsOldest)
     EXPECT_EQ(tr.dropped(), 0u);
 }
 
-// The sim-driven span tests require the instrumentation macros to be
-// compiled in (SGMS_ENABLE_TRACING=ON, the default).
-#if SGMS_OBS_TRACING
-
 TEST(Tracer, SimRunRecordsEveryCategory)
 {
     obs::Tracer tracer;
@@ -321,8 +317,6 @@ TEST(Tracer, FaultTimelineMentionsFaults)
     EXPECT_NE(os.str().find("fault"), std::string::npos);
     EXPECT_NE(os.str().find("demand"), std::string::npos);
 }
-
-#endif // SGMS_OBS_TRACING
 
 TEST(Metrics, RegistryFindsAndSnapshots)
 {
