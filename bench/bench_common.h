@@ -134,9 +134,10 @@ progress_printer()
 
 /**
  * Observability wiring for a bench: parse --trace-out / --metrics /
- * --debug-flags / ... from its command line. Also honors
- * --trace-dir=DIR (SGMS_TRACE_DIR env), pointing the trace store's
- * mapped tier at DIR so every bench can replay baked traces.
+ * ... from its command line. Also honors --trace-dir=DIR
+ * (SGMS_TRACE_DIR env), pointing the trace store's mapped tier at DIR
+ * so every bench can replay baked traces. A bench using this reads no
+ * other flag, so any other option is fatal.
  */
 inline obs::ObsSession
 obs_session(int argc, char **argv)
@@ -144,7 +145,9 @@ obs_session(int argc, char **argv)
     Options opts(argc, argv);
     if (opts.has("trace-dir"))
         trace_store_set_dir(opts.get("trace-dir"));
-    return obs::ObsSession(opts);
+    obs::ObsSession obs(opts);
+    opts.reject_unused();
+    return obs;
 }
 
 /**

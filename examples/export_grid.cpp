@@ -8,9 +8,8 @@
  *               [--subpages=1024,2048] [--mems=half,quarter]
  *               [--clients=1,16,..] [--metrics-per-client]
  *               [--scale=S] [--json=FILE] [--csv=FILE]
- *               [--jobs=N] [--workers=N] [--point-timeout=MS]
- *               [--cache-dir=DIR] [--no-cache] [--cache-max-mb=N]
- *               [--cache-gc] [--trace-bin=FILE] [--trace-dir=DIR]
+ *               [--jobs=N] [--workers=N] [--cache-dir=DIR]
+ *               [--no-cache] [--trace-bin=FILE] [--trace-dir=DIR]
  *               [--config-overrides...]
  *
  * Defaults reproduce the Figure 9 grid (all apps, fullpage + eager +
@@ -18,14 +17,12 @@
  *
  * --jobs=N shards the grid across N worker threads (0 = all cores;
  * SGMS_JOBS env). --workers=N forks N worker *processes* instead
- * (SGMS_WORKERS env), which additionally buys a per-point watchdog
- * (--point-timeout=MS) and crash isolation. Either way, output is
- * byte-identical to --jobs=1: results are merged back into serial
- * grid order, and the progress lines are mutex-guarded (they may
- * print in completion order). --cache-dir enables the content-
- * addressed result cache, so a re-run recomputes only points whose
- * configuration changed; --cache-max-mb bounds the cache directory
- * with LRU eviction, and --cache-gc runs one eviction pass up front.
+ * (SGMS_WORKERS env), which additionally buys crash isolation.
+ * Either way, output is byte-identical to --jobs=1: results are
+ * merged back into serial grid order, and the progress lines are
+ * mutex-guarded (they may print in completion order). --cache-dir
+ * enables the content-addressed result cache, so a re-run recomputes
+ * only points whose configuration changed.
  *
  * --trace-bin=FILE replays a baked SGMB trace (zero-copy mmap) in
  * place of the synthetic app models; the app axis collapses to the
@@ -82,10 +79,9 @@ main(int argc, char **argv)
                     "  [--clients=1,16,..] [--metrics-per-client]"
                     "\n  [--scale=S] "
                     "[--json=FILE] [--csv=FILE] [--jobs=N] "
-                    "[--workers=N] [--point-timeout=MS]\n"
+                    "[--workers=N]\n"
                     "  [--cache-dir=DIR] [--no-cache] "
-                    "[--cache-max-mb=N] [--cache-gc]\n"
-                    "  [--trace-bin=FILE] [--trace-dir=DIR] "
+                    "[--trace-bin=FILE] [--trace-dir=DIR] "
                     "[overrides]\n"
                     "%s\n%s\n",
                     config_override_help(), exec::ExecOptions::help());

@@ -66,8 +66,7 @@ main(int argc, char **argv)
     // the override layer; re-assert them.
     ex.base.policy = ex.policy;
 
-    for (const auto &typo : opts.unused())
-        warn("unrecognized option --%s (see --help)", typo.c_str());
+    opts.reject_unused();
 
     std::printf("app=%s policy=%s (%s) mem=%s scale=%g footprint=%llu "
                 "pages\n",

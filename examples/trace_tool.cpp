@@ -19,7 +19,7 @@
  *       the payload hash (exit 1 on a mismatch)
  *   trace_tool sim <file> [policy] [subpage] [mem_pages]
  *       simulate a trace; also takes the observability flags
- *       (--trace-out, --trace-timeline, --metrics, --debug-flags;
+ *       (--trace-out, --trace-spans, --trace-timeline, --metrics;
  *       see obs/session.h)
  *
  * Every command reads both formats (SGMB through zero-copy mmap,

@@ -7,8 +7,10 @@
 #                             SGMS_WORKERS=2 for the forked process
 #                             fleet), a multi-process byte-identity
 #                             smoke, an unknown-option smoke
-#                             (export_grid must reject a flag it
-#                             does not read), a trace_tool smoke
+#                             (export_grid must reject each retired
+#                             flag, and quickstart, policy_explorer
+#                             and fig4_breakdown --debug-flags, before
+#                             any point runs), a trace_tool smoke
 #                             (convert and bake round trips,
 #                             payload-hash check), a byte check
 #                             of Figure 2 and Table 2 against
@@ -110,14 +112,29 @@ baked=$(ls "$tmp_grid/traces"/*.sgmb | wc -l)
 echo "   mapped replay matches heap byte for byte ($baked baked files)"
 
 echo "== smoke: export_grid rejects an unknown option =="
-# A flag nothing reads (here the retired --cluster-load) must fail
-# before any point runs instead of quietly running the default grid.
-if ./build/examples/export_grid --scale=0.01 --cluster-load=0.5 \
-    >/dev/null 2>&1; then
-    echo "export_grid accepted --cluster-load"
-    exit 1
-fi
-echo "   --cluster-load rejected"
+# A flag nothing reads (here retired ones) must fail before any point
+# runs instead of quietly running the default grid, and the error
+# must name the flag.
+rejects() { # rejects FLAG CMD...: CMD FLAG must fail on FLAG
+    local flag=$1 err
+    shift
+    if err=$("$@" "$flag" 2>&1 >/dev/null); then
+        echo "$1 accepted $flag"
+        exit 1
+    fi
+    grep -qF -- "unknown or unused option ${flag%%=*}" <<<"$err" ||
+        { echo "$1 failed on $flag without naming it: $err"; exit 1; }
+}
+for flag in --cluster-load=0.5 --point-timeout=1 --cache-max-mb=1 \
+    --cache-gc --debug-flags=Net; do
+    rejects "$flag" ./build/examples/export_grid --scale=0.01
+done
+for tool in examples/quickstart examples/policy_explorer \
+    bench/fig4_breakdown; do
+    rejects --debug-flags=Net "./build/$tool"
+done
+echo "   retired flags rejected by export_grid, quickstart," \
+    "policy_explorer and fig4_breakdown"
 
 echo "== smoke: trace_tool gen / convert / bake / info =="
 # gen -> SGMB -> text -> SGMB (with the same provenance) must give

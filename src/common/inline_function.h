@@ -20,11 +20,6 @@
 #include <new>
 #include <type_traits>
 #include <utility>
-#ifdef SGMS_DEBUG_FALLBACK
-#include <cstdio>
-#include <execinfo.h>
-#include <typeinfo>
-#endif
 
 namespace sgms
 {
@@ -73,14 +68,6 @@ class InlineFunction<R(Args...), N>
             ops_ = &heap_ops<Fn>;
             detail::inline_fn_heap_fallbacks.fetch_add(
                 1, std::memory_order_relaxed);
-#ifdef SGMS_DEBUG_FALLBACK
-            std::fprintf(stderr, "FALLBACK sizeof=%zu align=%zu nothrow=%d type=%s\n",
-                         sizeof(Fn), alignof(Fn),
-                         (int)std::is_nothrow_move_constructible_v<Fn>,
-                         typeid(Fn).name());
-            void *bt[16]; int n = backtrace(bt, 16);
-            backtrace_symbols_fd(bt, n, 2);
-#endif
         }
     }
 

@@ -1,8 +1,10 @@
 #include "common/logging.h"
 
 #include <atomic>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 
 namespace sgms
 {
@@ -13,22 +15,18 @@ namespace
 // output lock; the lock still serializes the actual printing.
 std::atomic<bool> quiet_mode{false};
 
+/** Serializes all log output, keeping concurrent lines atomic. */
+std::mutex log_mutex;
+
 void
 vreport(const char *level, const char *fmt, va_list ap)
 {
-    std::lock_guard<std::mutex> lock(log_mutex());
+    std::lock_guard<std::mutex> lock(log_mutex);
     std::fprintf(stderr, "%s: ", level);
     std::vfprintf(stderr, fmt, ap);
     std::fprintf(stderr, "\n");
 }
 } // namespace
-
-std::mutex &
-log_mutex()
-{
-    static std::mutex mutex;
-    return mutex;
-}
 
 bool
 set_quiet(bool quiet)

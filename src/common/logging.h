@@ -12,9 +12,6 @@
 #ifndef SGMS_COMMON_LOGGING_H
 #define SGMS_COMMON_LOGGING_H
 
-#include <cstdarg>
-#include <mutex>
-
 namespace sgms
 {
 
@@ -37,12 +34,6 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
  * Returns the previous setting so callers can restore it.
  */
 bool set_quiet(bool quiet);
-
-/**
- * The lock serializing all log output (also used by obs/debug.h's
- * SGMS_DPRINTF), keeping concurrent lines atomic.
- */
-std::mutex &log_mutex();
 
 /** Helper for SGMS_ASSERT; panics with file/line context. */
 [[noreturn]] void assert_fail(const char *expr, const char *file, int line);

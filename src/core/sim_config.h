@@ -122,16 +122,6 @@ struct SimConfig
     size_t footprint_pages_hint = 0;
 
     /**
-     * Wall-clock budget for one run in milliseconds; 0 = unlimited.
-     * Checked at trace-batch boundaries: when exceeded, the run
-     * aborts with SimTimeoutError (sim/kernel.h) so the
-     * execution engine can degrade the point instead of hanging a
-     * sweep. Affects only whether a result is produced, never its
-     * contents, and is excluded from the result-cache fingerprint.
-     */
-    uint64_t wall_budget_ms = 0;
-
-    /**
      * Optional span tracer (obs/tracer.h): records fault, network-
      * stage, GMS, and block spans in simulated time for Chrome-trace
      * export. Null disables tracing (the default; instrumentation

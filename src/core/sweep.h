@@ -65,9 +65,9 @@ struct SweepSpec
  * subpage list.
  *
  * Execution is governed by the environment (SGMS_JOBS, SGMS_WORKERS,
- * SGMS_POINT_TIMEOUT_MS, SGMS_CACHE, SGMS_CACHE_DIR,
- * SGMS_CACHE_MAX_MB — see exec/exec_options.h); the default is the
- * serial fast path. Results always come back in serial grid order.
+ * SGMS_CACHE, SGMS_CACHE_DIR — see exec/exec_options.h); the default
+ * is the serial fast path. Results always come back in serial grid
+ * order.
  *
  * Progress-callback CONTRACT: @p progress, if set, fires exactly
  * once per point, before that point runs — but when jobs > 1 it

@@ -49,11 +49,8 @@ ExecOptions::from_env()
     // there is no env spelling for "all cores as processes", since a
     // stray variable must never silently fork a fleet.
     eo.workers = fit_count(env_u64("SGMS_WORKERS", 0), "SGMS_WORKERS");
-    eo.point_timeout_ms = env_u64("SGMS_POINT_TIMEOUT_MS", 0);
     eo.cache_dir = env_string("SGMS_CACHE_DIR", eo.cache_dir);
     eo.cache_enabled = env_u64("SGMS_CACHE", 0) != 0;
-    eo.cache_max_bytes =
-        env_u64("SGMS_CACHE_MAX_MB", 0) * 1024 * 1024;
     return eo;
 }
 
@@ -68,20 +65,12 @@ ExecOptions::from_options(const Options &opts)
         eo.workers =
             resolve_jobs(opts.get_u64("workers", 0), "--workers");
     }
-    if (opts.has("point-timeout"))
-        eo.point_timeout_ms = opts.get_u64("point-timeout", 0);
     if (opts.has("cache-dir")) {
         eo.cache_dir = opts.get("cache-dir", eo.cache_dir);
         eo.cache_enabled = true;
     }
     if (opts.get_bool("no-cache"))
         eo.cache_enabled = false;
-    if (opts.has("cache-max-mb")) {
-        eo.cache_max_bytes =
-            opts.get_u64("cache-max-mb", 0) * 1024 * 1024;
-    }
-    if (opts.get_bool("cache-gc"))
-        eo.cache_gc = true;
     return eo;
 }
 
@@ -90,11 +79,8 @@ ExecOptions::help()
 {
     return "execution: --jobs=N (0=all cores; SGMS_JOBS) "
            "--workers=N (forked processes; SGMS_WORKERS)\n"
-           "  --point-timeout=MS (watchdog; SGMS_POINT_TIMEOUT_MS) "
-           "--cache-dir=DIR (SGMS_CACHE_DIR; implies cache on)\n"
-           "  --no-cache (SGMS_CACHE=1 enables; default off) "
-           "--cache-max-mb=N (LRU bound; SGMS_CACHE_MAX_MB) "
-           "--cache-gc";
+           "  --cache-dir=DIR (SGMS_CACHE_DIR; implies cache on) "
+           "--no-cache (SGMS_CACHE=1 enables; default off)";
 }
 
 } // namespace sgms::exec

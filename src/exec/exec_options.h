@@ -14,26 +14,14 @@
  *                   serial path at any worker count.
  *                   A thread or process count that does not fit an
  *                   `unsigned` is fatal, on the flag and in the env.
- *   --point-timeout=MS  per-point wall-clock budget. In workers mode
- *                   a point over budget has its worker killed; in
- *                   serial/thread mode the simulator checks the
- *                   budget cooperatively at trace-batch boundaries
- *                   and aborts the point. Either way the point is
- *                   surfaced as the same deterministic degraded
- *                   result and counted in exec.timeouts. Env:
- *                   SGMS_POINT_TIMEOUT_MS. Default 0 (no watchdog).
  *   --cache-dir=D   result-cache directory; giving it enables the
  *                   cache. Env: SGMS_CACHE_DIR. Default .sgms-cache/.
  *   --no-cache      disable the result cache for this run.
  *   SGMS_CACHE=1    enable the cache (0 disables); default off, so a
  *                   code change without a schema bump can never
  *                   silently serve stale results to a casual run.
- *   --cache-max-mb=N  size bound for the cache directory; least-
- *                   recently-used blobs are evicted after each store
- *                   to keep the directory under N MiB. Env:
- *                   SGMS_CACHE_MAX_MB. Default 0 (unbounded).
- *   --cache-gc      run one eviction pass at engine construction,
- *                   even when caching is off for the run.
+ *                   The cache is unbounded: delete the directory to
+ *                   reclaim its space.
  *
  * Benches (bench/bench_common.h) run under env control alone, so
  * `SGMS_JOBS=8 SGMS_CACHE=1 ./build/bench/fig9_summary` parallelizes
@@ -43,7 +31,6 @@
 #ifndef SGMS_EXEC_EXEC_OPTIONS_H
 #define SGMS_EXEC_EXEC_OPTIONS_H
 
-#include <cstdint>
 #include <string>
 
 #include "common/options.h"
@@ -62,34 +49,21 @@ struct ExecOptions
     /** Forked worker processes; 0 = in-process (threads/serial). */
     unsigned workers = 0;
 
-    /**
-     * Per-point wall-clock budget (all modes; cooperative outside
-     * workers mode); 0 = none.
-     */
-    uint64_t point_timeout_ms = 0;
-
     /** Consult/populate the on-disk result cache. */
     bool cache_enabled = false;
 
     /** Blob directory for the result cache. */
     std::string cache_dir = ".sgms-cache";
 
-    /** Cache directory size bound in bytes; 0 = unbounded. */
-    uint64_t cache_max_bytes = 0;
-
-    /** Run one eviction pass up front, even with caching off. */
-    bool cache_gc = false;
-
     /**
      * Environment layer only (SGMS_JOBS, SGMS_WORKERS,
-     * SGMS_POINT_TIMEOUT_MS, SGMS_CACHE[_DIR], SGMS_CACHE_MAX_MB).
+     * SGMS_CACHE[_DIR]).
      */
     static ExecOptions from_env();
 
     /**
      * Flags layered over the environment: --jobs, --workers,
-     * --point-timeout, --cache-dir, --no-cache, --cache-max-mb,
-     * --cache-gc (see file header).
+     * --cache-dir, --no-cache (see file header).
      */
     static ExecOptions from_options(const Options &opts);
 

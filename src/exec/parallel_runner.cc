@@ -7,7 +7,6 @@
 
 #include "common/logging.h"
 #include "exec/supervisor.h"
-#include "sim/kernel.h"
 
 namespace sgms::exec
 {
@@ -28,12 +27,13 @@ has_observers(const Experiment &ex)
 }
 
 /**
- * Stand-in result for a point the fleet could not finish (watchdog
- * kill or repeated crash). Identity fields are filled from the spec
- * alone — no footprint computation, the point may be the very thing
- * that hangs — all measurements stay zero, and an `exec.degraded`
- * counter marks it for downstream consumers. Pure function of the
- * experiment, so reruns stay deterministic.
+ * Stand-in result for a point the fleet could not finish (its worker
+ * died on every attempt, or its blob did not decode). Identity fields
+ * are filled from the spec alone — no footprint computation, the
+ * point may be the very thing that crashes — all measurements stay
+ * zero, and an `exec.degraded` counter marks it for downstream
+ * consumers. Pure function of the experiment, so reruns stay
+ * deterministic.
  */
 SimResult
 degraded_result(const Experiment &ex)
@@ -95,42 +95,11 @@ Engine::Engine(ExecOptions opts) : opts_(opts)
 {
     if (opts_.jobs == 0)
         opts_.jobs = 1;
-    if (opts_.cache_enabled) {
-        cache_ = std::make_unique<ResultCache>(
-            opts_.cache_dir, opts_.cache_max_bytes);
-    }
-    if (opts_.cache_gc) {
-        // One-shot eviction pass, honored even when caching is off
-        // for this run: `--cache-gc --no-cache` prunes a directory
-        // without touching it otherwise.
-        if (cache_) {
-            cache_->gc();
-        } else {
-            ResultCache(opts_.cache_dir, opts_.cache_max_bytes).gc();
-        }
-    }
+    if (opts_.cache_enabled)
+        cache_ = std::make_unique<ResultCache>(opts_.cache_dir);
 }
 
 Engine::~Engine() = default;
-
-SimResult
-Engine::execute_point(const Experiment &ex, bool &degraded)
-{
-    degraded = false;
-    if (opts_.point_timeout_ms > 0) {
-        Experiment budgeted = ex;
-        budgeted.base.wall_budget_ms = opts_.point_timeout_ms;
-        try {
-            return budgeted.run();
-        } catch (const SimTimeoutError &) {
-            degraded = true;
-            timeouts_.fetch_add(1, std::memory_order_relaxed);
-            points_degraded_.fetch_add(1, std::memory_order_relaxed);
-            return degraded_result(ex);
-        }
-    }
-    return ex.run();
-}
 
 SimResult
 Engine::run_point(const Experiment &ex)
@@ -141,18 +110,13 @@ Engine::run_point(const Experiment &ex)
             points_cached_.fetch_add(1, std::memory_order_relaxed);
             return std::move(*hit);
         }
-        bool degraded = false;
-        SimResult r = execute_point(ex, degraded);
-        if (!degraded) {
-            cache_->store(key, r);
-            points_run_.fetch_add(1, std::memory_order_relaxed);
-        }
+        SimResult r = ex.run();
+        cache_->store(key, r);
+        points_run_.fetch_add(1, std::memory_order_relaxed);
         return r;
     }
-    bool degraded = false;
-    SimResult r = execute_point(ex, degraded);
-    if (!degraded)
-        points_run_.fetch_add(1, std::memory_order_relaxed);
+    SimResult r = ex.run();
+    points_run_.fetch_add(1, std::memory_order_relaxed);
     return r;
 }
 
@@ -202,7 +166,6 @@ Engine::run_all_processes(const std::vector<Experiment> &points,
         Supervisor::Config cfg;
         cfg.workers = static_cast<unsigned>(
             std::min<size_t>(opts_.workers, todo.size()));
-        cfg.point_timeout_ms = opts_.point_timeout_ms;
         Supervisor sup(points, cfg);
         std::vector<Supervisor::Outcome> outcomes =
             sup.run(todo, progress);
@@ -223,7 +186,6 @@ Engine::run_all_processes(const std::vector<Experiment> &points,
         }
 
         const SupervisorStats &ss = sup.stats();
-        timeouts_.fetch_add(ss.timeouts, std::memory_order_relaxed);
         worker_crashes_.fetch_add(ss.crashes,
                                   std::memory_order_relaxed);
         worker_respawns_.fetch_add(ss.respawns,
@@ -304,7 +266,6 @@ Engine::stats() const
         points_degraded_.load(std::memory_order_relaxed);
     s.points_total =
         s.points_run + s.points_cached + s.points_degraded;
-    s.timeouts = timeouts_.load(std::memory_order_relaxed);
     s.worker_crashes =
         worker_crashes_.load(std::memory_order_relaxed);
     s.worker_respawns =
@@ -327,9 +288,7 @@ Engine::metrics_snapshot() const
     reg.counter("exec.cache_stores").inc(s.cache.stores);
     reg.counter("exec.cache_decode_failures")
         .inc(s.cache.decode_failures);
-    reg.counter("exec.cache_evictions").inc(s.cache.evictions);
     reg.counter("exec.points_degraded").inc(s.points_degraded);
-    reg.counter("exec.timeouts").inc(s.timeouts);
     reg.counter("exec.worker_crashes").inc(s.worker_crashes);
     reg.counter("exec.worker_respawns").inc(s.worker_respawns);
     reg.gauge("exec.pool_workers").set(s.workers);

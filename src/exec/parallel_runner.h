@@ -36,8 +36,8 @@
  * else crosses a pipe as (index, fingerprint) and comes back as a
  * lossless result blob into its precomputed slot — output stays
  * byte-identical to serial at any worker count. Process isolation
- * additionally buys a per-point wall-clock watchdog and crash
- * recovery; a point that times out or crashes repeatedly yields a
+ * additionally buys crash recovery: a point whose worker dies on
+ * every attempt (a fatal(), an abort, a segfault) yields a
  * *degraded* result: identity fields filled, everything else zero,
  * and an `exec.degraded` counter in its metrics. Progress fires on
  * the calling thread in this mode, exactly once per point.
@@ -77,8 +77,7 @@ struct ExecStats
     CacheStats cache;           ///< zero when the cache is disabled
 
     // Multi-process mode (all zero when opts.workers == 0).
-    uint64_t points_degraded = 0; ///< timed out or crashed points
-    uint64_t timeouts = 0;        ///< workers killed by the watchdog
+    uint64_t points_degraded = 0; ///< crashed or undecodable points
     uint64_t worker_crashes = 0;  ///< workers that died mid-point
     uint64_t worker_respawns = 0; ///< replacement workers forked
     unsigned proc_workers = 0;    ///< configured process-fleet size
@@ -118,31 +117,21 @@ class Engine
     /**
      * exec.* counters as a metrics snapshot (obs/metrics.h):
      * exec.points_run, exec.points_cached, exec.cache_stores,
-     * exec.cache_decode_failures, exec.cache_evictions,
-     * exec.points_degraded, exec.timeouts, exec.worker_crashes,
-     * exec.worker_respawns, exec.pool_workers, exec.proc_workers.
+     * exec.cache_decode_failures, exec.points_degraded,
+     * exec.worker_crashes, exec.worker_respawns, exec.pool_workers,
+     * exec.proc_workers.
      */
     std::vector<obs::MetricSample> metrics_snapshot() const;
 
     /**
      * Process-wide engine configured from the environment (SGMS_JOBS,
-     * SGMS_WORKERS, SGMS_POINT_TIMEOUT_MS, SGMS_CACHE, SGMS_CACHE_DIR,
-     * SGMS_CACHE_MAX_MB) at first use; what the benches' run_labeled
-     * routes through.
+     * SGMS_WORKERS, SGMS_CACHE, SGMS_CACHE_DIR) at first use; what
+     * the benches' run_labeled routes through.
      */
     static Engine &shared();
 
   private:
     SimResult run_point(const Experiment &ex);
-    /**
-     * Simulate @p ex, applying the cooperative wall budget when
-     * opts_.point_timeout_ms is set (serial and thread modes;
-     * the process fleet has its own SIGKILL watchdog). On budget
-     * exhaustion @p degraded is set and the deterministic degraded
-     * result shape — the same one the supervisor path produces — is
-     * returned; degraded results are never cached.
-     */
-    SimResult execute_point(const Experiment &ex, bool &degraded);
     std::vector<SimResult>
     run_all_processes(const std::vector<Experiment> &points,
                       const Progress &progress);
@@ -153,7 +142,6 @@ class Engine
     std::atomic<uint64_t> points_run_{0};
     std::atomic<uint64_t> points_cached_{0};
     std::atomic<uint64_t> points_degraded_{0};
-    std::atomic<uint64_t> timeouts_{0};
     std::atomic<uint64_t> worker_crashes_{0};
     std::atomic<uint64_t> worker_respawns_{0};
 };

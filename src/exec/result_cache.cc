@@ -1,17 +1,9 @@
 #include "exec/result_cache.h"
 
-#include <algorithm>
-#include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <vector>
 
-#include <fcntl.h>
-#include <sys/file.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/logging.h"
@@ -82,61 +74,6 @@ fnv1a(const std::string &s, uint64_t basis)
     }
     return h;
 }
-
-constexpr const char *kManifestName = "manifest.tsv";
-constexpr const char *kManifestLock = "manifest.lock";
-
-/** A temp file this old was abandoned by a killed writer. */
-constexpr int64_t kStaleTmpSeconds = 3600;
-
-bool
-is_hex_key(const std::string &stem)
-{
-    if (stem.size() != 32)
-        return false;
-    for (char c : stem) {
-        if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')))
-            return false;
-    }
-    return true;
-}
-
-int64_t
-now_ms()
-{
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::system_clock::now().time_since_epoch())
-        .count();
-}
-
-/** Holds an exclusive flock on the manifest lock file while alive. */
-class ManifestLock
-{
-  public:
-    explicit ManifestLock(const std::string &dir)
-    {
-        std::string path = dir + "/" + kManifestLock;
-        fd_ = ::open(path.c_str(), O_CREAT | O_RDWR, 0644);
-        if (fd_ < 0)
-            return;
-        while (::flock(fd_, LOCK_EX) != 0) {
-            if (errno != EINTR) {
-                ::close(fd_);
-                fd_ = -1;
-                return;
-            }
-        }
-    }
-    ~ManifestLock()
-    {
-        if (fd_ >= 0)
-            ::close(fd_); // releases the flock
-    }
-    bool held() const { return fd_ >= 0; }
-
-  private:
-    int fd_ = -1;
-};
 
 } // namespace
 
@@ -279,8 +216,7 @@ cache_key_of(const Experiment &ex)
     return key;
 }
 
-ResultCache::ResultCache(std::string dir, uint64_t max_bytes)
-    : dir_(std::move(dir)), max_bytes_(max_bytes)
+ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
 {
     if (dir_.empty())
         fatal("ResultCache needs a directory");
@@ -302,7 +238,7 @@ ResultCache::load(const CacheKey &key)
         return std::nullopt;
     }
     // One read into a string sized from the file: a blob is
-    // immutable once renamed into place, and gc only unlinks it.
+    // immutable once renamed into place.
     std::string text(static_cast<size_t>(size), '\0');
     in.seekg(0);
     in.read(text.data(), size);
@@ -313,31 +249,7 @@ ResultCache::load(const CacheKey &key)
         return std::nullopt;
     }
     hits_.fetch_add(1, std::memory_order_relaxed);
-    if (max_bytes_ > 0)
-        touch(key); // a hit refreshes the blob's LRU position
     return r;
-}
-
-void
-ResultCache::touch(const CacheKey &key)
-{
-    // A single short O_APPEND write per touch; concurrent appenders
-    // from other processes interleave at line granularity. The
-    // manifest is advisory — gc() falls back to mtimes for blobs it
-    // has no record of — so a lost line only ages a blob, never
-    // corrupts anything.
-    std::string path = dir_ + "/" + kManifestName;
-    int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND,
-                    0644);
-    if (fd < 0)
-        return;
-    std::string line =
-        key.hex() + " " + std::to_string(now_ms()) + "\n";
-    ssize_t n;
-    do {
-        n = ::write(fd, line.data(), line.size());
-    } while (n < 0 && errno == EINTR);
-    ::close(fd);
 }
 
 void
@@ -378,126 +290,6 @@ ResultCache::store(const CacheKey &key, const SimResult &r)
         return;
     }
     stores_.fetch_add(1, std::memory_order_relaxed);
-    if (max_bytes_ > 0) {
-        touch(key);
-        // Enforce the bound after every store, so the directory never
-        // sits over budget between runs.
-        gc();
-    }
-}
-
-uint64_t
-ResultCache::gc()
-{
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    if (!fs::is_directory(dir_, ec))
-        return 0; // nothing cached yet
-
-    ManifestLock lock(dir_);
-    if (!lock.held()) {
-        warn("result cache: cannot lock %s for gc", dir_.c_str());
-        return 0;
-    }
-
-    // Last-use times from the manifest; a later line wins, and the
-    // line number breaks ties between touches in the same ms.
-    struct Use
-    {
-        int64_t ms = 0;
-        uint64_t seq = 0;
-    };
-    std::map<std::string, Use> uses;
-    {
-        std::ifstream in(dir_ + "/" + kManifestName);
-        std::string hex;
-        int64_t ms;
-        uint64_t seq = 1; // adopted blobs get seq 0: oldest tiebreak
-        while (in >> hex >> ms) {
-            if (is_hex_key(hex))
-                uses[hex] = Use{ms, seq++};
-        }
-    }
-
-    struct Blob
-    {
-        std::string hex;
-        uint64_t size = 0;
-        Use use;
-    };
-    std::vector<Blob> blobs;
-    uint64_t total = 0;
-    const int64_t now_s = now_ms() / 1000;
-    for (const auto &entry : fs::directory_iterator(dir_, ec)) {
-        std::string name = entry.path().filename().string();
-        struct stat st;
-        if (::stat(entry.path().c_str(), &st) != 0)
-            continue;
-        if (name.find(".tmp.") != std::string::npos) {
-            if (now_s - static_cast<int64_t>(st.st_mtime) >
-                kStaleTmpSeconds) {
-                fs::remove(entry.path(), ec);
-            }
-            continue;
-        }
-        if (name.size() != 37 || name.substr(32) != ".json" ||
-            !is_hex_key(name.substr(0, 32))) {
-            continue; // manifest, lock file, strangers
-        }
-        Blob b;
-        b.hex = name.substr(0, 32);
-        b.size = static_cast<uint64_t>(st.st_size);
-        auto it = uses.find(b.hex);
-        if (it != uses.end()) {
-            b.use = it->second;
-        } else {
-            // Adopted: another process (or an unbounded run) wrote it
-            // without a manifest record; age it by mtime.
-            b.use.ms = static_cast<int64_t>(st.st_mtime) * 1000;
-            b.use.seq = 0;
-        }
-        total += b.size;
-        blobs.push_back(std::move(b));
-    }
-
-    std::sort(blobs.begin(), blobs.end(),
-              [](const Blob &a, const Blob &b) {
-                  if (a.use.ms != b.use.ms)
-                      return a.use.ms < b.use.ms;
-                  return a.use.seq < b.use.seq;
-              });
-
-    uint64_t evicted = 0;
-    size_t first_kept = 0;
-    if (max_bytes_ > 0) {
-        while (first_kept < blobs.size() && total > max_bytes_) {
-            const Blob &b = blobs[first_kept];
-            // unlink(2): a reader holding the blob open keeps its
-            // data; only the name goes away.
-            if (fs::remove(dir_ + "/" + b.hex + ".json", ec)) {
-                total -= b.size;
-                ++evicted;
-            }
-            ++first_kept;
-        }
-    }
-    evictions_.fetch_add(evicted, std::memory_order_relaxed);
-
-    // Compact the manifest to the survivors (atomic replace, still
-    // under the lock, so concurrent touch() appends can only be lost
-    // for this instant's races — which merely ages those blobs).
-    std::string tmp = dir_ + "/" + std::string(kManifestName) +
-                      ".tmp." + std::to_string(::getpid());
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        for (size_t i = first_kept; i < blobs.size(); ++i) {
-            out << blobs[i].hex << " " << blobs[i].use.ms << "\n";
-        }
-    }
-    std::string manifest = dir_ + "/" + kManifestName;
-    if (std::rename(tmp.c_str(), manifest.c_str()) != 0)
-        std::remove(tmp.c_str());
-    return evicted;
 }
 
 CacheStats
@@ -509,7 +301,6 @@ ResultCache::stats() const
     s.stores = stores_.load(std::memory_order_relaxed);
     s.decode_failures =
         decode_failures_.load(std::memory_order_relaxed);
-    s.evictions = evictions_.load(std::memory_order_relaxed);
     return s;
 }
 

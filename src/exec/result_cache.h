@@ -16,17 +16,13 @@
  * same directory followed by an atomic rename, so a concurrent or
  * killed run can never leave a half-written blob under a live key;
  * a corrupted or truncated blob fails to decode and reads as a miss.
+ * Any number of processes may share one directory: a blob is
+ * immutable once renamed into place, and racing writers of one key
+ * store equal bytes.
  *
- * Size-bounded eviction: with a nonzero byte bound the cache keeps a
- * small append-only manifest (`manifest.tsv`: one "hex last-use-ms"
- * line per touch) and runs gc() after every store. gc() takes an
- * exclusive flock on `manifest.lock`, merges the manifest with a
- * directory scan (untracked blobs are adopted at their mtime), then
- * unlinks least-recently-used blobs until the directory is under the
- * bound and rewrites the manifest compacted. Because eviction is
- * unlink(2), a reader that already opened a blob keeps reading it to
- * the end — a blob is never yanked mid-read. Stale temp files older
- * than an hour are swept opportunistically.
+ * The cache is unbounded and never deletes anything; a writer killed
+ * between its write and its rename leaves a `*.tmp.*` file behind.
+ * Delete the directory to reclaim its space.
  */
 
 #ifndef SGMS_EXEC_RESULT_CACHE_H
@@ -76,18 +72,13 @@ struct CacheStats
     uint64_t misses = 0;
     uint64_t stores = 0;
     uint64_t decode_failures = 0; ///< corrupted blobs read as misses
-    uint64_t evictions = 0;       ///< blobs unlinked by gc()
 };
 
 class ResultCache
 {
   public:
-    /**
-     * @param dir blob directory, created lazily on first store.
-     * @param max_bytes size bound enforced by gc(); 0 = unbounded
-     *        (gc() then only sweeps stale temp files).
-     */
-    explicit ResultCache(std::string dir, uint64_t max_bytes = 0);
+    /** @param dir blob directory, created lazily on first store. */
+    explicit ResultCache(std::string dir);
 
     /**
      * Look up @p key. Missing file, undecodable blob, and I/O errors
@@ -105,31 +96,16 @@ class ResultCache
     /** Path the blob for @p key lives at (whether or not present). */
     std::string blob_path(const CacheKey &key) const;
 
-    /**
-     * One eviction pass (see file header): unlink LRU blobs until the
-     * directory is under the byte bound, sweep stale temp files, and
-     * compact the manifest. Safe to run concurrently with readers and
-     * writers in other processes (serialized by flock).
-     * @return blobs evicted by this pass.
-     */
-    uint64_t gc();
-
     const std::string &dir() const { return dir_; }
-    uint64_t max_bytes() const { return max_bytes_; }
 
     CacheStats stats() const;
 
   private:
-    /** Append a last-use record for @p key to the manifest. */
-    void touch(const CacheKey &key);
-
     std::string dir_;
-    uint64_t max_bytes_ = 0;
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> misses_{0};
     std::atomic<uint64_t> stores_{0};
     std::atomic<uint64_t> decode_failures_{0};
-    std::atomic<uint64_t> evictions_{0};
     std::atomic<uint64_t> tmp_counter_{0};
 };
 

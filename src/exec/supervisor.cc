@@ -186,33 +186,21 @@ Supervisor::run(
         w.busy = true;
         w.index = index;
         w.attempt = attempt;
-        if (cfg_.point_timeout_ms > 0) {
-            w.deadline = std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(
-                             cfg_.point_timeout_ms);
-        }
     };
 
-    // A worker died (either by itself or by our hand) while owning a
-    // point; decide retry vs degraded outcome and refill the fleet.
-    auto handle_death = [&](Worker &w, bool timed_out) {
+    // A worker died while owning a point; decide retry vs degraded
+    // outcome and refill the fleet.
+    auto handle_death = [&](Worker &w) {
         size_t index = w.index;
         uint64_t attempt = w.attempt;
         shutdown_worker(w, /*kill_first=*/true);
-        if (timed_out) {
-            ++stats_.timeouts;
-            Outcome o;
-            o.kind = Outcome::Kind::TimedOut;
-            finish(index, std::move(o));
+        ++stats_.crashes;
+        if (attempt + 1 < cfg_.max_attempts) {
+            pending.emplace_front(index, attempt + 1);
         } else {
-            ++stats_.crashes;
-            if (attempt + 1 < cfg_.max_attempts) {
-                pending.emplace_front(index, attempt + 1);
-            } else {
-                Outcome o;
-                o.kind = Outcome::Kind::Crashed;
-                finish(index, std::move(o));
-            }
+            Outcome o;
+            o.kind = Outcome::Kind::Crashed;
+            finish(index, std::move(o));
         }
         if (!pending.empty()) {
             spawn(w);
@@ -231,32 +219,19 @@ Supervisor::run(
                 dispatch_to(w);
         }
 
-        // Wait for the earliest of: a result, or a watchdog deadline.
+        // Wait for a result (or a worker's death).
         std::vector<struct pollfd> fds;
         std::vector<size_t> fd_worker;
-        int timeout_ms = -1;
-        auto now = std::chrono::steady_clock::now();
         for (size_t wi = 0; wi < workers_.size(); ++wi) {
             Worker &w = workers_[wi];
             if (!w.busy)
                 continue;
             fds.push_back({w.result_fd, POLLIN, 0});
             fd_worker.push_back(wi);
-            if (cfg_.point_timeout_ms > 0) {
-                auto left =
-                    std::chrono::duration_cast<
-                        std::chrono::milliseconds>(w.deadline - now)
-                        .count();
-                int ms = left <= 0 ? 0
-                                   : static_cast<int>(std::min<
-                                         long long>(left, 1 << 30));
-                if (timeout_ms < 0 || ms < timeout_ms)
-                    timeout_ms = ms;
-            }
         }
         SGMS_ASSERT(!fds.empty()); // remaining > 0 implies work in flight
 
-        int rc = ::poll(fds.data(), fds.size(), timeout_ms);
+        int rc = ::poll(fds.data(), fds.size(), -1);
         if (rc < 0) {
             if (errno == EINTR)
                 continue;
@@ -302,15 +277,7 @@ Supervisor::run(
             } else {
                 // EOF, torn frame, or an off-protocol reply: the
                 // worker is gone or unusable mid-point.
-                handle_death(w, /*timed_out=*/false);
-            }
-        }
-
-        if (cfg_.point_timeout_ms > 0) {
-            now = std::chrono::steady_clock::now();
-            for (Worker &w : workers_) {
-                if (w.busy && now >= w.deadline)
-                    handle_death(w, /*timed_out=*/true);
+                handle_death(w);
             }
         }
     }

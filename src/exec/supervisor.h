@@ -10,30 +10,22 @@
  * identical point vector and only indices plus fingerprints cross the
  * pipe.
  *
- * Process isolation is what buys failure handling:
- *
- *  - per-point watchdog: with a nonzero wall-clock budget, a point
- *    still running at its deadline gets its worker SIGKILLed; the
- *    point is reported TimedOut (the engine surfaces a degraded
- *    result) and a fresh worker is forked for the remaining work.
- *    A timed-out point is NOT retried — a runaway configuration
- *    would just run away again.
- *  - crash recovery: a worker that exits mid-point (segfault, abort,
- *    _exit) is reaped, a replacement is forked, and the point is
- *    retried once on the assumption the failure was transient; a
- *    second crash on the same point reports it Crashed (degraded).
+ * Process isolation is what buys failure handling: a worker that
+ * exits mid-point (a fatal(), an abort, a segfault) is reaped, a
+ * replacement is forked, and the point is retried once on the
+ * assumption the failure was transient; a second crash on the same
+ * point reports it Crashed (the engine surfaces a degraded result).
  *
  * Results land in per-point outcome slots keyed by the serial index,
  * so completion order never affects output order. The supervisor is
- * single-threaded: dispatch, poll(2), watchdog and reaping all run on
- * the calling thread, which also keeps fork() away from any engine
+ * single-threaded: dispatch, poll(2) and reaping all run on the
+ * calling thread, which also keeps fork() away from any engine
  * worker threads.
  */
 
 #ifndef SGMS_EXEC_SUPERVISOR_H
 #define SGMS_EXEC_SUPERVISOR_H
 
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -52,7 +44,6 @@ struct SupervisorStats
 {
     uint64_t dispatched = 0; ///< task frames sent (includes retries)
     uint64_t completed = 0;  ///< points with a final outcome
-    uint64_t timeouts = 0;   ///< workers killed by the watchdog
     uint64_t crashes = 0;    ///< workers that died mid-point
     uint64_t respawns = 0;   ///< replacement workers forked
 };
@@ -64,8 +55,6 @@ class Supervisor
     {
         /** Fleet size (clamped to the number of points to run). */
         unsigned workers = 2;
-        /** Wall-clock budget per point in ms; 0 = no watchdog. */
-        uint64_t point_timeout_ms = 0;
         /** Attempts per point before it is reported Crashed. */
         unsigned max_attempts = 2;
     };
@@ -81,7 +70,6 @@ class Supervisor
         enum class Kind
         {
             Ok,          ///< result holds the worker's decoded result
-            TimedOut,    ///< killed by the watchdog
             Crashed,     ///< worker died on every attempt
             Undecodable, ///< the worker's blob did not decode (warned)
         };
@@ -122,7 +110,6 @@ class Supervisor
         bool busy = false;
         size_t index = 0;    ///< point being worked on (when busy)
         uint64_t attempt = 0;
-        std::chrono::steady_clock::time_point deadline;
     };
 
     void spawn(Worker &w);

@@ -1,7 +1,6 @@
 #include "exec/worker.h"
 
 #include <cstdlib>
-#include <thread>
 
 #include <unistd.h>
 
@@ -31,7 +30,6 @@ void
 worker_loop(int task_fd, int result_fd,
             const std::vector<Experiment> &points)
 {
-    const int64_t stall_ms = env_index("SGMS_TEST_WORKER_STALL_MS");
     const int64_t crash_once =
         env_index("SGMS_TEST_WORKER_CRASH_INDEX");
     const int64_t crash_always =
@@ -59,10 +57,6 @@ worker_loop(int task_fd, int result_fd,
             continue;
         }
 
-        if (stall_ms > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(stall_ms));
-        }
         if ((crash_once == static_cast<int64_t>(task.index) &&
              task.arg == 0) ||
             crash_always == static_cast<int64_t>(task.index)) {

@@ -14,8 +14,6 @@
  * Test hooks (read from the environment at loop start, all unset in
  * normal operation):
  *
- *   SGMS_TEST_WORKER_STALL_MS=N      sleep N ms before every point
- *                                    (drives the watchdog tests)
  *   SGMS_TEST_WORKER_CRASH_INDEX=I   _exit before replying to point
  *                                    I on its FIRST attempt only
  *                                    (drives respawn-and-retry)

@@ -1,7 +1,5 @@
 #include "gms/gms.h"
 
-#include "obs/debug.h"
-
 namespace sgms
 {
 
@@ -24,9 +22,6 @@ GmsCluster::put_page(Tick now, PageId page, uint32_t page_bytes,
             ++discards_;
             if (c_discards_)
                 c_discards_->inc();
-            SGMS_DPRINTF(Gms, "server %u full, discarding page %llu",
-                         server_of(dropped),
-                         static_cast<unsigned long long>(dropped));
             SGMS_TRACE_INSTANT(tracer_, Gms, "discard", "gms", now,
                                dropped, 0,
                                static_cast<int64_t>(server_of(dropped)));
@@ -37,9 +32,6 @@ GmsCluster::put_page(Tick now, PageId page, uint32_t page_bytes,
     ++putpages_;
     if (c_putpages_)
         c_putpages_->inc();
-    SGMS_DPRINTF(Gms, "putpage page %llu -> server %u (%u bytes)",
-                 static_cast<unsigned long long>(page), server_of(page),
-                 page_bytes);
     SGMS_TRACE_INSTANT(tracer_, Gms, "putpage", "gms", now, page,
                        static_cast<int64_t>(page_bytes),
                        static_cast<int64_t>(server_of(page)));

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "mem/page_table.h"
-#include "obs/debug.h"
 
 namespace sgms
 {
@@ -91,8 +90,6 @@ LruPolicy::victim(const PageTable &table)
             heap_push({f->last_touch, e.page}); // used since: re-key
             continue;
         }
-        SGMS_DPRINTF(Mem, "lru: evict page %llu",
-                     static_cast<unsigned long long>(e.page));
         return e.page;
     }
 }
@@ -115,8 +112,6 @@ FifoPolicy::victim(const PageTable & /* table */)
         queue_.erase(queue_.begin(), queue_.begin() + head_);
         head_ = 0;
     }
-    SGMS_DPRINTF(Mem, "fifo: evict page %llu",
-                 static_cast<unsigned long long>(page));
     return page;
 }
 
@@ -167,8 +162,6 @@ ClockPolicy::victim(const PageTable &table)
         }
         e.valid = false;
         --live_;
-        SGMS_DPRINTF(Mem, "clock: evict page %llu",
-                     static_cast<unsigned long long>(e.page));
         return e.page;
     }
 }

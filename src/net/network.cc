@@ -3,7 +3,6 @@
 #include <string>
 
 #include "fault/fault_injector.h"
-#include "obs/debug.h"
 
 namespace sgms
 {
@@ -130,8 +129,6 @@ Network::stage_done(uint32_t slot, uint8_t stage, Tick, Tick end)
         SGMS_TRACE_INSTANT(tracer_, Net, "drop", "faults", end, m.id,
                            static_cast<int64_t>(m.dst),
                            static_cast<int64_t>(m.kind));
-        SGMS_DPRINTF(Net, "msg %llu dropped on wire",
-                     static_cast<unsigned long long>(m.id));
         free_msg(slot);
         return;
     }
@@ -187,10 +184,6 @@ Network::send(Tick now, SendArgs args)
         c_bytes_->inc(args.bytes);
         c_by_kind_[static_cast<int>(args.kind)]->inc();
     }
-    SGMS_DPRINTF(Net, "inject msg %llu %s %u->%u %u bytes",
-                 static_cast<unsigned long long>(id),
-                 msg_kind_name(args.kind), args.src, args.dst,
-                 args.bytes);
 
     uint32_t slot;
     if (!free_msgs_.empty()) {
@@ -204,14 +197,8 @@ Network::send(Tick now, SendArgs args)
     m.id = id;
     m.kind = args.kind;
     m.fate = fault::MsgFate::Deliver;
-    if (faults_ && faults_->enabled()) {
+    if (faults_ && faults_->enabled())
         m.fate = faults_->fate(now, args.kind, args.src, args.dst);
-        if (m.fate != fault::MsgFate::Deliver) {
-            SGMS_DPRINTF(Net, "msg %llu fated to %s",
-                         static_cast<unsigned long long>(id),
-                         fault::msg_fate_name(m.fate));
-        }
-    }
     m.prio = priority_of(args.kind);
     m.dst = args.dst;
     Node &src = node(args.src);

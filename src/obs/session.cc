@@ -1,13 +1,11 @@
 #include "obs/session.h"
 
-#include <cstdlib>
 #include <iostream>
 
 #include "common/logging.h"
 #include "core/sim_config.h"
 #include "core/sim_result.h"
 #include "obs/chrome_trace.h"
-#include "obs/debug.h"
 #include "obs/metrics.h"
 
 namespace sgms
@@ -15,30 +13,8 @@ namespace sgms
 namespace obs
 {
 
-namespace
-{
-
-void
-apply_env_debug_flags()
-{
-    const char *env = std::getenv("SGMS_DEBUG");
-    if (env && *env)
-        set_debug_flags(parse_debug_flags(env));
-}
-
-} // namespace
-
-ObsSession::ObsSession()
-{
-    apply_env_debug_flags();
-}
-
 ObsSession::ObsSession(const Options &opts)
 {
-    apply_env_debug_flags();
-    if (opts.has("debug-flags"))
-        set_debug_flags(parse_debug_flags(opts.get("debug-flags")));
-
     trace_path_ = opts.get("trace-out");
     metrics_ = opts.get_bool("metrics");
     timeline_ = opts.has("trace-timeline");
@@ -71,11 +47,13 @@ ObsSession::finish(const SimResult &res) const
                "chrome://tracing)",
                static_cast<unsigned long long>(tracer_->size()),
                trace_path_.c_str());
-        if (tracer_->dropped()) {
-            warn("trace ring overflowed: %llu oldest spans dropped "
-                 "(raise --trace-spans)",
-                 static_cast<unsigned long long>(tracer_->dropped()));
-        }
+    }
+    // A timeline from an overflowed ring starts after the run's
+    // first faults, so say so whichever output was asked for.
+    if (tracer_ && tracer_->dropped()) {
+        warn("trace ring overflowed: %llu oldest spans dropped "
+             "(raise --trace-spans)",
+             static_cast<unsigned long long>(tracer_->dropped()));
     }
 }
 
@@ -83,9 +61,7 @@ const char *
 ObsSession::help()
 {
     return "observability: --trace-out=PATH --trace-spans=N "
-           "--trace-timeline[=N]\n  --metrics "
-           "--debug-flags=Net,Gms,Policy,Tlb,Sim,Mem|all "
-           "(or SGMS_DEBUG env)";
+           "--trace-timeline[=N] --metrics";
 }
 
 } // namespace obs

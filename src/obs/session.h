@@ -1,7 +1,7 @@
 /**
  * @file
- * Observability session: one-stop CLI wiring for tracing, metrics,
- * and debug output.
+ * Observability session: one-stop CLI wiring for tracing and
+ * metrics.
  *
  * Examples and benches construct an ObsSession from their parsed
  * Options, call configure() on the SimConfig they are about to run,
@@ -12,11 +12,10 @@
  *   --trace-spans=N       tracer ring capacity (default 1M spans)
  *   --trace-timeline[=N]  print a per-fault timeline (first N faults)
  *   --metrics             print the metrics table after the run
- *   --debug-flags=A,B     enable SGMS_DPRINTF modules (Net, Gms,
- *                         Policy, Tlb, Sim, Mem, or "all")
  *
- * The SGMS_DEBUG environment variable is an alternative spelling of
- * --debug-flags (the flag wins when both are given).
+ * The spans are the run's one event log: every network stage
+ * occupancy, fault, eviction, GMS putpage and discard, fetch timeout
+ * and fetch plan is a span or an instant.
  */
 
 #ifndef SGMS_OBS_SESSION_H
@@ -40,10 +39,6 @@ namespace obs
 class ObsSession
 {
   public:
-    /** No tracing, no metrics printing; debug flags still honor
-     *  SGMS_DEBUG. */
-    ObsSession();
-
     /** Parse the observability flags out of @p opts. */
     explicit ObsSession(const Options &opts);
 
@@ -53,7 +48,8 @@ class ObsSession
     /**
      * End-of-run reporting: print the metrics table and/or fault
      * timeline to stdout and write the Chrome trace file, as
-     * requested by the flags.
+     * requested by the flags; warn on stderr when the tracer ring
+     * dropped spans.
      */
     void finish(const SimResult &res) const;
 

@@ -27,31 +27,30 @@ span_category_name(SpanCategory c)
     return "?";
 }
 
-Tracer::Tracer(size_t capacity)
+Tracer::Tracer(size_t capacity) : capacity_(capacity)
 {
     if (capacity == 0)
         fatal("tracer: capacity must be >= 1");
-    ring_.resize(capacity);
+    ring_.reserve(capacity);
 }
 
 std::vector<Span>
 Tracer::spans() const
 {
+    // Oldest first: once the ring has wrapped, the oldest entry is
+    // at next_ (the slot about to be overwritten); before, next_ is 0.
     std::vector<Span> out;
-    out.reserve(size_);
-    // Oldest first: when the ring has wrapped, the oldest entry is
-    // at next_ (the slot about to be overwritten).
-    size_t begin = size_ < ring_.size() ? 0 : next_;
-    for (size_t i = 0; i < size_; ++i)
-        out.push_back(ring_[(begin + i) % ring_.size()]);
+    out.reserve(ring_.size());
+    out.insert(out.end(), ring_.begin() + next_, ring_.end());
+    out.insert(out.end(), ring_.begin(), ring_.begin() + next_);
     return out;
 }
 
 void
 Tracer::clear()
 {
+    ring_.clear(); // keeps the reserve
     next_ = 0;
-    size_ = 0;
     dropped_ = 0;
     std::fill(std::begin(count_by_cat_), std::end(count_by_cat_), 0);
 }

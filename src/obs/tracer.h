@@ -63,7 +63,12 @@ struct Span
     bool instant() const { return end == start; }
 };
 
-/** Bounded recorder of spans; oldest are dropped when full. */
+/**
+ * Bounded recorder of spans; oldest are dropped when full. The ring's
+ * storage is reserved up front but a slot's memory is first touched
+ * when a span is written into it, so a large ring costs resident
+ * memory only for the spans a run records.
+ */
 class Tracer
 {
   public:
@@ -77,21 +82,15 @@ class Tracer
            Tick start, Tick end, uint64_t id = 0, int64_t arg0 = 0,
            int64_t arg1 = 0)
     {
-        Span &s = ring_[next_];
-        s.cat = cat;
-        s.name = name;
-        s.track = track;
-        s.start = start;
-        s.end = end;
-        s.id = id;
-        s.arg0 = arg0;
-        s.arg1 = arg1;
         ++count_by_cat_[static_cast<size_t>(cat)];
-        next_ = next_ + 1 == ring_.size() ? 0 : next_ + 1;
-        if (size_ < ring_.size())
-            ++size_;
-        else
-            ++dropped_;
+        const Span s{name, track, start, end, id, arg0, arg1, cat};
+        if (ring_.size() < capacity_) {
+            ring_.push_back(s); // within the reserve: no allocation
+            return;
+        }
+        ring_[next_] = s;
+        next_ = next_ + 1 == capacity_ ? 0 : next_ + 1;
+        ++dropped_;
     }
 
     /** Instant-event shorthand. */
@@ -107,9 +106,9 @@ class Tracer
     std::vector<Span> spans() const;
 
     /** Spans currently retained. */
-    size_t size() const { return size_; }
+    size_t size() const { return ring_.size(); }
 
-    size_t capacity() const { return ring_.size(); }
+    size_t capacity() const { return capacity_; }
 
     /** Spans lost to ring overflow since the last clear(). */
     uint64_t dropped() const { return dropped_; }
@@ -124,9 +123,9 @@ class Tracer
     void clear();
 
   private:
-    std::vector<Span> ring_;
-    size_t next_ = 0;
-    size_t size_ = 0;
+    std::vector<Span> ring_; ///< grows to capacity_, then wraps
+    size_t capacity_;
+    size_t next_ = 0; ///< oldest slot once the ring is full
     uint64_t dropped_ = 0;
     uint64_t count_by_cat_[SPAN_CATEGORIES] = {};
 };

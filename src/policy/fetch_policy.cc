@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "obs/debug.h"
 
 namespace sgms
 {
@@ -69,10 +68,6 @@ FetchPolicy::plan(const PageGeometry &geo, SubpageIndex faulted,
             }
         }
     }
-    SGMS_DPRINTF(Policy,
-                 "%s: fault on subpage %u -> %zu segment(s), %u bytes%s",
-                 name(), faulted, p.segments.size(), p.total_bytes(),
-                 p.from_disk ? " (disk)" : "");
     return p;
 }
 

@@ -1,7 +1,6 @@
 #include "sim/kernel.h"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
 
 #include "common/logging.h"
@@ -9,7 +8,6 @@
 #include "gms/gms.h"
 #include "mem/tlb.h"
 #include "net/network.h"
-#include "obs/debug.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "proto/palcode.h"
@@ -291,9 +289,6 @@ struct Simulator::Run final : EventTarget
         return slot;
     }
 
-    bool budgeted = false;
-    std::chrono::steady_clock::time_point deadline{};
-
     const Tick step_len;
     const bool software_pal;
 
@@ -413,11 +408,6 @@ Simulator::begin(const std::vector<TraceSource *> &traces)
     run_ = std::make_unique<Run>(
         *this, cfg_, static_cast<uint32_t>(traces.size()));
     Run &r = *run_;
-    r.budgeted = cfg_.wall_budget_ms > 0;
-    if (r.budgeted) {
-        r.deadline = std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(cfg_.wall_budget_ms);
-    }
     for (uint32_t i = 0; i < r.n; ++i) {
         Client &c = r.clients[i];
         c.trace = traces[i];
@@ -487,8 +477,8 @@ Simulator::finish_client(Run &r, Client &c)
 
 /**
  * Refill @p c's batch once it is used up. Returns false at the end of
- * the trace, after finishing the client. Checks the wall budget, so
- * the caller must have written its reference count back first.
+ * the trace, after finishing the client, so the caller must have
+ * written its state back first.
  */
 bool
 Simulator::refill_batch(Run &r, Client &c)
@@ -503,8 +493,6 @@ Simulator::refill_batch(Run &r, Client &c)
     }
     c.batch_n = got;
     c.batch_i = 0;
-    if (r.budgeted && std::chrono::steady_clock::now() >= r.deadline)
-        throw SimTimeoutError(cfg_.wall_budget_ms, refs_executed());
     return true;
 }
 
@@ -1226,13 +1214,6 @@ Simulator::on_fetch_timeout(Run &r,
                        st->fault_id,
                        static_cast<int64_t>(st->page),
                        static_cast<int64_t>(st->attempt));
-    SGMS_DPRINTF(Gms,
-                 "client %u fetch timeout page %llu attempt %u "
-                 "missing %llx",
-                 st->client,
-                 static_cast<unsigned long long>(st->page),
-                 st->attempt,
-                 static_cast<unsigned long long>(missing));
 
     if (st->attempt >= cfg_.retry.max_attempts ||
         r.finj->server_down(st->srv, when)) {
@@ -1326,12 +1307,6 @@ Simulator::page_fault(Run &r, Client &c, PageId page)
             static_cast<double>(c.ref_index),
             static_cast<double>(r.res.page_faults));
     }
-    SGMS_DPRINTF(Sim,
-                 "client %u page fault #%llu on page %llu at ref %llu",
-                 c.id,
-                 static_cast<unsigned long long>(r.res.page_faults),
-                 static_cast<unsigned long long>(page),
-                 static_cast<unsigned long long>(c.ref_index));
 
     if (c.pt.full()) {
         PageTable::Frame victim_state;
@@ -1415,11 +1390,6 @@ Simulator::subpage_fault(Run &r, Client &c,
     uint64_t missing = ~frame.valid.raw();
     if (r.geo.subpages_per_page() < 64)
         missing &= (1ULL << r.geo.subpages_per_page()) - 1;
-    SGMS_DPRINTF(Sim,
-                 "client %u subpage fault on page %llu subpage %u "
-                 "at ref %llu",
-                 c.id, static_cast<unsigned long long>(page), sp,
-                 static_cast<unsigned long long>(c.ref_index));
 
     FetchPlan plan = c.policy->plan(r.geo, sp, byte_in_sub, missing);
     SGMS_ASSERT(!plan.from_disk);

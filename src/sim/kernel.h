@@ -37,8 +37,6 @@
 #define SGMS_SIM_KERNEL_H
 
 #include <memory>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "core/sim_config.h"
@@ -49,31 +47,6 @@
 
 namespace sgms
 {
-
-/**
- * Thrown by Simulator::run when SimConfig::wall_budget_ms is set and
- * the run exceeds it. Checked at trace-batch boundaries, so the
- * simulator unwinds from a consistent point (no partially-applied
- * reference); the execution engine catches this and substitutes the
- * deterministic degraded result shape.
- */
-class SimTimeoutError : public std::runtime_error
-{
-  public:
-    SimTimeoutError(uint64_t budget_ms, uint64_t refs_done)
-        : std::runtime_error("simulation exceeded wall budget of " +
-                             std::to_string(budget_ms) + " ms"),
-          budget_ms_(budget_ms), refs_done_(refs_done)
-    {}
-
-    uint64_t budget_ms() const { return budget_ms_; }
-    /** References consumed before the budget fired. */
-    uint64_t refs_done() const { return refs_done_; }
-
-  private:
-    uint64_t budget_ms_;
-    uint64_t refs_done_;
-};
 
 /** Runs N trace cursors against one shared simulated cluster. */
 class Simulator

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cfloat>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -21,6 +20,7 @@
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -31,7 +31,6 @@
 #include "exec/result_cache.h"
 #include "exec/result_codec.h"
 #include "obs/tracer.h"
-#include "sim/kernel.h"
 
 namespace sgms
 {
@@ -542,111 +541,6 @@ TEST(ResultCache, TruncatedBlobReadsAsMissNotFatal)
     EXPECT_TRUE(cache.load(key).has_value());
 }
 
-// ------------------------------------------------------------ eviction
-
-/** Bytes of result blobs currently in @p dir. */
-uint64_t
-blob_bytes(const std::string &dir)
-{
-    uint64_t total = 0;
-    for (const auto &e : std::filesystem::directory_iterator(dir)) {
-        if (e.is_regular_file() &&
-            e.path().extension() == ".json") {
-            total += e.file_size();
-        }
-    }
-    return total;
-}
-
-TEST(ResultCache, EvictionKeepsTheDirectoryUnderTheBound)
-{
-    std::string dir = scratch_dir("bound");
-    SimResult r = rich_result();
-    uint64_t blob = exec::result_blob(r).size();
-    // Room for two blobs and change; never three.
-    ResultCache cache(dir, 2 * blob + blob / 2);
-    for (uint64_t i = 0; i < 8; ++i) {
-        cache.store(CacheKey{i, i}, r);
-        // The bound holds after EVERY store, not just eventually.
-        EXPECT_LE(blob_bytes(dir), cache.max_bytes()) << i;
-    }
-    EXPECT_EQ(cache.stats().stores, 8u);
-    EXPECT_EQ(cache.stats().evictions, 6u);
-    // The most recent key is still resident.
-    EXPECT_TRUE(cache.load(CacheKey{7, 7}).has_value());
-}
-
-TEST(ResultCache, EvictionIsLruSoATouchedBlobSurvives)
-{
-    std::string dir = scratch_dir("lru");
-    SimResult r = rich_result();
-    uint64_t blob = exec::result_blob(r).size();
-    ResultCache cache(dir, 2 * blob + blob / 2);
-    CacheKey a{1, 1}, b{2, 2}, c{3, 3};
-    cache.store(a, r);
-    cache.store(b, r);
-    ASSERT_TRUE(cache.load(a).has_value()); // touch: a newer than b
-    cache.store(c, r);                      // forces one eviction
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_TRUE(cache.load(a).has_value());
-    EXPECT_FALSE(cache.load(b).has_value()); // b was the LRU victim
-    EXPECT_TRUE(cache.load(c).has_value());
-}
-
-TEST(ResultCache, EvictionNeverYanksABlobMidRead)
-{
-    std::string dir = scratch_dir("midread");
-    SimResult r = rich_result();
-    std::string blob = exec::result_blob(r);
-    ResultCache cache(dir, 0); // unbounded writer
-    CacheKey key{9, 9};
-    cache.store(key, r);
-
-    // A reader opens the blob...
-    std::ifstream in(cache.blob_path(key), std::ios::binary);
-    ASSERT_TRUE(in.good());
-
-    // ...then gc (any process) unlinks it out from under them.
-    ResultCache bounded(dir, 1); // bound smaller than any blob
-    EXPECT_EQ(bounded.gc(), 1u);
-    EXPECT_FALSE(std::filesystem::exists(cache.blob_path(key)));
-
-    // POSIX unlink semantics: the open stream still reads the whole
-    // blob, which still decodes.
-    std::ostringstream got;
-    got << in.rdbuf();
-    EXPECT_EQ(got.str(), blob);
-    SimResult back;
-    EXPECT_TRUE(exec::read_result_blob(got.str(), back));
-    EXPECT_EQ(exec::result_blob(back), blob);
-}
-
-TEST(ResultCache, GcAdoptsBlobsWrittenWithoutAManifest)
-{
-    // An unbounded cache appends no manifest records; a later bounded
-    // gc() must still rank those blobs — by file mtime — instead of
-    // ignoring (or worse, always evicting) them.
-    std::string dir = scratch_dir("adopt");
-    SimResult r = rich_result();
-    uint64_t blob = exec::result_blob(r).size();
-    ResultCache unbounded(dir, 0);
-    CacheKey old_key{1, 0}, mid_key{2, 0}, new_key{3, 0};
-    unbounded.store(old_key, r);
-    unbounded.store(mid_key, r);
-    unbounded.store(new_key, r);
-    auto now = std::filesystem::file_time_type::clock::now();
-    std::filesystem::last_write_time(unbounded.blob_path(old_key),
-                                     now - std::chrono::hours(2));
-    std::filesystem::last_write_time(unbounded.blob_path(mid_key),
-                                     now - std::chrono::hours(1));
-
-    ResultCache bounded(dir, blob + blob / 2); // room for one
-    EXPECT_EQ(bounded.gc(), 2u);
-    EXPECT_FALSE(bounded.load(old_key).has_value());
-    EXPECT_FALSE(bounded.load(mid_key).has_value());
-    EXPECT_TRUE(bounded.load(new_key).has_value());
-}
-
 // -------------------------------------------------------------- engine
 
 /** The determinism grid: small but multi-policy, multi-size. */
@@ -715,17 +609,22 @@ TEST(Engine, ThrowingPointReachesTheCallerAfterEveryWorkerStops)
     ExecOptions eo;
     eo.jobs = 4;
     Engine engine(eo);
-    // With no engine timeout the budget is not degraded: point 0's
-    // SimTimeoutError escapes while the other workers still simulate
-    // the points they claimed, writing into run_all's result slots.
-    std::vector<Experiment> budgeted = points;
-    budgeted[0].base.wall_budget_ms = 1;
+    // Point 0's progress callback throws once every worker has
+    // claimed a point, so the exception leaves while the other
+    // workers still simulate the points they claimed, writing into
+    // run_all's result slots.
+    const std::string thrower = exec::experiment_fingerprint(points[0]);
     std::atomic<uint64_t> claimed{0};
-    EXPECT_THROW(engine.run_all(budgeted,
-                                [&](const Experiment &) {
-                                    claimed.fetch_add(1);
-                                }),
-                 SimTimeoutError);
+    auto progress = [&](const Experiment &ex) {
+        claimed.fetch_add(1);
+        if (exec::experiment_fingerprint(ex) != thrower)
+            return;
+        while (claimed.load() < eo.jobs)
+            std::this_thread::yield();
+        throw std::runtime_error("progress callback failed");
+    };
+    EXPECT_THROW(engine.run_all(points, progress), std::runtime_error);
+    EXPECT_GT(claimed.load(), 1u);
     // Every claimed point but the thrower finished before the throw.
     EXPECT_EQ(engine.stats().points_run, claimed.load() - 1);
 
@@ -863,35 +762,6 @@ TEST(Engine, ObservedRunsBypassTheCache)
     EXPECT_EQ(s.points_run, 2u);
     EXPECT_EQ(s.points_cached, 0u);
     EXPECT_EQ(s.cache.stores, 1u);
-}
-
-TEST(Engine, BoundedCacheEvictsAndReportsTheMetric)
-{
-    std::string dir = scratch_dir("engine_evict");
-    std::vector<Experiment> points =
-        exec::expand_sweep(engine_spec());
-
-    ExecOptions eo;
-    eo.jobs = 1;
-    eo.cache_enabled = true;
-    eo.cache_dir = dir;
-    eo.cache_max_bytes = 1; // smaller than any blob: evict everything
-    Engine engine(eo);
-    engine.run_all(points);
-
-    exec::ExecStats s = engine.stats();
-    EXPECT_EQ(s.cache.stores, points.size());
-    EXPECT_GE(s.cache.evictions, points.size());
-    EXPECT_LE(blob_bytes(dir), eo.cache_max_bytes);
-
-    bool found = false;
-    for (const auto &m : engine.metrics_snapshot()) {
-        if (m.name == "exec.cache_evictions") {
-            found = true;
-            EXPECT_GE(m.value, static_cast<double>(points.size()));
-        }
-    }
-    EXPECT_TRUE(found);
 }
 
 } // namespace

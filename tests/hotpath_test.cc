@@ -5,7 +5,7 @@
  * policies over recency stamps (property-checked against reference
  * implementations), batched trace replay, the shared trace store
  * (stored replay is byte-identical to streaming generation, safe to
- * replay concurrently), and the cooperative per-point wall budget.
+ * replay concurrently).
  *
  * This binary installs the allocation probe, so it can also assert
  * that steady-state event scheduling and replacement churn perform
@@ -23,7 +23,6 @@
 #include "common/alloc_probe.h"
 #include "common/inline_function.h"
 #include "core/experiment.h"
-#include "exec/parallel_runner.h"
 #include "exec/result_codec.h"
 #include "mem/page_table.h"
 #include "mem/replacement.h"
@@ -576,99 +575,6 @@ TEST(VectorTraceHint, MaterializingCtorHonorsSizeHint)
     // Source is left rewound.
     TraceEvent ev;
     EXPECT_TRUE(src->next(ev));
-}
-
-// ---------------------------------------------------------------
-// Cooperative wall budget
-// ---------------------------------------------------------------
-
-TEST(WallBudget, TinyBudgetAbortsTheRun)
-{
-    Experiment ex;
-    ex.app = "modula3";
-    ex.scale = 0.05;
-    ex.policy = "fullpage";
-    ex.base.wall_budget_ms = 1;
-    try {
-        ex.run();
-        FAIL() << "expected SimTimeoutError";
-    } catch (const SimTimeoutError &e) {
-        EXPECT_EQ(e.budget_ms(), 1u);
-        // The budget is checked at a batch refill, after the batch's
-        // last reference is charged and written back: at N=1 the
-        // count is a whole number of 1024-reference batches.
-        EXPECT_GT(e.refs_done(), 0u);
-        EXPECT_EQ(e.refs_done() % 1024, 0u);
-        EXPECT_LT(e.refs_done(), ex.trace()->size_hint());
-    }
-}
-
-TEST(WallBudget, GenerousBudgetKeepsResultsIdentical)
-{
-    Experiment ex;
-    ex.app = "gdb";
-    ex.scale = 0.01;
-    ex.policy = "eager";
-    ex.subpage_size = 1024;
-    SimResult plain = ex.run();
-    ex.base.wall_budget_ms = 3'600'000;
-    SimResult budgeted = ex.run();
-    EXPECT_EQ(exec::result_blob(plain), exec::result_blob(budgeted));
-}
-
-TEST(WallBudget, EngineDegradesTimedOutPointsDeterministically)
-{
-    exec::ExecOptions eo;
-    eo.jobs = 1;
-    eo.point_timeout_ms = 1;
-    exec::Engine engine(eo);
-
-    Experiment ex;
-    ex.app = "modula3";
-    ex.scale = 0.05;
-    ex.policy = "pipelining";
-    ex.subpage_size = 1024;
-    ex.mem = MemConfig::Half;
-
-    SimResult r1 = engine.run(ex);
-    SimResult r2 = engine.run(ex);
-    exec::ExecStats stats = engine.stats();
-    EXPECT_EQ(stats.timeouts, 2u);
-    EXPECT_EQ(stats.points_degraded, 2u);
-    EXPECT_EQ(stats.points_run, 0u);
-
-    // Degraded shape: identity filled, measurements zero, marked.
-    EXPECT_EQ(r1.app, "modula3");
-    EXPECT_EQ(r1.runtime, 0);
-    EXPECT_EQ(r1.refs, 0u);
-    bool marked = false;
-    for (const auto &m : r1.metrics)
-        marked |= m.name == "exec.degraded" && m.value == 1.0;
-    EXPECT_TRUE(marked);
-
-    // Pure function of the experiment: reruns are byte-identical.
-    EXPECT_EQ(exec::result_blob(r1), exec::result_blob(r2));
-}
-
-TEST(WallBudget, ThreadModeCountsTimeouts)
-{
-    exec::ExecOptions eo;
-    eo.jobs = 2;
-    eo.point_timeout_ms = 1;
-    exec::Engine engine(eo);
-    std::vector<Experiment> points(2);
-    for (size_t i = 0; i < points.size(); ++i) {
-        points[i].app = "modula3";
-        points[i].scale = 0.05;
-        points[i].policy = i == 0 ? "fullpage" : "pipelining";
-        points[i].subpage_size = 1024;
-        points[i].mem = MemConfig::Half;
-    }
-    std::vector<SimResult> out = engine.run_all(points);
-    ASSERT_EQ(out.size(), 2u);
-    exec::ExecStats stats = engine.stats();
-    EXPECT_EQ(stats.timeouts, 2u);
-    EXPECT_EQ(stats.points_degraded, 2u);
 }
 
 // ---------------------------------------------------------------

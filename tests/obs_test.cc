@@ -1,22 +1,30 @@
 /**
  * @file
- * Observability smoke tests: the tracer ring, Chrome trace export,
- * the metrics registry and its JSON round-trip through json_report,
- * debug-flag parsing, and the span/sp_latency accounting invariant.
+ * Observability smoke tests: the tracer ring and what it costs,
+ * Chrome trace export, the metrics registry and its JSON round-trip
+ * through json_report, the session's overflow warning, and the
+ * span/sp_latency accounting invariant.
  */
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cmath>
+#include <cstdint>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
+
+#include <unistd.h>
 
 #include "common/logging.h"
+#include "common/options.h"
+#include "core/experiment.h"
 #include "core/json_report.h"
 #include "obs/chrome_trace.h"
-#include "obs/debug.h"
 #include "obs/metrics.h"
+#include "obs/session.h"
 #include "obs/tracer.h"
 #include "sim/kernel.h"
 #include "trace/synthetic.h"
@@ -247,6 +255,46 @@ TEST(Tracer, RingOverflowDropsOldest)
     tr.clear();
     EXPECT_EQ(tr.size(), 0u);
     EXPECT_EQ(tr.dropped(), 0u);
+    // A cleared ring fills from its start again, then wraps.
+    for (int i = 0; i < 5; ++i)
+        tr.record(obs::SpanCategory::Net, "m", "t", i, i,
+                  static_cast<uint64_t>(20 + i));
+    spans = tr.spans();
+    ASSERT_EQ(spans.size(), 4u);
+    EXPECT_EQ(spans.front().id, 21u);
+    EXPECT_EQ(spans.back().id, 24u);
+    EXPECT_EQ(tr.dropped(), 1u);
+}
+
+/** Resident set of this process in bytes, from /proc/self/statm. */
+int64_t
+resident_bytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    int64_t size_pages = 0, resident_pages = 0;
+    statm >> size_pages >> resident_pages;
+    return resident_pages * ::sysconf(_SC_PAGESIZE);
+}
+
+TEST(Tracer, DefaultRingCostsMemoryOnlyForRecordedSpans)
+{
+    // The default ring spans 64 MiB; a run that records a thousand
+    // spans must not pay for the rest of it.
+    const int64_t ring_bytes = static_cast<int64_t>(
+        obs::Tracer::DEFAULT_CAPACITY * sizeof(obs::Span));
+    const int64_t before = resident_bytes();
+    ASSERT_GT(before, 0);
+    obs::Tracer tracer;
+    for (int i = 0; i < 1000; ++i) {
+        tracer.record(obs::SpanCategory::Net, "m", "t", i, i + 1,
+                      static_cast<uint64_t>(i));
+    }
+    const int64_t grown = resident_bytes() - before;
+    EXPECT_EQ(tracer.size(), 1000u);
+    EXPECT_EQ(tracer.capacity(), obs::Tracer::DEFAULT_CAPACITY);
+    EXPECT_EQ(tracer.dropped(), 0u);
+    EXPECT_LT(grown, ring_bytes / 2)
+        << "resident memory grew by " << grown << " bytes";
 }
 
 TEST(Tracer, SimRunRecordsEveryCategory)
@@ -369,23 +417,51 @@ TEST(Metrics, JsonRoundTripsThroughReport)
     EXPECT_NE(json.find("\"sim.fault_wait_ns\":"), std::string::npos);
 }
 
-TEST(Debug, FlagParsing)
+Options
+parse(std::vector<const char *> args)
 {
-    uint32_t mask = obs::parse_debug_flags("Net,gms, POLICY");
-    EXPECT_TRUE(mask & static_cast<uint32_t>(obs::DebugFlag::Net));
-    EXPECT_TRUE(mask & static_cast<uint32_t>(obs::DebugFlag::Gms));
-    EXPECT_TRUE(mask & static_cast<uint32_t>(obs::DebugFlag::Policy));
-    EXPECT_FALSE(mask & static_cast<uint32_t>(obs::DebugFlag::Sim));
-    EXPECT_EQ(obs::parse_debug_flags(""), 0u);
+    args.insert(args.begin(), "prog");
+    return Options(static_cast<int>(args.size()),
+                   const_cast<char **>(args.data()));
+}
 
-    uint32_t all = obs::parse_debug_flags("all");
-    for (const auto &[name, flag] : obs::debug_flag_table())
-        EXPECT_TRUE(all & static_cast<uint32_t>(flag)) << name;
+/** Stderr of a small gdb run under a session parsed from @p args. */
+std::string
+session_stderr(std::vector<const char *> args, uint64_t &dropped)
+{
+    Options opts = parse(std::move(args));
+    obs::ObsSession obs(opts);
+    opts.reject_unused();
+    Experiment ex;
+    ex.app = "gdb";
+    ex.scale = 0.01;
+    ex.policy = "eager";
+    ex.subpage_size = 1024;
+    ::testing::internal::CaptureStdout();
+    ::testing::internal::CaptureStderr();
+    ex.run(obs);
+    std::string err = ::testing::internal::GetCapturedStderr();
+    std::string out = ::testing::internal::GetCapturedStdout();
+    EXPECT_NE(out.find("demand"), std::string::npos) << out;
+    dropped = obs.tracer()->dropped();
+    return err;
+}
 
-    uint32_t prev = obs::set_debug_flags(mask);
-    EXPECT_TRUE(obs::debug_enabled(obs::DebugFlag::Net));
-    EXPECT_FALSE(obs::debug_enabled(obs::DebugFlag::Tlb));
-    obs::set_debug_flags(prev);
+TEST(ObsSession, OverflowedTimelineRunWarns)
+{
+    // No --trace-out: the timeline alone must still say that it
+    // starts after spans the ring dropped.
+    uint64_t dropped = 0;
+    std::string err = session_stderr(
+        {"--trace-timeline=1", "--trace-spans=64"}, dropped);
+    EXPECT_GT(dropped, 0u);
+    EXPECT_NE(err.find("trace ring overflowed"), std::string::npos)
+        << err;
+
+    err = session_stderr({"--trace-timeline=1"}, dropped);
+    EXPECT_EQ(dropped, 0u);
+    EXPECT_EQ(err.find("trace ring overflowed"), std::string::npos)
+        << err;
 }
 
 TEST(Logging, SetQuietReturnsPrevious)

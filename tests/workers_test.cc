@@ -2,8 +2,8 @@
  * @file
  * Tests for the multi-process execution mode (src/exec/ipc.h,
  * worker.h, supervisor.h, and the engine's workers path): pipe
- * framing, byte-identity with the serial path, crash recovery, the
- * per-point watchdog, and degraded-result determinism.
+ * framing, byte-identity with the serial path, crash recovery, and
+ * degraded-result determinism.
  */
 
 #include <gtest/gtest.h>
@@ -233,7 +233,6 @@ TEST(Workers, ResultsAreByteIdenticalToSerialAtAnyFleetSize)
         EXPECT_EQ(es.points_run, s.size());
         EXPECT_EQ(es.points_degraded, 0u);
         EXPECT_EQ(es.worker_crashes, 0u);
-        EXPECT_EQ(es.timeouts, 0u);
         EXPECT_EQ(es.proc_workers, workers);
     }
 }
@@ -321,52 +320,6 @@ TEST(Workers, PointCrashingOnEveryAttemptDegradesDeterministically)
     // Degradation is deterministic: a second run is byte-identical.
     std::vector<SimResult> second = run_once();
     EXPECT_EQ(blobs_of(second), blobs_of(first));
-}
-
-TEST(Workers, WatchdogKillsOverBudgetPointsDeterministically)
-{
-    SweepSpec spec = workers_spec();
-    // Every point stalls far past the budget: the watchdog must kill
-    // every worker, degrade every point, and terminate promptly.
-    ScopedEnv stall("SGMS_TEST_WORKER_STALL_MS", "30000");
-
-    auto run_once = [&spec]() {
-        ExecOptions eo;
-        eo.workers = 2;
-        eo.point_timeout_ms = 200;
-        Engine engine(eo);
-        std::vector<SimResult> w = engine.run_sweep(spec);
-        exec::ExecStats es = engine.stats();
-        EXPECT_EQ(es.points_degraded, w.size());
-        EXPECT_EQ(es.timeouts, w.size()); // one kill per point
-        return w;
-    };
-    std::vector<SimResult> first = run_once();
-    for (const SimResult &r : first) {
-        EXPECT_EQ(r.runtime, 0);
-        EXPECT_EQ(metric_value(r, "exec.degraded"), 1.0);
-    }
-    // Timed-out points yield the same bytes on every run.
-    std::vector<SimResult> second = run_once();
-    EXPECT_EQ(blobs_of(second), blobs_of(first));
-}
-
-TEST(Workers, WatchdogSparesPointsWithinBudget)
-{
-    SweepSpec spec = workers_spec();
-    ExecOptions serial_eo;
-    serial_eo.jobs = 1;
-    Engine serial(serial_eo);
-    std::vector<SimResult> s = serial.run_sweep(spec);
-
-    // Generous budget: nothing should be killed.
-    ExecOptions eo;
-    eo.workers = 2;
-    eo.point_timeout_ms = 120000;
-    Engine engine(eo);
-    std::vector<SimResult> w = engine.run_sweep(spec);
-    EXPECT_EQ(blobs_of(w), blobs_of(s));
-    EXPECT_EQ(engine.stats().timeouts, 0u);
 }
 
 TEST(Workers, SharesTheResultCacheWithTheParent)
