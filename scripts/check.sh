@@ -6,7 +6,11 @@
 #                             engine's worker threads and under
 #                             SGMS_WORKERS=2 for the forked process
 #                             fleet), a multi-process byte-identity
-#                             smoke, an unknown-option smoke
+#                             smoke, a result-cache smoke (a cold
+#                             and a warm export_grid --cache-dir run,
+#                             the warm one served from the cache,
+#                             both byte-identical), an unknown-option
+#                             smoke
 #                             (export_grid must reject each retired
 #                             flag, and quickstart, policy_explorer
 #                             and fig4_breakdown --debug-flags, before
@@ -110,6 +114,23 @@ cmp "$tmp_grid/serial.json" "$tmp_grid/mapped.json"
 cmp "$tmp_grid/serial.csv" "$tmp_grid/mapped.csv"
 baked=$(ls "$tmp_grid/traces"/*.sgmb | wc -l)
 echo "   mapped replay matches heap byte for byte ($baked baked files)"
+
+echo "== smoke: result cache serves every point =="
+# A cold run fills a fresh cache directory and a warm run reads every
+# point back through the result codec: both must write the jobs=1
+# bytes.
+for pass in cold warm; do
+    ./build/examples/export_grid --scale=0.05 \
+        --cache-dir="$tmp_grid/cache" \
+        --json="$tmp_grid/$pass.json" --csv="$tmp_grid/$pass.csv" \
+        >"$tmp_grid/$pass.out"
+    cmp "$tmp_grid/serial.json" "$tmp_grid/$pass.json"
+    cmp "$tmp_grid/serial.csv" "$tmp_grid/$pass.csv"
+done
+grep -qx "engine: 15 simulated, 0 from cache" "$tmp_grid/cold.out"
+grep -qx "engine: 0 simulated, 15 from cache" "$tmp_grid/warm.out"
+echo "   cold and warm cached runs match jobs=1 byte for byte" \
+    "(15 points served from the cache)"
 
 echo "== smoke: export_grid rejects an unknown option =="
 # A flag nothing reads (here retired ones) must fail before any point

@@ -4,10 +4,11 @@
  *
  * The repo writes JSON with hand-rolled emitters (core/json_report.h,
  * obs/chrome_trace.h); this is a general reader for them. The result
- * cache no longer uses it: exec/result_codec.h reads its own blobs
- * with a fixed-layout reader. The remaining users are the
- * benchmark's tests (perf/perf_test.cc, which parse BENCHMARK.json)
- * and tests/json_test.cc. Parsing never throws and never calls
+ * cache does not use it: exec/result_codec.h reads its own binary
+ * blobs with a fixed-layout reader. The remaining users are the
+ * benchmark's tests (perf/perf_test.cc, which parse BENCHMARK.json),
+ * tests/json_test.cc and tests/obs_test.cc (which reads a Chrome
+ * trace back). Parsing never throws and never calls
  * fatal(): a malformed document simply fails to parse.
  *
  * Numbers keep their raw token text so 64-bit integers (tick counts

@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/units.h"
 #include "sim/kernel.h"
+#include "trace/binfmt.h"
 #include "trace/mmap_trace.h"
 #include "trace/trace_store.h"
 
@@ -69,13 +70,18 @@ app_footprint_pages(const std::string &app, double scale,
 uint64_t
 file_footprint_pages(const std::string &path, uint32_t page_size)
 {
-    // Same memo discipline as app_footprint_pages: baked files are
-    // immutable (content-named, atomic rename), so path+page_size
-    // identifies the measurement.
+    // Same memo discipline as app_footprint_pages, keyed by content:
+    // a path may be baked again with another trace (--trace-bin
+    // files are named by their user), so the header's payload hash
+    // identifies the measurement, not the path.
+    BinTraceHeader hdr;
+    std::string error;
+    if (!read_bin_header(path, hdr, error))
+        fatal("trace file '%s': %s", path.c_str(), error.c_str());
     static std::mutex mutex;
-    static std::map<std::pair<std::string, uint32_t>, uint64_t> cache;
+    static std::map<std::pair<uint64_t, uint32_t>, uint64_t> cache;
     std::lock_guard<std::mutex> lock(mutex);
-    auto key = std::make_pair(path, page_size);
+    auto key = std::make_pair(hdr.payload_hash, page_size);
     auto it = cache.find(key);
     if (it != cache.end())
         return it->second;

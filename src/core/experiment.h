@@ -44,8 +44,9 @@ uint64_t app_footprint_pages(const std::string &app, double scale,
                              uint32_t page_size = 8192);
 
 /**
- * Footprint (pages) of a baked SGMB trace file; memoized by path,
- * since measuring it means replaying the mapping once.
+ * Footprint (pages) of a baked SGMB trace file; memoized by the
+ * header's payload hash, since measuring it means replaying the
+ * mapping once. A path baked again with another trace reads afresh.
  */
 uint64_t file_footprint_pages(const std::string &path,
                               uint32_t page_size = 8192);

@@ -16,12 +16,12 @@ namespace sgms::exec
 namespace
 {
 
-/** Exact textual form of a double for fingerprinting. */
+/** Exact textual form of a double for fingerprinting (hex float). */
 std::string
 fp_double(double v)
 {
     char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    std::snprintf(buf, sizeof(buf), "%a", v);
     return buf;
 }
 
@@ -225,7 +225,7 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
 std::string
 ResultCache::blob_path(const CacheKey &key) const
 {
-    return dir_ + "/" + key.hex() + ".json";
+    return dir_ + "/" + key.hex();
 }
 
 std::optional<SimResult>

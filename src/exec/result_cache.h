@@ -11,7 +11,8 @@
  * produces a different key, so stale blobs are simply never looked
  * up; there is no invalidation protocol.
  *
- * Blobs live as one JSON file per key under the cache directory
+ * Blobs live as one binary file per key (exec/result_codec.h), named
+ * by the key's 32 hex digits, under the cache directory
  * (default `.sgms-cache/`). Writes go to a unique temp file in the
  * same directory followed by an atomic rename, so a concurrent or
  * killed run can never leave a half-written blob under a live key;

@@ -22,8 +22,8 @@ GmsCluster::put_page(Tick now, PageId page, uint32_t page_bytes,
             ++discards_;
             if (c_discards_)
                 c_discards_->inc();
-            SGMS_TRACE_INSTANT(tracer_, Gms, "discard", "gms", now,
-                               dropped, 0,
+            SGMS_TRACE_INSTANT(tracer_, Gms, server_of(dropped), "discard",
+                               "gms", now, dropped, 0,
                                static_cast<int64_t>(server_of(dropped)));
         }
     }
@@ -32,7 +32,8 @@ GmsCluster::put_page(Tick now, PageId page, uint32_t page_bytes,
     ++putpages_;
     if (c_putpages_)
         c_putpages_->inc();
-    SGMS_TRACE_INSTANT(tracer_, Gms, "putpage", "gms", now, page,
+    SGMS_TRACE_INSTANT(tracer_, Gms, server_of(page), "putpage", "gms", now,
+                       page,
                        static_cast<int64_t>(page_bytes),
                        static_cast<int64_t>(server_of(page)));
     net_.send(now, {from, server_of(page), page_bytes,

@@ -139,8 +139,8 @@ class GmsCluster
         if (until > t) {
             t = until;
             ++server_failures_;
-            SGMS_TRACE_INSTANT(tracer_, Gms, "server_failed", "gms",
-                               now, static_cast<int64_t>(server), 0,
+            SGMS_TRACE_INSTANT(tracer_, Gms, server, "server_failed",
+                               "gms", now, static_cast<int64_t>(server), 0,
                                static_cast<int64_t>(server));
         }
     }

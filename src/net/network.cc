@@ -126,7 +126,8 @@ Network::stage_done(uint32_t slot, uint8_t stage, Tick, Tick end)
     if (stage == 2 && m.fate == fault::MsgFate::Drop) {
         ++stats_.dropped;
         ++fates_.dropped[k];
-        SGMS_TRACE_INSTANT(tracer_, Net, "drop", "faults", end, m.id,
+        SGMS_TRACE_INSTANT(tracer_, Net, m.path[0]->node(), "drop",
+                           "faults", end, m.id,
                            static_cast<int64_t>(m.dst),
                            static_cast<int64_t>(m.kind));
         free_msg(slot);
@@ -140,7 +141,8 @@ Network::stage_done(uint32_t slot, uint8_t stage, Tick, Tick end)
         // Full delivery cost paid, payload discarded by the receiver.
         ++stats_.corrupted;
         ++fates_.corrupted[k];
-        SGMS_TRACE_INSTANT(tracer_, Net, "corrupt", "faults", end, m.id,
+        SGMS_TRACE_INSTANT(tracer_, Net, m.path[0]->node(), "corrupt",
+                           "faults", end, m.id,
                            static_cast<int64_t>(m.dst),
                            static_cast<int64_t>(m.kind));
         free_msg(slot);
@@ -153,6 +155,7 @@ Network::stage_done(uint32_t slot, uint8_t stage, Tick, Tick end)
     const Tick recv_cost = m.cost[4];
     const bool duplicate = m.fate == fault::MsgFate::Duplicate;
     const uint64_t id = m.id;
+    const NodeId src = m.path[0]->node();
     const NodeId dst = m.dst;
     const MsgKind kind = m.kind;
     free_msg(slot);
@@ -164,7 +167,8 @@ Network::stage_done(uint32_t slot, uint8_t stage, Tick, Tick end)
         // costs no extra receive CPU in this model and must be
         // suppressed upstream.
         ++stats_.duplicated;
-        SGMS_TRACE_INSTANT(tracer_, Net, "duplicate", "faults", end, id,
+        SGMS_TRACE_INSTANT(tracer_, Net, src, "duplicate", "faults", end,
+                           id,
                            static_cast<int64_t>(dst),
                            static_cast<int64_t>(kind));
         delivered(end, 0);

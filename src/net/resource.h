@@ -107,6 +107,9 @@ template <typename Sink> class StageResource final : public EventTarget
         begin(now);
     }
 
+    /** The node this stage belongs to. */
+    NodeId node() const { return node_; }
+
     /** True if currently serving an item. */
     bool busy() const { return busy_; }
 
@@ -188,7 +191,7 @@ template <typename Sink> class StageResource final : public EventTarget
             return;
         // One Net span per served interval: the track is the pipeline
         // component, the name the message kind.
-        SGMS_TRACE_SPAN(tracer_, Net, msg_kind_name(item.kind),
+        SGMS_TRACE_SPAN(tracer_, Net, node_, msg_kind_name(item.kind),
                         component_name(comp_), start, end, item.msg_id,
                         static_cast<int64_t>(node_),
                         static_cast<int64_t>(item.kind));

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/units.h"
@@ -56,27 +57,42 @@ fmt_us(Tick t)
 void
 write_chrome_trace(std::ostream &os, const std::vector<Span> &spans)
 {
-    // Assign one thread id per distinct track, in first-seen order.
-    std::map<std::string, int> tids;
+    // One process per node and, inside it, one thread per track,
+    // numbered in (node, track name) order.
+    std::map<std::pair<NodeId, std::string>, int> tids;
     for (const Span &s : spans)
-        tids.emplace(s.track, 0);
+        tids.emplace(std::make_pair(s.node, std::string(s.track)), 0);
     int next_tid = 1;
-    for (auto &[track, tid] : tids)
+    for (auto &[row, tid] : tids)
         tid = next_tid++;
 
-    os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
-    os << "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\","
-          "\"args\":{\"name\":\"sgms\"}}";
-    for (const auto &[track, tid] : tids) {
-        os << ",\n{\"ph\":\"M\",\"pid\":0,\"tid\":" << tid
-           << ",\"name\":\"thread_name\",\"args\":{\"name\":\"" << track
-           << "\"}}";
+    os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
+    const char *sep = "\n";
+    auto event = [&os, &sep]() -> std::ostream & {
+        os << sep;
+        sep = ",\n";
+        return os;
+    };
+    std::optional<NodeId> named;
+    for (const auto &[row, tid] : tids) {
+        const auto &[node, track] = row;
+        if (named != node) {
+            event() << "{\"ph\":\"M\",\"pid\":" << node
+                    << ",\"name\":\"process_name\",\"args\":{\"name\":"
+                       "\"node "
+                    << node << "\"}}";
+            named = node;
+        }
+        event() << "{\"ph\":\"M\",\"pid\":" << node << ",\"tid\":" << tid
+                << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
+                << track << "\"}}";
     }
     for (const Span &s : spans) {
         ArgNames an = arg_names(s.cat);
-        os << ",\n{\"name\":\"" << s.name << "\",\"cat\":\""
-           << span_category_name(s.cat) << "\",\"pid\":0,\"tid\":"
-           << tids[s.track] << ",\"ts\":" << fmt_us(s.start);
+        event() << "{\"name\":\"" << s.name << "\",\"cat\":\""
+                << span_category_name(s.cat) << "\",\"pid\":" << s.node
+                << ",\"tid\":" << tids[{s.node, s.track}]
+                << ",\"ts\":" << fmt_us(s.start);
         if (s.instant())
             os << ",\"ph\":\"i\",\"s\":\"t\"";
         else

@@ -8,8 +8,10 @@
  * fractional microseconds (the trace_event unit); durations survive
  * to sub-nanosecond resolution.
  *
- * Tracks are mapped to thread ids within a single process: each
- * distinct Span::track string becomes one named timeline row.
+ * Each node is one process (pid = Span::node, named "node N":
+ * clients 0..N-1, servers N and up), and each distinct Span::track of
+ * a node one named thread row inside it, so no two clients or
+ * servers share a row.
  */
 
 #ifndef SGMS_OBS_CHROME_TRACE_H

@@ -6,7 +6,9 @@
  * network stage occupancies, GMS putpage/eviction activity, and
  * program block intervals — into a bounded ring buffer. Spans carry
  * simulated (not wall-clock) timestamps, so an exported trace is the
- * run's Figure-2 timeline at full resolution.
+ * run's Figure-2 timeline at full resolution, and the node they
+ * happened on (clients 0..N-1, servers N and up), so each client and
+ * server gets its own rows.
  *
  * Cost model: every instrumentation site goes through the
  * SGMS_TRACE_* macros, which cost a single null pointer test when no
@@ -43,7 +45,7 @@ constexpr size_t SPAN_CATEGORIES = 6;
 
 const char *span_category_name(SpanCategory c);
 
-/** One recorded span; `end == start` marks an instant event. */
+/** One recorded span (64 bytes); `end == start` marks an instant event. */
 struct Span
 {
     /** Static event name (never freed; pass string literals). */
@@ -58,10 +60,14 @@ struct Span
     int64_t arg0 = 0;
     int64_t arg1 = 0;
     SpanCategory cat = SpanCategory::Fault;
+    /** The node it happened on: a client 0..N-1 or a server N and up. */
+    NodeId node = 0;
 
     Tick duration() const { return end - start; }
     bool instant() const { return end == start; }
 };
+
+static_assert(sizeof(Span) == 64, "the node fits in the padding");
 
 /**
  * Bounded recorder of spans; oldest are dropped when full. The ring's
@@ -78,12 +84,12 @@ class Tracer
     explicit Tracer(size_t capacity = DEFAULT_CAPACITY);
 
     void
-    record(SpanCategory cat, const char *name, const char *track,
-           Tick start, Tick end, uint64_t id = 0, int64_t arg0 = 0,
-           int64_t arg1 = 0)
+    record(SpanCategory cat, NodeId node, const char *name,
+           const char *track, Tick start, Tick end, uint64_t id = 0,
+           int64_t arg0 = 0, int64_t arg1 = 0)
     {
         ++count_by_cat_[static_cast<size_t>(cat)];
-        const Span s{name, track, start, end, id, arg0, arg1, cat};
+        const Span s{name, track, start, end, id, arg0, arg1, cat, node};
         if (ring_.size() < capacity_) {
             ring_.push_back(s); // within the reserve: no allocation
             return;
@@ -95,11 +101,11 @@ class Tracer
 
     /** Instant-event shorthand. */
     void
-    instant(SpanCategory cat, const char *name, const char *track,
-            Tick at, uint64_t id = 0, int64_t arg0 = 0,
+    instant(SpanCategory cat, NodeId node, const char *name,
+            const char *track, Tick at, uint64_t id = 0, int64_t arg0 = 0,
             int64_t arg1 = 0)
     {
-        record(cat, name, track, at, at, id, arg0, arg1);
+        record(cat, node, name, track, at, at, id, arg0, arg1);
     }
 
     /** Retained spans, oldest first (start order within a track). */
@@ -132,19 +138,22 @@ class Tracer
 
 } // namespace sgms::obs
 
-/** Instrumentation macros. `tr` is an `obs::Tracer *` (may be null). */
-#define SGMS_TRACE_SPAN(tr, cat, name, track, start, end, ...)          \
+/**
+ * Instrumentation macros. `tr` is an `obs::Tracer *` (may be null);
+ * `node` is the node the span happened on.
+ */
+#define SGMS_TRACE_SPAN(tr, cat, node, name, track, start, end, ...)    \
     do {                                                                \
         if (tr) {                                                       \
-            (tr)->record(::sgms::obs::SpanCategory::cat, name, track,   \
-                         start, end, ##__VA_ARGS__);                    \
+            (tr)->record(::sgms::obs::SpanCategory::cat, node, name,    \
+                         track, start, end, ##__VA_ARGS__);             \
         }                                                               \
     } while (0)
-#define SGMS_TRACE_INSTANT(tr, cat, name, track, at, ...)               \
+#define SGMS_TRACE_INSTANT(tr, cat, node, name, track, at, ...)         \
     do {                                                                \
         if (tr) {                                                       \
-            (tr)->instant(::sgms::obs::SpanCategory::cat, name, track,  \
-                          at, ##__VA_ARGS__);                           \
+            (tr)->instant(::sgms::obs::SpanCategory::cat, node, name,   \
+                          track, at, ##__VA_ARGS__);                    \
         }                                                               \
     } while (0)
 

@@ -859,7 +859,7 @@ Simulator::wake_from_fetch(Run &r, Client &c, Tick at)
     // Anything that arrived while blocked cannot also steal CPU.
     c.pending_steal = 0;
     if (waited > 0) {
-        SGMS_TRACE_SPAN(r.tracer, Block, "blocked", "program",
+        SGMS_TRACE_SPAN(r.tracer, Block, c.id, "blocked", "program",
                         c.wait_start, c.now, c.wait_seq++,
                         static_cast<int64_t>(c.ref_index), 0);
     }
@@ -872,7 +872,7 @@ Simulator::wake_from_fetch(Run &r, Client &c, Tick at)
         if (cfg_.record_faults)
             r.res.faults[c.wait_fault_id].sp_wait = waited;
         r.d_fault_wait->add(ticks::to_ns(waited));
-        SGMS_TRACE_SPAN(r.tracer, Fault, "demand", "fault",
+        SGMS_TRACE_SPAN(r.tracer, Fault, c.id, "demand", "fault",
                         c.now - waited, c.now,
                         static_cast<int64_t>(c.wait_fault_id),
                         static_cast<int64_t>(page),
@@ -882,7 +882,7 @@ Simulator::wake_from_fetch(Run &r, Client &c, Tick at)
     case Cont::NetSubpageFault:
         c.sp_latency += waited;
         r.d_fault_wait->add(ticks::to_ns(waited));
-        SGMS_TRACE_SPAN(r.tracer, Fault, "demand", "fault",
+        SGMS_TRACE_SPAN(r.tracer, Fault, c.id, "demand", "fault",
                         c.now - waited, c.now,
                         static_cast<int64_t>(c.wait_fault_id),
                         static_cast<int64_t>(page),
@@ -893,7 +893,7 @@ Simulator::wake_from_fetch(Run &r, Client &c, Tick at)
         break;
     case Cont::PageWaitInflight:
         c.page_wait += waited;
-        SGMS_TRACE_SPAN(r.tracer, PageWait, "page_wait", "fault",
+        SGMS_TRACE_SPAN(r.tracer, PageWait, c.id, "page_wait", "fault",
                         c.now - waited, c.now,
                         static_cast<int64_t>(c.wait_fault_id),
                         static_cast<int64_t>(page),
@@ -919,7 +919,7 @@ Simulator::finish_disk_wake(Run &r, Client &c)
     c.total_blocked += lat;
     c.pending_steal = 0;
     if (lat > 0) {
-        SGMS_TRACE_SPAN(r.tracer, Block, "disk", "program",
+        SGMS_TRACE_SPAN(r.tracer, Block, c.id, "disk", "program",
                         c.now - lat, c.now, c.wait_seq++,
                         static_cast<int64_t>(c.ref_index), 0);
     }
@@ -933,7 +933,7 @@ Simulator::finish_disk_wake(Run &r, Client &c)
         }
         c.pt.mark_all_valid(page);
         r.d_fault_wait->add(ticks::to_ns(lat));
-        SGMS_TRACE_SPAN(r.tracer, Fault, "demand", "fault",
+        SGMS_TRACE_SPAN(r.tracer, Fault, c.id, "demand", "fault",
                         c.now - lat, c.now,
                         static_cast<int64_t>(c.wait_fault_id),
                         static_cast<int64_t>(page),
@@ -946,8 +946,8 @@ Simulator::finish_disk_wake(Run &r, Client &c)
         c.sp_latency += lat;
         c.pt.mark_all_valid(page);
         r.d_fault_wait->add(ticks::to_ns(lat));
-        SGMS_TRACE_SPAN(r.tracer, Gms, "degraded_disk", "reliability",
-                        c.now - lat, c.now,
+        SGMS_TRACE_SPAN(r.tracer, Gms, c.id, "degraded_disk",
+                        "reliability", c.now - lat, c.now,
                         static_cast<int64_t>(c.wait_fault_id),
                         static_cast<int64_t>(page),
                         static_cast<int64_t>(cfg_.page_size));
@@ -1210,8 +1210,8 @@ Simulator::on_fetch_timeout(Run &r,
 
     ++r.res.timeouts;
     r.c_timeouts->inc();
-    SGMS_TRACE_INSTANT(r.tracer, Gms, "timeout", "reliability", when,
-                       st->fault_id,
+    SGMS_TRACE_INSTANT(r.tracer, Gms, c.id, "timeout", "reliability",
+                       when, st->fault_id,
                        static_cast<int64_t>(st->page),
                        static_cast<int64_t>(st->attempt));
 
@@ -1243,7 +1243,7 @@ Simulator::on_fetch_timeout(Run &r,
     Tick delay = cfg_.retry.backoff_delay(st->attempt, base_timeout,
                                           r.finj->jitter_draw());
     r.d_retry_delay->add(ticks::to_ns(delay));
-    SGMS_TRACE_SPAN(r.tracer, Gms, "retry_backoff", "reliability",
+    SGMS_TRACE_SPAN(r.tracer, Gms, c.id, "retry_backoff", "reliability",
                     when, when + delay, st->fault_id,
                     static_cast<int64_t>(st->page),
                     static_cast<int64_t>(st->attempt));
@@ -1272,8 +1272,8 @@ Simulator::degrade_to_disk(Run &r,
     uint32_t bytes = static_cast<uint32_t>(
         __builtin_popcountll(missing) * cfg_.subpage_size);
     Tick latency = cfg_.disk.access_latency(bytes);
-    SGMS_TRACE_SPAN(r.tracer, Gms, "degraded_disk", "reliability",
-                    when, when + latency, st->fault_id,
+    SGMS_TRACE_SPAN(r.tracer, Gms, st->client, "degraded_disk",
+                    "reliability", when, when + latency, st->fault_id,
                     static_cast<int64_t>(st->page),
                     static_cast<int64_t>(bytes));
 
@@ -1313,7 +1313,7 @@ Simulator::page_fault(Run &r, Client &c, PageId page)
         PageId victim = c.pt.evict(&victim_state);
         r.c_evictions->inc();
         PageId gv = r.gpage(victim, c.id);
-        SGMS_TRACE_INSTANT(r.tracer, Gms, "evict", "gms", c.now,
+        SGMS_TRACE_INSTANT(r.tracer, Gms, c.id, "evict", "gms", c.now,
                            static_cast<int64_t>(gv),
                            static_cast<int64_t>(cfg_.page_size),
                            static_cast<int64_t>(r.gms.server_of(gv)));
@@ -1343,7 +1343,7 @@ Simulator::page_fault(Run &r, Client &c, PageId page)
     }
 
     FetchPlan plan = c.policy->plan(r.geo, sp, byte_in_sub, missing);
-    SGMS_TRACE_INSTANT(r.tracer, Policy, "plan", "policy", c.now,
+    SGMS_TRACE_INSTANT(r.tracer, Policy, c.id, "plan", "policy", c.now,
                        static_cast<int64_t>(fault_id),
                        static_cast<int64_t>(plan.segments.size()),
                        static_cast<int64_t>(plan.total_bytes()));
@@ -1355,7 +1355,7 @@ Simulator::page_fault(Run &r, Client &c, PageId page)
         degraded = true;
         ++r.res.degraded_fetches;
         r.c_degraded->inc();
-        SGMS_TRACE_INSTANT(r.tracer, Gms, "degraded_lookup",
+        SGMS_TRACE_INSTANT(r.tracer, Gms, c.id, "degraded_lookup",
                            "reliability", c.now,
                            static_cast<int64_t>(fault_id),
                            static_cast<int64_t>(gp),
@@ -1393,7 +1393,7 @@ Simulator::subpage_fault(Run &r, Client &c,
 
     FetchPlan plan = c.policy->plan(r.geo, sp, byte_in_sub, missing);
     SGMS_ASSERT(!plan.from_disk);
-    SGMS_TRACE_INSTANT(r.tracer, Policy, "plan", "policy", c.now,
+    SGMS_TRACE_INSTANT(r.tracer, Policy, c.id, "plan", "policy", c.now,
                        static_cast<int64_t>(frame.fault_id),
                        static_cast<int64_t>(plan.segments.size()),
                        static_cast<int64_t>(plan.total_bytes()));

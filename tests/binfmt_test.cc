@@ -574,5 +574,33 @@ TEST_F(TraceStoreTierTest, ExperimentTraceBinMatchesMappedReplay)
     EXPECT_EQ(from_file.mem_pages, from_synth.mem_pages);
 }
 
+/**
+ * A path baked again with another trace holds another trace: the
+ * footprint memo, and with it mem_pages, must follow the file's
+ * content, not its name.
+ */
+TEST_F(BinFmtTest, TraceBinFootprintFollowsTheFileNotThePath)
+{
+    const std::string p = path("rebaked.sgmb");
+    Experiment ex;
+    ex.policy = "eager";
+    ex.subpage_size = 1024;
+    ex.mem = MemConfig::Half;
+    ex.trace_bin = p;
+
+    // sample_trace(n) touches n distinct 8K pages.
+    VectorTrace first = sample_trace(100);
+    write_bin_trace(first, p);
+    SimConfig a = ex.config();
+    EXPECT_EQ(a.footprint_pages_hint, 100u);
+    EXPECT_EQ(a.mem_pages, 50u);
+
+    VectorTrace second = sample_trace(300);
+    write_bin_trace(second, p);
+    SimConfig b = ex.config();
+    EXPECT_EQ(b.footprint_pages_hint, 300u);
+    EXPECT_EQ(b.mem_pages, 150u);
+}
+
 } // namespace
 } // namespace sgms

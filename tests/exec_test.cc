@@ -31,6 +31,7 @@
 #include "exec/result_cache.h"
 #include "exec/result_codec.h"
 #include "obs/tracer.h"
+#include "trace/binfmt.h"
 
 namespace sgms
 {
@@ -108,9 +109,9 @@ TEST(ExecOptionsDeathTest, CountsThatDoNotFitUnsignedAreFatal)
 // --------------------------------------------------------------- codec
 
 /**
- * A SimResult with every field (and nested array) populated, and the
- * extremes of each encoding: every kind of string escape, a raw
- * control byte, non-ASCII bytes, INT64_MIN and UINT64_MAX.
+ * A SimResult with every field (and nested array) populated, and
+ * extreme values: quotes, control and non-ASCII bytes in a string,
+ * INT64_MIN and UINT64_MAX.
  */
 SimResult
 rich_result()
@@ -139,7 +140,7 @@ rich_result()
     r.faults.push_back({42, 9, 1000, 2000, 3000, true});
     r.faults.push_back({43, 10, 1001, 2001, 0, false});
     r.clustering.name = "clustering";
-    r.clustering.add(0.1, 1); // 0.1 is not exact in binary: %.17g path
+    r.clustering.add(0.1, 1); // 0.1 is not exact in binary
     r.clustering.add(2e6, 3.25);
     r.next_subpage_distance.add(-3, 2);
     r.next_subpage_distance.add(1, 9);
@@ -207,76 +208,124 @@ TEST(ResultCodec, EmptyResultRoundTrips)
     EXPECT_EQ(exec::result_blob(back), blob);
 }
 
-TEST(ResultCodec, RejectsDamagedBlobs)
+/** The offset of the first copy of @p v's bytes in @p blob. */
+template <class T>
+size_t
+find_raw(const std::string &blob, T v)
 {
-    std::string good = exec::result_blob(rich_result());
-    SimResult out;
-    EXPECT_FALSE(exec::read_result_blob("", out));
-    EXPECT_FALSE(exec::read_result_blob("not json at all", out));
-    // Truncation at any of a few depths: parse fails, reader says no.
-    EXPECT_FALSE(
-        exec::read_result_blob(good.substr(0, good.size() / 2), out));
-    EXPECT_FALSE(exec::read_result_blob(good.substr(0, 10), out));
-    // Valid JSON, wrong schema version.
-    std::string bumped = good;
-    size_t pos = bumped.find("\"schema\":");
-    ASSERT_NE(pos, std::string::npos);
-    bumped.replace(pos, 10, "\"schema\":9");
-    EXPECT_FALSE(exec::read_result_blob(bumped, out));
-    // Valid JSON, not a result blob.
-    EXPECT_FALSE(exec::read_result_blob("{\"schema\":1}", out));
-    EXPECT_FALSE(exec::read_result_blob("[1,2,3]", out));
-    // Valid JSON, same values, not the writer's bytes.
-    EXPECT_FALSE(exec::read_result_blob(" " + good, out));
-    EXPECT_FALSE(exec::read_result_blob(good + "\n", out));
-    std::string padded = good;
-    padded.replace(pos, 10, "\"schema\":01");
-    EXPECT_FALSE(exec::read_result_blob(padded, out));
+    std::string bytes(sizeof(T), '\0');
+    std::memcpy(bytes.data(), &v, sizeof(T));
+    return blob.find(bytes);
 }
 
-/** result_blob(rich_result()): the bytes every cached blob rests on. */
-const char *const kRichBlob =
-    "{\"schema\":1,\"app\":\"app \\\"quoted\\\"\\n\\t\\\\ \\u0001\\u000"
-    "d caf\303\251\",\"policy\":\"pipelining\",\"page_size\":8192,"
-    "\"subpage_size\":512,\"mem_pages\":321,\"refs\":123456789,"
-    "\"page_faults\":1021,\"lazy_subpage_faults\":77,"
-    "\"evictions\":5,\"putpages\":6,\"emulated_accesses\":7,"
-    "\"runtime\":9007199254740993,\"exec_time\":123,"
-    "\"sp_latency\":456,\"page_wait\":789,\"recv_overhead\":10,"
-    "\"emulation_overhead\":11,\"tlb_overhead\":12,"
-    "\"io_overlap\":13,\"comp_overlap\":-9223372036854775808,"
-    "\"faults\":[{\"page\":42,\"ref_index\":9,\"at\":1000,"
-    "\"sp_wait\":2000,\"page_wait\":3000,\"from_disk\":true},"
-    "{\"page\":43,\"ref_index\":10,\"at\":1001,\"sp_wait\":2001,"
-    "\"page_wait\":0,\"from_disk\":false}],\"clustering\":{\"name\":\"c"
-    "lustering\",\"points\":[[0.10000000000000001,"
-    "1],[2000000,3.25]]},\"distance_bins\":[[-3,2],"
-    "[1,9]],\"net\":{\"messages\":100,\"bytes\":200,"
-    "\"messages_by_kind\":[10,11,12,13],\"bytes_by_kind\":[20,"
-    "21,22,23],\"dropped\":1,\"corrupted\":2,\"duplicated\":3},"
-    "\"tlb\":{\"hits\":18446744073709551615,\"misses\":60},"
-    "\"global_discards\":4,\"retries\":3,\"timeouts\":2,"
-    "\"degraded_fetches\":1,\"duplicate_deliveries\":8,"
-    "\"server_failures\":1,\"metrics\":[{\"name\":\"a.counter\","
-    "\"kind\":0,\"value\":4,\"count\":0,\"mean\":0,"
-    "\"min\":0,\"max\":0},{\"name\":\"b.gauge\",\"kind\":1,"
-    "\"value\":0.125,\"count\":0,\"mean\":0,\"min\":0,"
-    "\"max\":0},{\"name\":\"c.dist\",\"kind\":2,\"value\":6600000,"
-    "\"count\":3,\"mean\":2200000,\"min\":1000000,"
-    "\"max\":3000000}],\"requester_wire_busy\":15,"
-    "\"requester_dma_busy\":16,\"requester_cpu_busy\":17}";
+/** @p blob with the bytes of @p v written over those at @p at. */
+template <class T>
+std::string
+with_raw(std::string blob, size_t at, T v)
+{
+    std::memcpy(blob.data() + at, &v, sizeof(T));
+    return blob;
+}
+
+TEST(ResultCodec, RejectsDamagedBlobs)
+{
+    const std::string good = exec::result_blob(rich_result());
+    SimResult out;
+    ASSERT_TRUE(exec::read_result_blob(good, out));
+    EXPECT_FALSE(exec::read_result_blob("", out));
+    for (size_t n = 0; n < good.size(); ++n)
+        ASSERT_FALSE(exec::read_result_blob(good.substr(0, n), out)) << n;
+    EXPECT_FALSE(exec::read_result_blob(good + '\0', out));
+
+    // The u32 schema word opens the blob: the JSON era's 1, and this
+    // version as a host of the other byte order writes it.
+    EXPECT_FALSE(exec::read_result_blob(with_raw<uint32_t>(good, 0, 1), out));
+    EXPECT_FALSE(exec::read_result_blob(
+        with_raw(good, 0, __builtin_bswap32(exec::kResultBlobSchema)), out));
+
+    // The first fault's from_disk byte follows its page_wait (3000).
+    size_t from_disk = find_raw<Tick>(good, 3000) + sizeof(Tick);
+    ASSERT_EQ(good.at(from_disk), 1);
+    EXPECT_TRUE(exec::read_result_blob(with_raw<uint8_t>(good, from_disk, 0),
+                                       out));
+    EXPECT_FALSE(exec::read_result_blob(
+        with_raw<uint8_t>(good, from_disk, 2), out));
+
+    // The kind byte follows a metric's name; 2 is Distribution.
+    size_t kind = good.find("c.dist") + 6;
+    ASSERT_EQ(good.at(kind), 2);
+    EXPECT_FALSE(exec::read_result_blob(with_raw<uint8_t>(good, kind, 3),
+                                        out));
+
+    // The histogram's two (bin, count) pairs, (-3, 2) then (1, 9),
+    // swapped; and the second bin equal to the first.
+    size_t bins = find_raw<int64_t>(good, -3);
+    ASSERT_NE(bins, std::string::npos);
+    std::string swapped = good;
+    swapped.replace(bins, 16, good, bins + 16, 16);
+    swapped.replace(bins + 16, 16, good, bins, 16);
+    EXPECT_FALSE(exec::read_result_blob(swapped, out));
+    EXPECT_FALSE(exec::read_result_blob(
+        with_raw<int64_t>(good, bins + 16, -3), out));
+
+    // The metrics count (3) precedes the first name's length: one
+    // more element than the blob holds, and a count past any blob.
+    size_t metrics = good.find("a.counter") - 2 * sizeof(uint64_t);
+    uint64_t n = 0;
+    std::memcpy(&n, good.data() + metrics, sizeof(n));
+    ASSERT_EQ(n, 3u);
+    EXPECT_FALSE(exec::read_result_blob(with_raw<uint64_t>(good, metrics, 4),
+                                        out));
+    EXPECT_FALSE(exec::read_result_blob(
+        with_raw(good, metrics, std::numeric_limits<uint64_t>::max()), out));
+}
 
 TEST(ResultCodec, WriterBytesArePinned)
 {
-    // A formatting drift shows here as a byte diff; the simulator
-    // digests would report it only as a changed hash.
-    EXPECT_EQ(exec::result_blob(rich_result()), kRichBlob);
+    // A layout change shows here first, on a blob small enough to
+    // read by hand. 747 bytes: the schema (4), app and policy
+    // (8 + 24, 8 + 10), page and subpage size (4 + 4), 16 numbers
+    // (128), 2 faults (8 + 82), the clustering name (8 + 10), 2 points
+    // and 2 bins (40 + 40), 21 net, TLB and reliability numbers (168),
+    // 3 metrics (8 + 169) and 3 ticks (24).
+    const std::string blob = exec::result_blob(rich_result());
+    EXPECT_EQ(blob.size(), 747u);
+    EXPECT_EQ(fnv1a_bytes(blob.data(), blob.size()), 0xdeca9dd77b5bdc3aull);
+}
+
+TEST(ResultCodec, PaddingBytesNeverReachABlob)
+{
+    // FaultRecord ends in a bool, so it has padding. Fill the storage
+    // of two equal fault lists with different bytes, then set every
+    // field: only the padding differs, and the blobs must not.
+    auto filled = [](unsigned char fill) {
+        SimResult r = rich_result();
+        const std::vector<FaultRecord> want = r.faults;
+        std::memset(static_cast<void *>(r.faults.data()), fill,
+                    r.faults.size() * sizeof(FaultRecord));
+        for (size_t i = 0; i < want.size(); ++i) {
+            FaultRecord &f = r.faults[i];
+            f.page = want[i].page;
+            f.ref_index = want[i].ref_index;
+            f.at = want[i].at;
+            f.sp_wait = want[i].sp_wait;
+            f.page_wait = want[i].page_wait;
+            f.from_disk = want[i].from_disk;
+        }
+        return r;
+    };
+    SimResult a = filled(0x00);
+    SimResult b = filled(0xa5);
+    ASSERT_NE(std::memcmp(static_cast<const void *>(a.faults.data()),
+                          static_cast<const void *>(b.faults.data()),
+                          a.faults.size() * sizeof(FaultRecord)),
+              0);
+    EXPECT_EQ(exec::result_blob(a), exec::result_blob(b));
 }
 
 /**
- * Seeded finite doubles for every branch of %.17g: random bit
- * patterns, integers up to 2^63 (and around the 1e15 edge of the
- * writer's integer path), subnormals, short decimals, and the named
+ * Seeded finite doubles: random bit patterns, integers up to 2^63
+ * (and around 1e15), subnormals, short decimals, and the named
  * extremes.
  */
 std::vector<double>
@@ -320,33 +369,13 @@ tricky_doubles()
     return v;
 }
 
-TEST(ResultCodec, DoublesPrintAsPrintf17gAndReadBackExactly)
+TEST(ResultCodec, DoublesRoundTripBitExactly)
 {
     std::vector<double> values = tricky_doubles();
     SimResult r;
     for (size_t i = 0; i + 1 < values.size(); i += 2)
         r.clustering.add(values[i], values[i + 1]);
     std::string blob = exec::result_blob(r);
-
-    auto printf17 = [](double d) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", d);
-        return std::string(buf);
-    };
-    const std::string head = "\"points\":[";
-    size_t at = blob.find(head);
-    ASSERT_NE(at, std::string::npos);
-    at += head.size();
-    for (size_t i = 0; i < r.clustering.points.size(); ++i) {
-        const auto &[x, y] = r.clustering.points[i];
-        std::string want = (i ? ",[" : "[") + printf17(x) + "," +
-                           printf17(y) + "]";
-        ASSERT_EQ(blob.compare(at, want.size(), want), 0)
-            << "point " << i << ": want " << want << ", blob has "
-            << blob.substr(at, want.size());
-        at += want.size();
-    }
-    EXPECT_EQ(blob.compare(at, 2, "]}"), 0);
 
     // Bit-exact decode, -0.0 and subnormals included.
     SimResult back;
@@ -360,8 +389,8 @@ TEST(ResultCodec, DoublesPrintAsPrintf17gAndReadBackExactly)
 
 TEST(ResultCodec, HostileBytesDecodeOnlyToCanonicalBlobs)
 {
-    // A real blob: 206 faults and the full metric snapshot, ~28 KB.
-    // Every prefix costs a parse, so the test grows with its square.
+    // A real blob: 206 faults and the full metric snapshot, ~16 KB.
+    // Every prefix costs a decode, so the test grows with its square.
     Experiment ex;
     ex.app = "ld";
     ex.scale = 0.02;
@@ -373,7 +402,7 @@ TEST(ResultCodec, HostileBytesDecodeOnlyToCanonicalBlobs)
     const std::string good = exec::result_blob(real);
 
     // Every mutant either fails to decode, or decodes to a result
-    // that prints back to exactly the mutant's bytes.
+    // that encodes back to exactly the mutant's bytes.
     SimResult out;
     size_t accepted = 0;
     auto probe = [&](const std::string &m, const char *how) {
@@ -394,8 +423,6 @@ TEST(ResultCodec, HostileBytesDecodeOnlyToCanonicalBlobs)
     auto below = [&rng](size_t n) {
         return static_cast<size_t>(rng.below(n));
     };
-    const std::string alphabet =
-        std::string("0123456789-+.e,:\"\\{}[]tu \x7f\xff") + '\0' + '\x01';
     for (int i = 0; i < 2000; ++i) {
         std::string m = good;
         m[below(m.size())] ^= static_cast<char>(1 << below(8));
@@ -403,7 +430,7 @@ TEST(ResultCodec, HostileBytesDecodeOnlyToCanonicalBlobs)
     }
     for (int i = 0; i < 1000; ++i) {
         std::string m = good;
-        m.insert(below(m.size() + 1), 1, alphabet[below(alphabet.size())]);
+        m.insert(below(m.size() + 1), 1, static_cast<char>(below(256)));
         probe(m, "insert");
     }
     for (int i = 0; i < 1000; ++i) {
@@ -416,22 +443,37 @@ TEST(ResultCodec, HostileBytesDecodeOnlyToCanonicalBlobs)
         size_t from = below(m.size());
         std::string span = m.substr(from, 1 + below(200));
         m.insert(below(m.size() + 1), span);
-        probe(m, "duplicate");
+        probe(m, "splice");
     }
-    for (int i = 0; i < 500; ++i) {
-        // Lengthen a number to 20+ digits: past UINT64_MAX, INT64_MAX
-        // and the 17 significant digits of a double.
-        std::string m = good;
-        size_t at = m.find_first_of("0123456789", below(m.size()));
-        if (at == std::string::npos)
+
+    // Edits of the u64 counts: every 8-byte window that holds the
+    // length of a string or an array of this blob, the real count
+    // fields among them, set to a nearby, empty, huge or
+    // end-of-blob count.
+    std::set<uint64_t> counts = {
+        real.app.size(),
+        real.policy.size(),
+        real.faults.size(),
+        real.clustering.name.size(),
+        real.clustering.points.size(),
+        real.next_subpage_distance.bins().size(),
+        real.metrics.size()};
+    for (const obs::MetricSample &m : real.metrics)
+        counts.insert(m.name.size());
+    size_t windows = 0;
+    for (size_t at = 0; at + sizeof(uint64_t) <= good.size(); ++at) {
+        uint64_t n = 0;
+        std::memcpy(&n, good.data() + at, sizeof(n));
+        if (!counts.count(n))
             continue;
-        std::string run(1, static_cast<char>('1' + below(9)));
-        for (size_t k = 19 + below(8); k > 0; --k)
-            run += static_cast<char>('0' + below(10));
-        m.insert(at, run);
-        probe(m, "digits");
+        ++windows;
+        for (uint64_t edit :
+             {n - 1, n + 1, uint64_t{0}, 2 * n, uint64_t{good.size() - at},
+              std::numeric_limits<uint64_t>::max(), (uint64_t{1} << 32) + n})
+            probe(with_raw(good, at, edit), "count");
     }
-    // Flips inside digits leave canonical blobs behind, so the
+    EXPECT_GE(windows, counts.size());
+    // Flips inside numbers leave canonical blobs behind, so the
     // accepting path is exercised too.
     EXPECT_GT(accepted, 0u);
 }

@@ -263,9 +263,9 @@ mc_config(const std::string &policy, uint32_t subpage = 1024)
 /**
  * FNV-1a 64 of the lossless result blob, which covers every field
  * including per-fault records and the metric snapshot. The pinned
- * values are the results these cases have produced under result
- * schema 1; a change to any of them changes simulated results and
- * must bump exec::kResultBlobSchema.
+ * values are the results these cases have produced since result
+ * schema 1, in schema 2's binary layout; a change to any of them
+ * changes simulated results and must bump exec::kResultBlobSchema.
  */
 uint64_t
 blob_digest(const SimResult &r)
@@ -277,12 +277,12 @@ blob_digest(const SimResult &r)
 TEST(MultiClientIdentity, ByteIdenticalAtNOneAcrossPolicies)
 {
     const std::pair<const char *, uint64_t> pinned[] = {
-        {"fullpage", 0xa0ac8d6e304f7712ull},
-        {"eager", 0xa9b08fa915bd6b3dull},
-        {"pipelining", 0xdc1877533e91bacaull},
-        {"pipelining-all", 0x46ca94f799e92a61ull},
-        {"lazy", 0x2c69ef94b633be0dull},
-        {"disk", 0x6706fb0bbfad6321ull},
+        {"fullpage", 0xb8ef47def437a92cull},
+        {"eager", 0x3b9e0e2c290f8725ull},
+        {"pipelining", 0xa9f31c885cf3ec6eull},
+        {"pipelining-all", 0xa8dc0973e047de67ull},
+        {"lazy", 0x007ebd9c3e7b7c1full},
+        {"disk", 0x7a48c98b6d2f0db5ull},
     };
     for (const auto &[policy, digest] : pinned) {
         SCOPED_TRACE(policy);
@@ -296,11 +296,11 @@ TEST(MultiClientIdentity, ByteIdenticalWithTlbAndSoftwarePal)
     cfg.tlb_enabled = true;
     cfg.tlb_entries = 16;
     cfg.tlb_assoc = 4;
-    EXPECT_EQ(blob_digest(run_multi(cfg, 1)), 0xf12848881744a5c0ull);
+    EXPECT_EQ(blob_digest(run_multi(cfg, 1)), 0xc1f229ac281d6199ull);
 
     SimConfig pal = mc_config("pipelining");
     pal.protection = ProtectionMode::SoftwarePal;
-    EXPECT_EQ(blob_digest(run_multi(pal, 1)), 0x65ee8f0c06f0836aull);
+    EXPECT_EQ(blob_digest(run_multi(pal, 1)), 0xfd06fde98cbf0ca1ull);
 }
 
 TEST(MultiClientIdentity, ByteIdenticalUnderFaultInjection)
@@ -312,9 +312,9 @@ TEST(MultiClientIdentity, ByteIdenticalUnderFaultInjection)
     plan.outages.push_back(
         {1, ticks::from_ms(5), ticks::from_ms(60)});
     const std::pair<const char *, uint64_t> pinned[] = {
-        {"eager", 0xb79195f95dc4579dull},
-        {"pipelining", 0xc9e23302dbb349e2ull},
-        {"fullpage", 0x41c53718e3062678ull},
+        {"eager", 0x9b20bd099fefe4d1ull},
+        {"pipelining", 0xa3df71bbace21274ull},
+        {"fullpage", 0x8401873d9928c9cbull},
     };
     for (const auto &[policy, digest] : pinned) {
         SCOPED_TRACE(policy);
@@ -334,12 +334,12 @@ TEST(MultiClientIdentity, ExperimentRouteIsByteIdenticalAtNOne)
     ex.policy = "eager";
     ex.subpage_size = 1024;
     ex.mem = MemConfig::Half;
-    EXPECT_EQ(blob_digest(ex.run()), 0x1f882bb201f9a9a4ull);
+    EXPECT_EQ(blob_digest(ex.run()), 0x27e724d747a26e00ull);
 
     auto trace = ex.trace();
     SimResult direct = Simulator(ex.config()).run(*trace);
     direct.app = ex.app;
-    EXPECT_EQ(blob_digest(direct), 0x1f882bb201f9a9a4ull);
+    EXPECT_EQ(blob_digest(direct), 0x27e724d747a26e00ull);
 }
 
 // ---------------------------------------------------------------
@@ -455,10 +455,10 @@ TEST(ReferenceLoop, HitRunBoundKeepsItsBytes)
         uint32_t clients;
         uint64_t digest;
     } cases[] = {
-        {0, 1, 0xbe6235d14af4e15dull},
-        {0, 4, 0xe4ea756206eba7e1ull},
-        {ticks::from_ns(1), 1, 0xa4818e4880eaa62dull},
-        {ticks::from_ns(1), 4, 0x021b0a938078f27aull},
+        {0, 1, 0x5c82232a8f1d257dull},
+        {0, 4, 0x70c40a3eef4cd698ull},
+        {ticks::from_ns(1), 1, 0x611d9b656dcb3eb6ull},
+        {ticks::from_ns(1), 4, 0x65cdc370932f9288ull},
     };
     for (const auto &tc : cases) {
         SCOPED_TRACE(testing::Message() << "step " << tc.step << " ps, "

@@ -8,16 +8,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/options.h"
 #include "core/experiment.h"
@@ -240,7 +244,7 @@ TEST(Tracer, RingOverflowDropsOldest)
 {
     obs::Tracer tr(4);
     for (int i = 0; i < 10; ++i) {
-        tr.record(obs::SpanCategory::Net, "m", "t", i * 10, i * 10 + 5,
+        tr.record(obs::SpanCategory::Net, 0, "m", "t", i * 10, i * 10 + 5,
                   static_cast<uint64_t>(i));
     }
     EXPECT_EQ(tr.size(), 4u);
@@ -257,7 +261,7 @@ TEST(Tracer, RingOverflowDropsOldest)
     EXPECT_EQ(tr.dropped(), 0u);
     // A cleared ring fills from its start again, then wraps.
     for (int i = 0; i < 5; ++i)
-        tr.record(obs::SpanCategory::Net, "m", "t", i, i,
+        tr.record(obs::SpanCategory::Net, 0, "m", "t", i, i,
                   static_cast<uint64_t>(20 + i));
     spans = tr.spans();
     ASSERT_EQ(spans.size(), 4u);
@@ -286,7 +290,7 @@ TEST(Tracer, DefaultRingCostsMemoryOnlyForRecordedSpans)
     ASSERT_GT(before, 0);
     obs::Tracer tracer;
     for (int i = 0; i < 1000; ++i) {
-        tracer.record(obs::SpanCategory::Net, "m", "t", i, i + 1,
+        tracer.record(obs::SpanCategory::Net, 0, "m", "t", i, i + 1,
                       static_cast<uint64_t>(i));
     }
     const int64_t grown = resident_bytes() - before;
@@ -354,6 +358,67 @@ TEST(Tracer, ChromeExportIsValidJson)
         EXPECT_NE(json.find(needle), std::string::npos)
             << "missing " << needle;
     }
+}
+
+TEST(Tracer, ChromeExportGivesEachNodeItsOwnRows)
+{
+    // Two gdb clients fault at once on shared servers; if two nodes
+    // shared a row of the export, their spans would overlap on it.
+    Experiment ex;
+    ex.app = "gdb";
+    ex.scale = 0.5;
+    ex.policy = "eager";
+    ex.subpage_size = 1024;
+    ex.clients = 2;
+    obs::Tracer tracer;
+    SimConfig cfg = ex.config();
+    cfg.mem_pages = 32;
+    cfg.tracer = &tracer;
+    auto traces = ex.client_traces(cfg.clients);
+    std::vector<TraceSource *> ptrs;
+    for (auto &t : traces)
+        ptrs.push_back(t.get());
+    Simulator(cfg).run(ptrs);
+    ASSERT_EQ(tracer.dropped(), 0u);
+
+    std::ostringstream os;
+    obs::write_chrome_trace(os, tracer);
+    JsonValue doc;
+    ASSERT_TRUE(JsonValue::parse(os.str(), doc));
+
+    // Every complete Net span, and every span on a "program" row, as
+    // [start, end) in picoseconds per (pid, tid) row.
+    using Row = std::pair<int64_t, int64_t>;
+    std::map<Row, std::string> track;
+    std::map<Row, std::vector<std::pair<int64_t, int64_t>>> rows;
+    std::set<int64_t> program_pids;
+    auto ps = [](double us) { return std::llround(us * 1e6); };
+    for (const JsonValue &e : doc["traceEvents"].items()) {
+        Row row{e.get_i64("pid"), e.get_i64("tid")};
+        if (e.get_string("name") == "thread_name")
+            track[row] = e["args"].get_string("name");
+        if (e.get_string("ph") != "X")
+            continue;
+        if (e.get_string("cat") != "net" && track[row] != "program")
+            continue;
+        if (track[row] == "program")
+            program_pids.insert(row.first);
+        int64_t start = ps(e.get_double("ts"));
+        rows[row].emplace_back(start, start + ps(e.get_double("dur")));
+    }
+    EXPECT_EQ(program_pids, (std::set<int64_t>{0, 1}));
+    std::set<int64_t> pids;
+    size_t spans = 0, overlaps = 0;
+    for (auto &[row, intervals] : rows) {
+        pids.insert(row.first);
+        std::sort(intervals.begin(), intervals.end());
+        spans += intervals.size();
+        for (size_t i = 1; i < intervals.size(); ++i)
+            overlaps += intervals[i].first < intervals[i - 1].second;
+    }
+    EXPECT_GE(pids.size(), 3u); // both clients and a server
+    EXPECT_GT(spans, 1000u);
+    EXPECT_EQ(overlaps, 0u);
 }
 
 TEST(Tracer, FaultTimelineMentionsFaults)
