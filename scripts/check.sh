@@ -14,7 +14,10 @@
 #                             (export_grid must reject each retired
 #                             flag, and quickstart, policy_explorer
 #                             and fig4_breakdown --debug-flags, before
-#                             any point runs), a trace_tool smoke
+#                             any point runs), a hostile-value smoke
+#                             (export_grid must reject a value that
+#                             does not fit its flag, naming the
+#                             flag), a trace_tool smoke
 #                             (convert and bake round trips,
 #                             payload-hash check), a byte check
 #                             of Figure 2 and Table 2 against
@@ -156,6 +159,26 @@ for tool in examples/quickstart examples/policy_explorer \
 done
 echo "   retired flags rejected by export_grid, quickstart," \
     "policy_explorer and fig4_breakdown"
+
+echo "== smoke: export_grid rejects a value that does not fit its flag =="
+# A NaN step, a page size past 32 bits and a fault spec with an empty
+# message kind or a NaN outage time each once ran (or wrote out of
+# bounds); each must fail before any point runs, naming the flag.
+rejects_value() { # rejects_value FLAG CMD...: CMD FLAG must fail on FLAG
+    local flag=$1 err
+    shift
+    if err=$("$@" "$flag" 2>&1 >/dev/null); then
+        echo "$1 accepted $flag"
+        exit 1
+    fi
+    grep -qF -- "${flag%%=*}" <<<"$err" ||
+        { echo "$1 failed on $flag without naming it: $err"; exit 1; }
+}
+for flag in --ns-per-ref=nan --page=4294975488 --faults=loss-=0.5 \
+    --faults=down=0:nan; do
+    rejects_value "$flag" ./build/examples/export_grid --scale=0.01
+done
+echo "   hostile values rejected by export_grid, each naming its flag"
 
 echo "== smoke: trace_tool gen / convert / bake / info =="
 # gen -> SGMB -> text -> SGMB (with the same provenance) must give

@@ -1,22 +1,41 @@
 #include "core/config_override.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
+
+#include "common/logging.h"
 
 namespace sgms
 {
 
+namespace
+{
+
+/** @p v, the value of --@p name, as a 32-bit field, if it fits. */
+uint32_t
+fit_u32(const char *name, uint64_t v)
+{
+    if (v > std::numeric_limits<uint32_t>::max()) {
+        fatal("option --%s=%llu does not fit 32 bits", name,
+              static_cast<unsigned long long>(v));
+    }
+    return static_cast<uint32_t>(v);
+}
+
+} // namespace
+
 void
 apply_config_overrides(SimConfig &cfg, const Options &opts)
 {
-    cfg.page_size = static_cast<uint32_t>(
-        opts.get_bytes("page", cfg.page_size));
-    cfg.subpage_size = static_cast<uint32_t>(
-        opts.get_bytes("subpage", cfg.subpage_size));
+    cfg.page_size = fit_u32("page", opts.get_bytes("page", cfg.page_size));
+    cfg.subpage_size =
+        fit_u32("subpage", opts.get_bytes("subpage", cfg.subpage_size));
     cfg.policy = opts.get("policy", cfg.policy);
     cfg.mem_pages = opts.get_u64("mem-pages", cfg.mem_pages);
     cfg.replacement = opts.get("replacement", cfg.replacement);
-    cfg.gms.servers = static_cast<uint32_t>(
-        opts.get_u64("servers", cfg.gms.servers));
+    cfg.gms.servers =
+        fit_u32("servers", opts.get_u64("servers", cfg.gms.servers));
     if (opts.get_bool("cold"))
         cfg.gms.warm = false;
     if (opts.get_bool("no-putpage"))
@@ -29,7 +48,7 @@ apply_config_overrides(SimConfig &cfg, const Options &opts)
         cfg.tlb_enabled = true;
         uint64_t entries = opts.get_u64("tlb", 0);
         if (entries > 1) {
-            cfg.tlb_entries = static_cast<uint32_t>(entries);
+            cfg.tlb_entries = fit_u32("tlb", entries);
             cfg.tlb_assoc = cfg.tlb_entries;
         }
     }
@@ -42,21 +61,33 @@ apply_config_overrides(SimConfig &cfg, const Options &opts)
         cfg.net.pipelined_recv_per_byte = ticks::from_ns(31);
     }
     if (opts.has("ns-per-ref")) {
-        cfg.ns_per_ref =
-            ticks::from_ns(opts.get_double("ns-per-ref", 12.0));
+        // 0 is a clock that charges nothing per reference. Written so
+        // that NaN fails too.
+        double ns = opts.get_double("ns-per-ref", 12.0);
+        if (!(ns >= 0.0 && ns * static_cast<double>(ticks::NS) < 0x1p63)) {
+            fatal("option --ns-per-ref=%s is not a step in [0, 2^63) ps",
+                  opts.get("ns-per-ref").c_str());
+        }
+        cfg.ns_per_ref = ticks::from_ns(ns);
     }
     // Fault injection: the --faults flag wins over the SGMS_FAULTS
     // environment variable (same spec syntax; fault/fault_plan.h).
     if (opts.has("faults")) {
-        cfg.faults = fault::FaultPlan::parse(opts.get("faults"));
+        cfg.faults =
+            fault::FaultPlan::parse(opts.get("faults"), "--faults");
     } else if (const char *env = std::getenv("SGMS_FAULTS");
                env && *env) {
-        cfg.faults = fault::FaultPlan::parse(env);
+        cfg.faults = fault::FaultPlan::parse(env, "SGMS_FAULTS");
     }
-    cfg.retry.max_attempts = static_cast<uint32_t>(
+    cfg.retry.max_attempts = fit_u32(
+        "fault-retries",
         opts.get_u64("fault-retries", cfg.retry.max_attempts));
     cfg.retry.timeout_multiplier = opts.get_double(
         "fault-timeout-mult", cfg.retry.timeout_multiplier);
+    if (!std::isfinite(cfg.retry.timeout_multiplier)) {
+        fatal("option --fault-timeout-mult=%s is not finite",
+              opts.get("fault-timeout-mult").c_str());
+    }
 }
 
 const char *

@@ -25,6 +25,10 @@
  *   --fault-retries=<n>      max fetch attempts under faults
  *   --fault-timeout-mult=<x> timeout margin over the calibrated
  *                            fetch latency
+ *
+ * A value that does not fit its field is fatal and names the flag:
+ * a count past 32 bits, a non-finite double, an --ns-per-ref that is
+ * negative or past a Tick, a malformed --faults spec.
  */
 
 #ifndef SGMS_CORE_CONFIG_OVERRIDE_H

@@ -37,7 +37,7 @@ namespace sgms::exec
  * the version participates in the cache key, so a bump invalidates
  * every cached point at once.
  */
-inline constexpr uint32_t kResultBlobSchema = 2;
+inline constexpr uint32_t kResultBlobSchema = 3;
 
 /** Serialize every field of @p r as one binary blob. */
 std::string result_blob(const SimResult &r);

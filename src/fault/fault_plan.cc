@@ -1,9 +1,10 @@
 #include "fault/fault_plan.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
 
 #include "common/logging.h"
+#include "common/options.h"
 
 namespace sgms::fault
 {
@@ -11,70 +12,83 @@ namespace sgms::fault
 namespace
 {
 
-/** Map a per-kind key suffix onto a MsgKind, or -1 for "all". */
-int
-kind_of_suffix(const std::string &suffix)
+/** One "key=value" token of a spec, and where the spec came from. */
+struct Token
 {
-    if (suffix.empty())
-        return -1;
+    const char *source;
+    const std::string &text;
+};
+
+[[noreturn]] void
+reject(const Token &tok, const char *why)
+{
+    fatal("%s: %s in '%s'", tok.source, why, tok.text.c_str());
+}
+
+/** The MsgKind named by a per-kind key's @p suffix. */
+size_t
+kind_of_suffix(const Token &tok, const std::string &suffix)
+{
     for (size_t k = 0; k < kMsgKindCount; ++k) {
         if (suffix == msg_kind_name(static_cast<MsgKind>(k)))
-            return static_cast<int>(k);
+            return k;
     }
-    fatal("fault plan: unknown message kind '%s'", suffix.c_str());
-    return -1;
+    reject(tok, "unknown message kind");
 }
 
 double
-parse_prob(const std::string &key, const std::string &value)
+parse_prob(const Token &tok, const std::string &value)
 {
-    char *end = nullptr;
-    double p = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end || p < 0.0 || p > 1.0) {
-        fatal("fault plan: bad probability '%s=%s' (need 0..1)",
-              key.c_str(), value.c_str());
-    }
+    double p = 0;
+    // Written so that NaN fails too.
+    if (!parse_number(value, p) || !(p >= 0.0 && p <= 1.0))
+        reject(tok, "bad probability (need 0..1)");
     return p;
 }
 
 uint64_t
-parse_u64(const std::string &key, const std::string &value)
+parse_u64(const Token &tok, const std::string &value)
 {
-    char *end = nullptr;
-    uint64_t v = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end)
-        fatal("fault plan: bad integer '%s=%s'", key.c_str(),
-              value.c_str());
+    uint64_t v = 0;
+    if (!parse_number(value, v))
+        reject(tok, "bad integer");
     return v;
+}
+
+/**
+ * Fractional milliseconds as a Tick: finite, not negative, and
+ * below 2^63 ps, so the conversion is defined.
+ */
+Tick
+parse_ms(const Token &tok, const std::string &value)
+{
+    double ms = 0;
+    if (!parse_number(value, ms) ||
+        !(ms >= 0.0 && ms * static_cast<double>(ticks::MS) < 0x1p63))
+        reject(tok, "bad outage time (need finite, >= 0 ms, within a tick)");
+    return ticks::from_ms(ms);
 }
 
 /** "S:F[:R]" with F/R in fractional milliseconds. */
 ServerOutage
-parse_outage(const std::string &value)
+parse_outage(const Token &tok, const std::string &value)
 {
     ServerOutage o;
     size_t c1 = value.find(':');
     if (c1 == std::string::npos)
-        fatal("fault plan: bad outage '%s' (need server:fail[:recover])",
-              value.c_str());
+        reject(tok, "bad outage (need server:fail[:recover])");
     size_t c2 = value.find(':', c1 + 1);
-    o.server = static_cast<NodeId>(
-        parse_u64("down", value.substr(0, c1)));
-    std::string fail = value.substr(
-        c1 + 1, c2 == std::string::npos ? std::string::npos
-                                        : c2 - c1 - 1);
-    char *end = nullptr;
-    double fail_ms = std::strtod(fail.c_str(), &end);
-    if (end == fail.c_str() || *end || fail_ms < 0)
-        fatal("fault plan: bad outage start '%s'", value.c_str());
-    o.fail_at = ticks::from_ms(fail_ms);
+    uint64_t server = parse_u64(tok, value.substr(0, c1));
+    if (server > std::numeric_limits<NodeId>::max())
+        reject(tok, "server id does not fit a node id");
+    o.server = static_cast<NodeId>(server);
+    o.fail_at = parse_ms(tok, value.substr(c1 + 1, c2 == std::string::npos
+                                                       ? std::string::npos
+                                                       : c2 - c1 - 1));
     if (c2 != std::string::npos) {
-        std::string rec = value.substr(c2 + 1);
-        double rec_ms = std::strtod(rec.c_str(), &end);
-        if (end == rec.c_str() || *end || rec_ms < fail_ms)
-            fatal("fault plan: bad outage recovery '%s'",
-                  value.c_str());
-        o.recover_at = ticks::from_ms(rec_ms);
+        o.recover_at = parse_ms(tok, value.substr(c2 + 1));
+        if (o.recover_at < o.fail_at)
+            reject(tok, "outage recovers before it fails");
     }
     return o;
 }
@@ -106,42 +120,42 @@ FaultPlan::set_corrupt(double p)
 }
 
 FaultPlan
-FaultPlan::parse(const std::string &spec)
+FaultPlan::parse(const std::string &spec, const char *source)
 {
     FaultPlan plan;
     size_t pos = 0;
     while (pos < spec.size()) {
         size_t comma = spec.find(',', pos);
-        std::string tok = spec.substr(
+        std::string text = spec.substr(
             pos, comma == std::string::npos ? std::string::npos
                                             : comma - pos);
         pos = comma == std::string::npos ? spec.size() : comma + 1;
-        if (tok.empty())
+        if (text.empty())
             continue;
-        size_t eq = tok.find('=');
+        const Token tok{source, text};
+        size_t eq = text.find('=');
         if (eq == std::string::npos)
-            fatal("fault plan: token '%s' is not key=value",
-                  tok.c_str());
-        std::string key = tok.substr(0, eq);
-        std::string value = tok.substr(eq + 1);
+            reject(tok, "not key=value");
+        std::string key = text.substr(0, eq);
+        std::string value = text.substr(eq + 1);
         if (key == "seed") {
-            plan.seed = parse_u64(key, value);
+            plan.seed = parse_u64(tok, value);
         } else if (key == "loss") {
-            plan.set_loss(parse_prob(key, value));
+            plan.set_loss(parse_prob(tok, value));
         } else if (key == "corrupt") {
-            plan.set_corrupt(parse_prob(key, value));
+            plan.set_corrupt(parse_prob(tok, value));
         } else if (key == "duplicate") {
-            plan.duplicate_prob = parse_prob(key, value);
+            plan.duplicate_prob = parse_prob(tok, value);
         } else if (key == "down") {
-            plan.outages.push_back(parse_outage(value));
+            plan.outages.push_back(parse_outage(tok, value));
         } else if (key.rfind("loss-", 0) == 0) {
-            int k = kind_of_suffix(key.substr(5));
-            plan.loss_prob[k] = parse_prob(key, value);
+            size_t k = kind_of_suffix(tok, key.substr(5));
+            plan.loss_prob[k] = parse_prob(tok, value);
         } else if (key.rfind("corrupt-", 0) == 0) {
-            int k = kind_of_suffix(key.substr(8));
-            plan.corrupt_prob[k] = parse_prob(key, value);
+            size_t k = kind_of_suffix(tok, key.substr(8));
+            plan.corrupt_prob[k] = parse_prob(tok, value);
         } else {
-            fatal("fault plan: unknown key '%s'", key.c_str());
+            reject(tok, "unknown key");
         }
     }
     return plan;

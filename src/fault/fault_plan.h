@@ -91,9 +91,14 @@ struct FaultPlan
      *   down=S:F[:R]          server node S fails at F ms and
      *                         recovers at R ms (omitted R = never);
      *                         repeatable
-     * fatal() on unknown keys or malformed values.
+     * fatal() on an unknown key or a value that does not fit its
+     * field: a probability outside 0..1 or NaN, an outage time that
+     * is negative, not finite or past a Tick, a server id past a
+     * NodeId. The message names @p source (the flag or environment
+     * variable the spec came from) and the token.
      */
-    static FaultPlan parse(const std::string &spec);
+    static FaultPlan parse(const std::string &spec,
+                           const char *source = "fault plan");
 };
 
 /** Timeout / retry / degradation policy for reliable fetches. */

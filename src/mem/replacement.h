@@ -12,7 +12,8 @@
  * the caller stores on the frame it has already loaded (DESIGN.md
  * §6). A policy hears only of arrivals and removals, and reads the
  * stamps when it picks a victim: LRU orders the pages by stamp lazily,
- * Clock derives its reference bits from them, FIFO ignores them.
+ * Clock derives its reference bits from them, FIFO ignores them. The
+ * simulator stamps on every reference, so LRU is exact.
  */
 
 #ifndef SGMS_MEM_REPLACEMENT_H
@@ -128,8 +129,9 @@ class FifoPolicy : public ReplacementPolicy
 };
 
 /**
- * Second-chance Clock. A page's reference bit is "stamped since the
- * hand last cleared it", and set from insert until the first clear.
+ * Second-chance Clock. A page's reference bit is "its stamp moved
+ * since the hand last cleared it", which is "referenced since", and
+ * set from insert until the first clear.
  */
 class ClockPolicy : public ReplacementPolicy
 {

@@ -18,40 +18,22 @@ namespace sgms
 
 namespace
 {
-/**
- * Minimum references between recency refreshes of a page. A page is
- * restamped only on a switch to it from another page, at least this
- * many references after its stamp, which approximates LRU: on
- * memories of a few pages the fault counts differ from exact LRU by a
- * few either way (DESIGN.md §6).
- */
-constexpr uint64_t TOUCH_GRANULARITY = 64;
-
-/**
- * Most references read from a client's trace per next_words call.
- * Also the granularity of the wall-budget check: one clock read per
- * batch is noise (~20 ns per ~1024 references).
- */
+/** Most references read from a client's trace per next_words call. */
 constexpr size_t TRACE_BATCH = 1024;
 
 /**
- * The hit test and the recency rule for a reference at index @p ref
- * to @p page, whose frame is @p f, after one to @p last_page. A hit
- * needs nothing but the dirty bit: the frame is present, complete (so
- * no subpage test and no PAL charge) and unwatched. Whether or not it
- * hits, a resident page that is due a refresh is restamped with
- * @p ref. Pages switch every second reference or so, so the store is
- * a select, not a branch on the switch, which would mispredict about
- * every other reference.
+ * The hit test for a reference at index @p ref to the page whose
+ * frame is @p f, which it stamps with @p ref: a stamp is the page's
+ * last use, so replacement sees exact LRU order (DESIGN.md §6). A
+ * frame that is not resident keeps the store unread until install()
+ * overwrites it. A hit needs nothing but the dirty bit: the frame is
+ * present, complete (so no subpage test and no PAL charge) and
+ * unwatched.
  */
 inline bool
-hit_and_stamp(PageTable::Frame &f, PageId page, PageId last_page,
-              uint64_t ref)
+hit_and_stamp(PageTable::Frame &f, uint64_t ref)
 {
-    uint64_t lt = f.last_touch;
-    uint64_t due = f.present & (page != last_page) &
-                   (ref - lt >= TOUCH_GRANULARITY);
-    f.last_touch = lt ^ ((lt ^ ref) & -due);
+    f.last_touch = ref;
     return f.present & f.complete & (f.watch_from < 0);
 }
 } // namespace
@@ -122,11 +104,12 @@ struct Simulator::Client
     size_t batch_i = 0;
     size_t batch_n = 0;
 
-    // Current reference and the last page a reference hit. For an
-    // overflow page (id past the dense frames) last_frame is its
-    // frame while complete and unwatched, else null: the loop's
-    // shortcut for those pages. Only this client's own faults install
-    // or evict its pages, and every fault refreshes both.
+    // Current reference and the last page the per-reference path
+    // took. For an overflow page (id past the dense frames)
+    // last_frame is its frame while complete and unwatched, else
+    // null: that path's shortcut for those pages. Only this client's
+    // own faults install or evict its pages, and every fault
+    // refreshes both.
     TraceEvent cur_ev{};
     PageId last_page = ~0ULL;
     PageTable::Frame *last_frame = nullptr;
@@ -590,21 +573,17 @@ Simulator::step(Run &r, Client &c)
                 if (left < end - i)
                     end = i + left;
             }
-            // Plain copies, so the run keeps them in registers.
+            // A plain copy, so the run keeps it in a register.
             const size_t first = i;
             uint64_t run_ref = ref;
-            PageId run_last = last_page;
             for (; i < end; ++i, ++run_ref) {
                 const uint64_t w = words[i];
                 const PageId page = geo.page_of(w >> 1);
-                if (page >= dense_n ||
-                    !hit_and_stamp(dense[page], page, run_last, run_ref))
+                if (page >= dense_n || !hit_and_stamp(dense[page], run_ref))
                     break;
                 dense[page].dirty |= static_cast<bool>(w & 1);
-                run_last = page;
             }
             ref = run_ref;
-            last_page = run_last;
             if (i != first) {
                 now += static_cast<Tick>(i - first) * step_len;
                 const bool refill = i == batch_n;
@@ -660,7 +639,7 @@ Simulator::step(Run &r, Client &c)
                                                       : nullptr;
         if (!frame)
             frame = c.pt.find(page);
-        if (frame && hit_and_stamp(*frame, page, last_page, ref)) {
+        if (frame && hit_and_stamp(*frame, ref)) {
             frame->dirty |= ev.write;
             last_page = page;
             last_frame = frame;
@@ -1510,47 +1489,39 @@ Simulator::finish()
         r.metrics.counter("tlb.misses").inc(res.tlb_stats.misses);
     }
 
-    // Multi-client-only gauges, registered only at N>1 so N=1
-    // snapshots keep their long-standing shape (same discipline as
-    // the fault-injection-only counters).
-    if (r.n > 1) {
-        r.metrics.gauge("sim.clients")
-            .set(static_cast<double>(r.n));
-        r.metrics.gauge("sim.kernel_events")
-            .set(static_cast<double>(r.eq.executed()));
-        double cpu_max = 0, dma_max = 0, wire_max = 0;
-        if (runtime > 0) {
-            for (uint32_t s = 0; s < cfg_.gms.servers; ++s) {
-                NodeId node = r.n + s;
-                double d = static_cast<double>(runtime);
-                cpu_max = std::max(
-                    cpu_max, r.net.cpu(node).total_busy() / d);
-                dma_max = std::max(
-                    dma_max, r.net.dma(node).total_busy() / d);
-                wire_max = std::max(
-                    wire_max, r.net.wire_to(node).total_busy() / d);
-            }
+    r.metrics.gauge("sim.clients").set(static_cast<double>(r.n));
+    r.metrics.gauge("sim.kernel_events")
+        .set(static_cast<double>(r.eq.executed()));
+    double cpu_max = 0, dma_max = 0, wire_max = 0;
+    if (runtime > 0) {
+        for (uint32_t s = 0; s < cfg_.gms.servers; ++s) {
+            NodeId node = r.n + s;
+            double d = static_cast<double>(runtime);
+            cpu_max = std::max(cpu_max, r.net.cpu(node).total_busy() / d);
+            dma_max = std::max(dma_max, r.net.dma(node).total_busy() / d);
+            wire_max =
+                std::max(wire_max, r.net.wire_to(node).total_busy() / d);
         }
-        r.metrics.gauge("gms.server_cpu_util_max").set(cpu_max);
-        r.metrics.gauge("gms.server_dma_util_max").set(dma_max);
-        r.metrics.gauge("gms.server_wire_util_max").set(wire_max);
-        if (cfg_.metrics_per_client) {
-            for (Client &c : r.clients) {
-                std::string p =
-                    "client." + std::to_string(c.id) + ".";
-                r.metrics.gauge(p + "runtime_ns")
-                    .set(ticks::to_ns(c.now));
-                r.metrics.gauge(p + "exec_ns")
-                    .set(ticks::to_ns(r.exec_time(c)));
-                r.metrics.gauge(p + "blocked_ns")
-                    .set(ticks::to_ns(c.total_blocked));
-                r.metrics.gauge(p + "sp_latency_ns")
-                    .set(ticks::to_ns(c.sp_latency));
-                r.metrics.gauge(p + "page_faults")
-                    .set(static_cast<double>(c.page_faults));
-                r.metrics.gauge(p + "refs")
-                    .set(static_cast<double>(c.ref_index));
-            }
+    }
+    r.metrics.gauge("gms.server_cpu_util_max").set(cpu_max);
+    r.metrics.gauge("gms.server_dma_util_max").set(dma_max);
+    r.metrics.gauge("gms.server_wire_util_max").set(wire_max);
+    // Per-client breakdowns only on request, and only at N>1, where
+    // they differ from the aggregate.
+    if (r.n > 1 && cfg_.metrics_per_client) {
+        for (Client &c : r.clients) {
+            std::string p = "client." + std::to_string(c.id) + ".";
+            r.metrics.gauge(p + "runtime_ns").set(ticks::to_ns(c.now));
+            r.metrics.gauge(p + "exec_ns")
+                .set(ticks::to_ns(r.exec_time(c)));
+            r.metrics.gauge(p + "blocked_ns")
+                .set(ticks::to_ns(c.total_blocked));
+            r.metrics.gauge(p + "sp_latency_ns")
+                .set(ticks::to_ns(c.sp_latency));
+            r.metrics.gauge(p + "page_faults")
+                .set(static_cast<double>(c.page_faults));
+            r.metrics.gauge(p + "refs")
+                .set(static_cast<double>(c.ref_index));
         }
     }
     res.metrics = r.metrics.snapshot();

@@ -290,7 +290,7 @@ TEST(ResultCodec, WriterBytesArePinned)
     // 3 metrics (8 + 169) and 3 ticks (24).
     const std::string blob = exec::result_blob(rich_result());
     EXPECT_EQ(blob.size(), 747u);
-    EXPECT_EQ(fnv1a_bytes(blob.data(), blob.size()), 0xdeca9dd77b5bdc3aull);
+    EXPECT_EQ(fnv1a_bytes(blob.data(), blob.size()), 0x0ff1f823d294d0adull);
 }
 
 TEST(ResultCodec, PaddingBytesNeverReachABlob)

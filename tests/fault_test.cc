@@ -81,6 +81,36 @@ TEST(FaultPlanDeathTest, RejectsUnknownKeysAndBadValues)
                 ::testing::ExitedWithCode(1), "");
 }
 
+TEST(FaultPlanDeathTest, ValuesThatDoNotFitTheirFieldAreFatal)
+{
+    // Each of these once parsed: an empty kind suffix wrote index -1
+    // of a per-kind array (loss- the seed, corrupt- the last kind's
+    // loss), NaN passed the 0..1 test, an outage time of NaN or 1e300
+    // went through an out-of-range double-to-Tick cast, and a server
+    // id of 2^32 + 1 was truncated to 1. The error names the token.
+    const struct
+    {
+        const char *spec;
+        const char *error;
+    } cases[] = {
+        {"loss-=0.5", "unknown message kind in 'loss-=0.5'"},
+        {"corrupt-=0.5", "unknown message kind in 'corrupt-=0.5'"},
+        {"loss=nan", "bad probability .* in 'loss=nan'"},
+        {"corrupt=nan", "bad probability .* in 'corrupt=nan'"},
+        {"duplicate=nan", "bad probability .* in 'duplicate=nan'"},
+        {"down=0:nan", "bad outage time .* in 'down=0:nan'"},
+        {"down=0:1e300", "bad outage time .* in 'down=0:1e300'"},
+        {"down=0:1:inf", "bad outage time .* in 'down=0:1:inf'"},
+        {"down=4294967297:1",
+         "server id does not fit a node id in 'down=4294967297:1'"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.spec);
+        EXPECT_EXIT(FaultPlan::parse(c.spec), ::testing::ExitedWithCode(1),
+                    std::string("fault plan: ") + c.error);
+    }
+}
+
 TEST(FaultPlan, OutageCovers)
 {
     ServerOutage o{2, ticks::from_ms(10), ticks::from_ms(20)};

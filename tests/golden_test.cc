@@ -36,7 +36,7 @@ TEST(Golden, GdbEager1KHalfMem)
     // 533, PutPage 345). refs/page_faults/runtime were unaffected.
     EXPECT_EQ(r.net_stats.messages, 1944u);
     EXPECT_EQ(r.net_stats.bytes, 7226688u);
-    EXPECT_NEAR(ticks::to_ms(r.runtime), 562.27, 0.01);
+    EXPECT_NEAR(ticks::to_ms(r.runtime), 562.12, 0.01);
 }
 
 TEST(Golden, Modula3Pipelining2KQuarterMem)
@@ -50,10 +50,10 @@ TEST(Golden, Modula3Pipelining2KQuarterMem)
     ex.mem = MemConfig::Quarter;
     SimResult r = ex.run();
     EXPECT_EQ(r.refs, 8700000u);
-    EXPECT_EQ(r.page_faults, 513u);
-    EXPECT_EQ(r.net_stats.messages, 2677u);
-    EXPECT_EQ(r.net_stats.bytes, 6840384u);
-    EXPECT_NEAR(ticks::to_ms(r.runtime), 482.50, 0.01);
+    EXPECT_EQ(r.page_faults, 510u);
+    EXPECT_EQ(r.net_stats.messages, 2659u);
+    EXPECT_EQ(r.net_stats.bytes, 6791040u);
+    EXPECT_NEAR(ticks::to_ms(r.runtime), 480.79, 0.01);
 }
 
 TEST(Golden, SingleFaultLatenciesExact)

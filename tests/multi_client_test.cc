@@ -263,9 +263,10 @@ mc_config(const std::string &policy, uint32_t subpage = 1024)
 /**
  * FNV-1a 64 of the lossless result blob, which covers every field
  * including per-fault records and the metric snapshot. The pinned
- * values are the results these cases have produced since result
- * schema 1, in schema 2's binary layout; a change to any of them
- * changes simulated results and must bump exec::kResultBlobSchema.
+ * values are result schema 3's: exact LRU, and the kernel gauges
+ * (sim.clients, sim.kernel_events, gms.server_*_util_max) at every
+ * client count. A change to any of them changes simulated results
+ * and must bump exec::kResultBlobSchema.
  */
 uint64_t
 blob_digest(const SimResult &r)
@@ -277,12 +278,12 @@ blob_digest(const SimResult &r)
 TEST(MultiClientIdentity, ByteIdenticalAtNOneAcrossPolicies)
 {
     const std::pair<const char *, uint64_t> pinned[] = {
-        {"fullpage", 0xb8ef47def437a92cull},
-        {"eager", 0x3b9e0e2c290f8725ull},
-        {"pipelining", 0xa9f31c885cf3ec6eull},
-        {"pipelining-all", 0xa8dc0973e047de67ull},
-        {"lazy", 0x007ebd9c3e7b7c1full},
-        {"disk", 0x7a48c98b6d2f0db5ull},
+        {"fullpage", 0x1ece3373774da084ull},
+        {"eager", 0x09093424d289bde7ull},
+        {"pipelining", 0xa242d2b4a30251a2ull},
+        {"pipelining-all", 0x7528d43a30d91837ull},
+        {"lazy", 0x068f865a3fa13b54ull},
+        {"disk", 0x7299c58bd2d8d7ffull},
     };
     for (const auto &[policy, digest] : pinned) {
         SCOPED_TRACE(policy);
@@ -296,11 +297,11 @@ TEST(MultiClientIdentity, ByteIdenticalWithTlbAndSoftwarePal)
     cfg.tlb_enabled = true;
     cfg.tlb_entries = 16;
     cfg.tlb_assoc = 4;
-    EXPECT_EQ(blob_digest(run_multi(cfg, 1)), 0xc1f229ac281d6199ull);
+    EXPECT_EQ(blob_digest(run_multi(cfg, 1)), 0x4022b52500b121feull);
 
     SimConfig pal = mc_config("pipelining");
     pal.protection = ProtectionMode::SoftwarePal;
-    EXPECT_EQ(blob_digest(run_multi(pal, 1)), 0xfd06fde98cbf0ca1ull);
+    EXPECT_EQ(blob_digest(run_multi(pal, 1)), 0x4c8e32f63ea095a8ull);
 }
 
 TEST(MultiClientIdentity, ByteIdenticalUnderFaultInjection)
@@ -312,9 +313,9 @@ TEST(MultiClientIdentity, ByteIdenticalUnderFaultInjection)
     plan.outages.push_back(
         {1, ticks::from_ms(5), ticks::from_ms(60)});
     const std::pair<const char *, uint64_t> pinned[] = {
-        {"eager", 0x9b20bd099fefe4d1ull},
-        {"pipelining", 0xa3df71bbace21274ull},
-        {"fullpage", 0x8401873d9928c9cbull},
+        {"eager", 0xc8808d005d9aa642ull},
+        {"pipelining", 0xe3ac21cc8e8806cdull},
+        {"fullpage", 0x2a3075b361648821ull},
     };
     for (const auto &[policy, digest] : pinned) {
         SCOPED_TRACE(policy);
@@ -334,12 +335,12 @@ TEST(MultiClientIdentity, ExperimentRouteIsByteIdenticalAtNOne)
     ex.policy = "eager";
     ex.subpage_size = 1024;
     ex.mem = MemConfig::Half;
-    EXPECT_EQ(blob_digest(ex.run()), 0x27e724d747a26e00ull);
+    EXPECT_EQ(blob_digest(ex.run()), 0x10102d8b3fd77157ull);
 
     auto trace = ex.trace();
     SimResult direct = Simulator(ex.config()).run(*trace);
     direct.app = ex.app;
-    EXPECT_EQ(blob_digest(direct), 0x27e724d747a26e00ull);
+    EXPECT_EQ(blob_digest(direct), 0x10102d8b3fd77157ull);
 }
 
 // ---------------------------------------------------------------
@@ -455,10 +456,10 @@ TEST(ReferenceLoop, HitRunBoundKeepsItsBytes)
         uint32_t clients;
         uint64_t digest;
     } cases[] = {
-        {0, 1, 0x5c82232a8f1d257dull},
-        {0, 4, 0x70c40a3eef4cd698ull},
-        {ticks::from_ns(1), 1, 0x611d9b656dcb3eb6ull},
-        {ticks::from_ns(1), 4, 0x65cdc370932f9288ull},
+        {0, 1, 0x102e24505da65c97ull},
+        {0, 4, 0x7159490c698b362dull},
+        {ticks::from_ns(1), 1, 0x1f6b7ef554c9c8aaull},
+        {ticks::from_ns(1), 4, 0xbcfebe307456b095ull},
     };
     for (const auto &tc : cases) {
         SCOPED_TRACE(testing::Message() << "step " << tc.step << " ps, "
@@ -553,21 +554,22 @@ gauge_of(const SimResult &r, const std::string &name)
     return -1.0;
 }
 
-TEST(MultiClient, PublishesKernelGaugesOnlyAboveOneClient)
+TEST(MultiClient, PublishesKernelGaugesAtEveryClientCount)
 {
     SimConfig cfg = mc_config("eager");
-    SimResult one = run_multi(cfg, 1);
-    EXPECT_EQ(gauge_of(one, "sim.clients"), -1.0);
-
-    SimResult four = run_multi(cfg, 4);
-    EXPECT_EQ(gauge_of(four, "sim.clients"), 4.0);
-    EXPECT_GT(gauge_of(four, "sim.kernel_events"), 0.0);
-    double cpu = gauge_of(four, "gms.server_cpu_util_max");
-    double wire = gauge_of(four, "gms.server_wire_util_max");
-    EXPECT_GE(cpu, 0.0);
-    EXPECT_LE(cpu, 1.0);
-    EXPECT_GE(wire, 0.0);
-    EXPECT_LE(wire, 1.0);
+    for (uint32_t n : {1u, 4u}) {
+        SCOPED_TRACE(n);
+        SimResult r = run_multi(cfg, n);
+        EXPECT_EQ(gauge_of(r, "sim.clients"), static_cast<double>(n));
+        EXPECT_GT(gauge_of(r, "sim.kernel_events"), 0.0);
+        for (const char *util :
+             {"gms.server_cpu_util_max", "gms.server_dma_util_max",
+              "gms.server_wire_util_max"}) {
+            SCOPED_TRACE(util);
+            EXPECT_GE(gauge_of(r, util), 0.0);
+            EXPECT_LE(gauge_of(r, util), 1.0);
+        }
+    }
 }
 
 TEST(MultiClient, PerClientMetricsAreOptIn)

@@ -164,5 +164,58 @@ TEST(ConfigOverride, ProtoControllerCosts)
     EXPECT_EQ(cfg.net.pipelined_recv_per_byte, ticks::from_ns(31));
 }
 
+TEST(ConfigOverride, ZeroNsPerRefStaysValid)
+{
+    SimConfig cfg;
+    apply_config_overrides(cfg, parse({"--ns-per-ref=0"}));
+    EXPECT_EQ(cfg.ns_per_ref, 0);
+}
+
+TEST(ConfigOverrideDeathTest, ValuesThatDoNotFitTheirFieldAreFatal)
+{
+    // Each of these once ran: a negative or NaN step until the event
+    // queue's order assertion, 2^32 + 8192-byte pages as 8 KiB pages,
+    // 2^32 + 1 servers as one, a NaN timeout margin into a
+    // double-to-Tick cast. The error must name the flag.
+    const struct
+    {
+        const char *arg;
+        const char *error;
+    } cases[] = {
+        {"--ns-per-ref=-12", "--ns-per-ref=-12 is not a step"},
+        {"--ns-per-ref=nan", "--ns-per-ref=nan is not a step"},
+        {"--ns-per-ref=inf", "--ns-per-ref=inf is not a step"},
+        {"--ns-per-ref=1e300", "--ns-per-ref=1e300 is not a step"},
+        {"--page=4294975488", "--page=4294975488 does not fit"},
+        {"--subpage=4294968320", "--subpage=4294968320 does not fit"},
+        {"--servers=4294967297", "--servers=4294967297 does not fit"},
+        {"--tlb=4294967297", "--tlb=4294967297 does not fit"},
+        {"--fault-retries=4294967297",
+         "--fault-retries=4294967297 does not fit"},
+        {"--fault-timeout-mult=nan",
+         "--fault-timeout-mult=nan is not finite"},
+        {"--faults=loss-=0.5",
+         "--faults: unknown message kind in 'loss-=0.5'"},
+        {"--faults=down=0:nan",
+         "--faults: bad outage time .* in 'down=0:nan'"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.arg);
+        EXPECT_DEATH(
+            {
+                SimConfig cfg;
+                apply_config_overrides(cfg, parse({c.arg}));
+            },
+            c.error);
+    }
+    EXPECT_DEATH(
+        {
+            ::setenv("SGMS_FAULTS", "loss=nan", 1);
+            SimConfig cfg;
+            apply_config_overrides(cfg, parse({}));
+        },
+        "SGMS_FAULTS: bad probability \\(need 0..1\\) in 'loss=nan'");
+}
+
 } // namespace
 } // namespace sgms

@@ -1,27 +1,21 @@
 /**
  * @file
- * Independent paging oracle for the simulator's fault and eviction
+ * Independent paging oracles for the simulator's fault and eviction
  * counts.
  *
- * The oracle is a plain demand pager written here from scratch: a
- * std::list resident set (a ring of reference bits for Clock), no
- * network, no clock. Fault and eviction counts depend only on each
- * client's reference order, never on timing, so the kernel must
- * agree with it exactly — for every app and memory configuration,
- * and per client at N > 1, where every client has a private page
- * table.
- *
- * The kernel approximates LRU: a resident page's recency is refreshed
- * at most once per 64 of its references, and only on a reference to
- * a page other than the previous reference's (DESIGN.md §6). The
- * oracle writes that rule out explicitly; with the interval set to 1
- * it is exact LRU, which the last test shows is a different model.
- * Clock sets a page's reference bit at its fault and at each of
- * those refreshes.
+ * The first oracle is a plain demand pager written here on its own:
+ * a std::list resident set (a ring of reference bits for Clock), no
+ * network, no clock. The second is Mattson's one-pass LRU stack
+ * algorithm, which gives a trace's LRU fault count at every memory
+ * size at once. Fault and eviction counts depend only on each
+ * client's reference order, never on timing, so the kernel must agree
+ * with both exactly: for every app at every memory size checked, and
+ * per client at N > 1, where every client has a private page table.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 #include <string>
 #include <unordered_map>
@@ -37,8 +31,6 @@ namespace sgms
 namespace
 {
 
-constexpr uint64_t kKernelTouchInterval = 64;
-
 struct PagerCounts
 {
     uint64_t faults = 0;
@@ -47,17 +39,14 @@ struct PagerCounts
 
 /**
  * Replay @p trace through a pager with @p frames frames (0 =
- * unlimited) under replacement @p repl. A resident page is refreshed
- * when it is referenced after a different page and at least
- * @p touch_interval references have passed since its last refresh
- * (or its fault). LRU moves it to the back of the eviction order,
+ * unlimited) under replacement @p repl. Every reference to a resident
+ * page refreshes it: LRU moves it to the back of the eviction order,
  * Clock sets its reference bit, FIFO ignores it. Clock's hand clears
  * set bits until it finds a clear one, and an arrival takes the first
  * free slot from the hand.
  */
 PagerCounts
 oracle_pager(TraceSource &trace, size_t frames, const std::string &repl,
-             uint64_t touch_interval = kKernelTouchInterval,
              uint32_t page_size = 8192)
 {
     const bool clock = repl == "clock";
@@ -74,7 +63,6 @@ oracle_pager(TraceSource &trace, size_t frames, const std::string &repl,
     {
         std::list<PageId>::iterator pos;
         size_t slot;
-        uint64_t last_touch;
     };
     std::unordered_map<PageId, Entry> resident;
     auto clock_victim = [&] {
@@ -101,14 +89,10 @@ oracle_pager(TraceSource &trace, size_t frames, const std::string &repl,
     };
 
     PagerCounts counts;
-    PageId last = ~0ULL;
-    uint64_t index = 0;
     TraceEvent ev;
     trace.reset();
-    for (; trace.next(ev); ++index) {
+    while (trace.next(ev)) {
         PageId page = ev.addr / page_size;
-        if (page == last)
-            continue; // resident, and never a refresh
         auto it = resident.find(page);
         if (it == resident.end()) {
             ++counts.faults;
@@ -121,24 +105,100 @@ oracle_pager(TraceSource &trace, size_t frames, const std::string &repl,
                 }
                 ++counts.evictions;
             }
-            Entry e{{}, 0, index};
+            Entry e{};
             if (clock)
                 e.slot = clock_place(page);
             else
                 e.pos = order.insert(order.end(), page);
             resident[page] = e;
-        } else if (repl != "fifo" &&
-                   index - it->second.last_touch >= touch_interval) {
-            if (clock)
-                ring[it->second.slot].referenced = true;
-            else
-                order.splice(order.end(), order, it->second.pos);
-            it->second.last_touch = index;
+        } else if (clock) {
+            ring[it->second.slot].referenced = true;
+        } else if (repl == "lru") {
+            order.splice(order.end(), order, it->second.pos);
         }
-        last = page;
     }
     return counts;
 }
+
+/**
+ * A trace's LRU fault count at every memory size, by Mattson's stack
+ * algorithm. A reference's stack distance is the number of distinct
+ * pages used since its page's previous use, that page included; LRU
+ * with k frames faults on it exactly when the distance exceeds k, and
+ * on every first use. A Fenwick tree over reference indices holds a 1
+ * at each page's latest use, so a distance is the sum over the
+ * indices since that page's previous use: one pass, O(n log n). A
+ * reference to the previous reference's page has distance 1 and
+ * changes no other page's distance, so it is skipped, and a page's
+ * mark stays at the first reference of its latest run.
+ */
+class LruMissCurve
+{
+  public:
+    explicit LruMissCurve(TraceSource &trace, uint32_t page_size = 8192)
+        : tree_(trace.size_hint() + 1)
+    {
+        std::unordered_map<PageId, size_t> last_use;
+        PageId prev_page = ~0ULL;
+        size_t t = 0;
+        TraceEvent ev;
+        trace.reset();
+        for (; trace.next(ev); ++t) {
+            PageId page = ev.addr / page_size;
+            if (page == prev_page)
+                continue;
+            prev_page = page;
+            auto [it, first] = last_use.try_emplace(page, t);
+            if (first) {
+                ++first_uses_;
+            } else {
+                size_t d = prefix(t) - prefix(it->second);
+                if (d >= by_distance_.size())
+                    by_distance_.resize(d + 1);
+                ++by_distance_[d];
+                add(it->second, -1);
+                it->second = t;
+            }
+            add(t, 1);
+        }
+        EXPECT_EQ(t + 1, tree_.size()) << "size_hint must be exact";
+    }
+
+    /** Distinct pages of the trace. */
+    uint64_t footprint() const { return first_uses_; }
+
+    /** LRU page faults with @p frames frames. */
+    uint64_t
+    faults(size_t frames) const
+    {
+        uint64_t f = first_uses_;
+        for (size_t d = frames + 1; d < by_distance_.size(); ++d)
+            f += by_distance_[d];
+        return f;
+    }
+
+  private:
+    void
+    add(size_t i, int32_t v)
+    {
+        for (++i; i < tree_.size(); i += i & -i)
+            tree_[i] += v;
+    }
+
+    /** Marks at indices [0, @p i). */
+    size_t
+    prefix(size_t i) const
+    {
+        int64_t sum = 0;
+        for (; i > 0; i &= i - 1)
+            sum += tree_[i];
+        return static_cast<size_t>(sum);
+    }
+
+    std::vector<int32_t> tree_; // 1-based
+    std::vector<uint64_t> by_distance_;
+    uint64_t first_uses_ = 0;
+};
 
 Experiment
 oracle_experiment(const std::string &app, MemConfig mem,
@@ -212,31 +272,26 @@ TEST(PagingOracle, PerClientCountsMatchAtFourClients)
     }
 }
 
-TEST(PagingOracle, RecencyCoalescingIsNotExactLru)
+TEST(PagingOracle, LruFaultsMatchTheStackDistanceCurve)
 {
-    // The kernel's counts (pinned above to the coalescing oracle)
-    // differ from exact LRU on small memories; DESIGN.md §6 quotes
-    // these cells.
-    const struct
-    {
-        const char *app;
-        MemConfig mem;
-        uint64_t kernel;
-        uint64_t exact;
-    } cells[] = {
-        {"gdb", MemConfig::Half, 38, 36},
-        {"gdb", MemConfig::Quarter, 64, 66},
-        {"modula3", MemConfig::Quarter, 256, 255},
-    };
-    for (const auto &cell : cells) {
-        SCOPED_TRACE(std::string(cell.app) + " " +
-                     mem_config_name(cell.mem));
-        Experiment ex = oracle_experiment(cell.app, cell.mem, "lru");
-        EXPECT_EQ(ex.run().page_faults, cell.kernel);
+    // Every eighth of each app's footprint, from 1/8 to 7/8: sizes
+    // no MemConfig names, and small ones where LRU is most easily
+    // approximated wrongly.
+    for (const std::string &app : app_names()) {
+        Experiment ex = oracle_experiment(app, MemConfig::Half, "lru");
+        SimConfig cfg = ex.config();
         auto trace = ex.trace();
-        EXPECT_EQ(oracle_pager(*trace, ex.config().mem_pages, "lru", 1)
-                      .faults,
-                  cell.exact);
+        LruMissCurve curve(*trace);
+        ASSERT_EQ(curve.footprint(), cfg.footprint_pages_hint) << app;
+        for (uint64_t k = 1; k <= 7; ++k) {
+            cfg.mem_pages =
+                std::max<uint64_t>(2, curve.footprint() * k / 8);
+            SCOPED_TRACE(app + " " + std::to_string(cfg.mem_pages) +
+                         " frames");
+            SimResult r = Simulator(cfg).run(*trace);
+            EXPECT_EQ(r.page_faults, curve.faults(cfg.mem_pages));
+            EXPECT_GT(r.evictions, 0u);
+        }
     }
 }
 
