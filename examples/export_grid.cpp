@@ -96,7 +96,7 @@ main(int argc, char **argv)
     spec.subpage_sizes.clear();
     for (const auto &s : split_csv(opts.get("subpages", "1024")))
         spec.subpage_sizes.push_back(
-            static_cast<uint32_t>(parse_bytes(s)));
+            static_cast<uint32_t>(parse_bytes(s, "option --subpages")));
     spec.mems.clear();
     for (const auto &m : split_csv(opts.get("mems", "half"))) {
         spec.mems.push_back(m == "full"      ? MemConfig::Full

@@ -19,15 +19,19 @@
 #                             does not fit its flag, naming the
 #                             flag), a trace_tool smoke
 #                             (convert and bake round trips,
-#                             payload-hash check), a byte check
+#                             payload-hash check), a render_farm
+#                             smoke (examples/render_farm at scale
+#                             0.02 must exit 0 and print both of
+#                             its tables), a byte check
 #                             of Figure 2 and Table 2 against
 #                             results/ (each builds its one fault
 #                             by hand and runs in milliseconds),
 #                             then a -Wall
 #                             -Wextra -Werror
 #                             rebuild in a separate tree
-#                             (build-strict/), an ASan+UBSan build +
-#                             ctest (build-asan/), a TSan build +
+#                             (build-strict/), an ASan+UBSan build
+#                             (with float-cast-overflow) + ctest
+#                             (build-asan/), a TSan build +
 #                             ctest (build-tsan/), the
 #                             exec_throughput bench (writes
 #                             results/BENCH_exec_current.json next
@@ -161,9 +165,10 @@ echo "   retired flags rejected by export_grid, quickstart," \
     "policy_explorer and fig4_breakdown"
 
 echo "== smoke: export_grid rejects a value that does not fit its flag =="
-# A NaN step, a page size past 32 bits and a fault spec with an empty
-# message kind or a NaN outage time each once ran (or wrote out of
-# bounds); each must fail before any point runs, naming the flag.
+# A NaN step, a page size past 32 bits (or past 64 bits once scaled by
+# its suffix, or negative) and a fault spec with an empty message kind
+# or a NaN outage time each once ran (or wrote out of bounds); each
+# must fail before any point runs, naming the flag.
 rejects_value() { # rejects_value FLAG CMD...: CMD FLAG must fail on FLAG
     local flag=$1 err
     shift
@@ -174,7 +179,8 @@ rejects_value() { # rejects_value FLAG CMD...: CMD FLAG must fail on FLAG
     grep -qF -- "${flag%%=*}" <<<"$err" ||
         { echo "$1 failed on $flag without naming it: $err"; exit 1; }
 }
-for flag in --ns-per-ref=nan --page=4294975488 --faults=loss-=0.5 \
+for flag in --ns-per-ref=nan --page=4294975488 \
+    --page=18014398509481985K --page=-8K --faults=loss-=0.5 \
     --faults=down=0:nan; do
     rejects_value "$flag" ./build/examples/export_grid --scale=0.01
 done
@@ -223,6 +229,18 @@ for bench in fig2_timeline table2_fault_latency; do
 done
 echo "   fig2_timeline and table2_fault_latency match results/ byte for byte"
 
+echo "== smoke: examples/render_farm prints both tables =="
+SGMS_SCALE=0.02 ./build/examples/render_farm >"$tmp_grid/render_farm.txt"
+for heading in "how much memory does the render node need" \
+    "choosing the transfer unit"; do
+    grep -qF "== $heading" "$tmp_grid/render_farm.txt" ||
+        { echo "render_farm printed no '$heading' table"; exit 1; }
+done
+grep -q "^| 1/4-mem " "$tmp_grid/render_farm.txt" &&
+    grep -q "^| sp_256 " "$tmp_grid/render_farm.txt" ||
+    { echo "render_farm tables are missing rows"; exit 1; }
+echo "   render_farm ran at scale 0.02 and printed both tables"
+
 echo "== smoke: trace export =="
 ./build/examples/quickstart --trace-out="$tmp_trace" >/dev/null
 python3 - "$tmp_trace" <<'EOF'
@@ -244,8 +262,10 @@ if [[ $quick -eq 0 ]]; then
     cmake --build build-strict -j "$(nproc)"
 
     echo "== sanitizers: ASan+UBSan build + ctest =="
+    # GCC's "undefined" leaves out float-cast-overflow, the check that
+    # sees a double cast to a Tick it does not fit.
     cmake -B build-asan -S . \
-        -DSGMS_SANITIZE=address,undefined >/dev/null
+        -DSGMS_SANITIZE=address,undefined,float-cast-overflow >/dev/null
     cmake --build build-asan -j "$(nproc)"
     (cd build-asan &&
         ASAN_OPTIONS=detect_leaks=0 \

@@ -124,7 +124,7 @@ Options::get_bytes(const std::string &name, uint64_t fallback) const
     if (it == values_.end())
         return fallback;
     read_[name] = true;
-    return parse_bytes(it->second);
+    return parse_bytes(it->second, "option --" + name);
 }
 
 std::string

@@ -1,6 +1,7 @@
 #include "common/units.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -26,14 +27,18 @@ format_bytes(uint64_t bytes)
 }
 
 uint64_t
-parse_bytes(const std::string &text)
+parse_bytes(const std::string &text, const std::string &what)
 {
+    const char *str = text.c_str();
     if (text.empty())
-        fatal("parse_bytes: empty size string");
+        fatal("%s: empty size string", what.c_str());
+    // strtoull would take a sign (and wrap a negative count) or
+    // leading blanks: a size starts with a digit.
+    if (!std::isdigit(static_cast<unsigned char>(str[0])))
+        fatal("%s: bad size string '%s'", what.c_str(), str);
     char *end = nullptr;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str())
-        fatal("parse_bytes: bad size string '%s'", text.c_str());
+    errno = 0;
+    unsigned long long v = std::strtoull(str, &end, 10);
     uint64_t mult = 1;
     if (*end) {
         switch (std::toupper(static_cast<unsigned char>(*end))) {
@@ -50,10 +55,15 @@ parse_bytes(const std::string &text)
             mult = 1024ULL * 1024 * 1024;
             break;
           default:
-            fatal("parse_bytes: bad size suffix in '%s'", text.c_str());
+            fatal("%s: bad size suffix in '%s'", what.c_str(), str);
         }
+        if (end[1])
+            fatal("%s: bad size suffix in '%s'", what.c_str(), str);
     }
-    return v * mult;
+    uint64_t bytes = 0;
+    if (errno == ERANGE || __builtin_mul_overflow(v, mult, &bytes))
+        fatal("%s: size '%s' does not fit 64 bits", what.c_str(), str);
+    return bytes;
 }
 
 std::string

@@ -1,10 +1,10 @@
 #include "core/experiment.h"
 
 #include <cstdlib>
-#include <map>
-#include <mutex>
+#include <tuple>
 
 #include "common/logging.h"
+#include "common/once_map.h"
 #include "common/units.h"
 #include "sim/kernel.h"
 #include "trace/binfmt.h"
@@ -46,25 +46,19 @@ uint64_t
 app_footprint_pages(const std::string &app, double scale,
                     uint32_t page_size)
 {
-    // Exec-engine workers hit this concurrently; the lock is held
-    // across the measurement so the first caller of a key computes
-    // it once and the rest wait for the memo instead of redundantly
-    // streaming the same trace on every worker.
-    static std::mutex mutex;
-    static std::map<std::tuple<std::string, double, uint32_t>, uint64_t>
-        cache;
-    std::lock_guard<std::mutex> lock(mutex);
-    auto key = std::make_tuple(app, scale, page_size);
-    auto it = cache.find(key);
-    if (it != cache.end())
-        return it->second;
-    // Route through the trace store: the default-seed trace this
-    // measures is the one run() replays, so the materialization is
-    // paid once for both.
-    auto trace = make_stored_app_trace(app, scale);
-    uint64_t fp = measure_footprint_pages(*trace, page_size);
-    cache[key] = fp;
-    return fp;
+    // Exec-engine workers hit this concurrently: the first caller of
+    // a key measures it while later callers of that key wait for the
+    // memo instead of streaming the same trace again, and keys of
+    // other apps measure side by side.
+    static OnceMap<std::tuple<std::string, double, uint32_t>, uint64_t>
+        memo;
+    return memo.get(std::make_tuple(app, scale, page_size), [&] {
+        // Route through the trace store: the default-seed trace this
+        // measures is the one run() replays, so the materialization
+        // is paid once for both.
+        auto trace = make_stored_app_trace(app, scale);
+        return measure_footprint_pages(*trace, page_size);
+    });
 }
 
 uint64_t
@@ -78,17 +72,11 @@ file_footprint_pages(const std::string &path, uint32_t page_size)
     std::string error;
     if (!read_bin_header(path, hdr, error))
         fatal("trace file '%s': %s", path.c_str(), error.c_str());
-    static std::mutex mutex;
-    static std::map<std::pair<uint64_t, uint32_t>, uint64_t> cache;
-    std::lock_guard<std::mutex> lock(mutex);
-    auto key = std::make_pair(hdr.payload_hash, page_size);
-    auto it = cache.find(key);
-    if (it != cache.end())
-        return it->second;
-    auto trace = make_mapped_trace(path);
-    uint64_t fp = measure_footprint_pages(*trace, page_size);
-    cache[key] = fp;
-    return fp;
+    static OnceMap<std::pair<uint64_t, uint32_t>, uint64_t> memo;
+    return memo.get(std::make_pair(hdr.payload_hash, page_size), [&] {
+        auto trace = make_mapped_trace(path);
+        return measure_footprint_pages(*trace, page_size);
+    });
 }
 
 std::string

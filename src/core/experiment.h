@@ -38,7 +38,9 @@ size_t mem_pages_for(MemConfig mem, uint64_t footprint_pages);
 
 /**
  * Footprint (pages) of an application model at a scale; memoized,
- * since measuring it means streaming the whole trace once.
+ * since measuring it means streaming the whole trace once. Each key
+ * is measured once; concurrent callers of other keys measure theirs
+ * meanwhile.
  */
 uint64_t app_footprint_pages(const std::string &app, double scale,
                              uint32_t page_size = 8192);

@@ -3,10 +3,15 @@
 #include <algorithm>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <thread>
 
 #include "common/logging.h"
 #include "exec/supervisor.h"
+#include "mem/page.h"
+#include "policy/fetch_policy.h"
+#include "trace/apps.h"
+#include "trace/binfmt.h"
 
 namespace sgms::exec
 {
@@ -53,7 +58,61 @@ degraded_result(const Experiment &ex)
     return r;
 }
 
+/**
+ * References the point's trace holds, from the app model's declared
+ * count or the SGMB header; no trace is generated. 0 for a trace the
+ * point cannot name.
+ */
+uint64_t
+trace_refs(const Experiment &ex)
+{
+    if (!ex.trace_bin.empty()) {
+        BinTraceHeader hdr;
+        std::string error;
+        return read_bin_header(ex.trace_bin, hdr, error) ? hdr.ref_count
+                                                         : 0;
+    }
+    const std::vector<std::string> &apps = app_names();
+    if (std::find(apps.begin(), apps.end(), ex.app) == apps.end())
+        return 0;
+    return make_app_spec(ex.app, ex.scale).total_refs();
+}
+
+/** claim_order's cost estimate; see there. */
+uint64_t
+point_cost(const Experiment &ex)
+{
+    uint64_t refs = trace_refs(ex);
+    std::unique_ptr<FetchPolicy> policy = try_make_fetch_policy(ex.policy);
+    uint32_t page = ex.base.page_size;
+    uint32_t sub = has_subpage_dimension(ex.policy) ? ex.subpage_size
+                                                    : page;
+    if (refs == 0 || !policy || !is_pow2(page) || !is_pow2(sub) ||
+        sub > page || page / sub > 64)
+        return 0;
+    PageGeometry geo(page, sub);
+    SubpageBitmap fresh;
+    fresh.fill(geo.subpages_per_page());
+    FetchPlan plan = policy->plan(geo, geo.subpages_per_page() / 2,
+                                  sub / 2, fresh.raw());
+    uint64_t messages = plan.from_disk ? 0 : 1 + plan.segments.size();
+    return refs * std::max<uint32_t>(ex.clients, 1) * (1 + messages);
+}
+
 } // namespace
+
+std::vector<size_t>
+claim_order(const std::vector<Experiment> &points)
+{
+    std::vector<uint64_t> cost(points.size());
+    for (size_t i = 0; i < points.size(); ++i)
+        cost[i] = point_cost(points[i]);
+    std::vector<size_t> order(points.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](size_t a, size_t b) { return cost[a] > cost[b]; });
+    return order;
+}
 
 std::vector<Experiment>
 expand_sweep(const SweepSpec &spec)
@@ -135,11 +194,11 @@ Engine::run_all_processes(const std::vector<Experiment> &points,
     // The parent keeps its historical duties: cache consultation and
     // observer points (whose side effects would be lost in a child)
     // stay on the calling thread; only plain simulation work is
-    // shipped to the fleet.
+    // shipped to the fleet, longest first (claim_order).
     std::vector<size_t> todo;
     todo.reserve(points.size());
     std::vector<CacheKey> keys(points.size());
-    for (size_t i = 0; i < points.size(); ++i) {
+    for (size_t i : claim_order(points)) {
         const Experiment &ex = points[i];
         if (cache_ && !has_observers(ex)) {
             keys[i] = cache_key_of(ex);
@@ -201,8 +260,14 @@ Engine::run_all(const std::vector<Experiment> &points,
     if (opts_.workers >= 1 && points.size() > 1)
         return run_all_processes(points, progress);
 
-    // Each worker claims the next serial index and writes its result
-    // into that slot, so the slots are the deterministic merge.
+    // Each worker claims the next index of the claim order and writes
+    // its result into that point's slot, so the slots are the
+    // deterministic merge. One worker runs the points in input order.
+    size_t width = std::min<size_t>(opts_.jobs, points.size());
+    std::vector<size_t> order(points.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    if (width > 1)
+        order = claim_order(points);
     std::vector<SimResult> out(points.size());
     std::atomic<size_t> next{0};
     std::atomic<size_t> progress_calls{0};
@@ -210,9 +275,10 @@ Engine::run_all(const std::vector<Experiment> &points,
     std::exception_ptr error; // the first point that threw
     auto work = [&] {
         for (;;) {
-            size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= points.size())
+            size_t k = next.fetch_add(1, std::memory_order_relaxed);
+            if (k >= points.size())
                 return;
+            size_t i = order[k];
             try {
                 if (progress) {
                     progress(points[i]);
@@ -229,7 +295,6 @@ Engine::run_all(const std::vector<Experiment> &points,
         }
     };
 
-    size_t width = std::min<size_t>(opts_.jobs, points.size());
     if (width <= 1) {
         work(); // caller's thread: the historical serial path
     } else {

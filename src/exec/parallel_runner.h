@@ -7,18 +7,25 @@
  * Every point is a pure function of its Experiment, so the engine
  * can run them in any order and still return a result vector
  * byte-identical to the historical serial `run_sweep`. Workers claim
- * the next serial index from one shared counter and write its result
- * into that index's slot, which *is* the deterministic merge; there
- * is no reduction step to get wrong.
+ * the next entry of one claim order from a shared counter and write
+ * its result into that point's slot, which *is* the deterministic
+ * merge; there is no reduction step to get wrong.
+ *
+ * Claim order: with more than one worker, points are claimed longest
+ * first by an estimated cost (claim_order), so the longest point of
+ * a batch starts at once instead of after the points listed before
+ * it; a batch ends when its last point does. One worker keeps input
+ * order. Only the time at which each point starts changes.
  *
  * Progress-callback contract: when one worker suffices (jobs == 1 or
  * a single point) the callback fires on the calling thread, in
  * serial order, before each point — exactly the historical behavior.
  * Otherwise it fires on WORKER threads, concurrently and in claim
- * order; callbacks must be thread-safe (take a lock around printing,
- * use atomics for counting). The engine asserts that exactly one
- * callback fired per point. Cached points still get a callback:
- * progress reports points *delivered*, not simulations executed.
+ * order (longest first, not input order); callbacks must be
+ * thread-safe (take a lock around printing, use atomics for
+ * counting). The engine asserts that exactly one callback fired per
+ * point. Cached points still get a callback: progress reports points
+ * *delivered*, not simulations executed.
  *
  * Exception contract: a point (or its progress callback) that throws
  * stops further claims; points already claimed run to completion.
@@ -35,7 +42,9 @@
  * consults the cache, and runs observer points inline; everything
  * else crosses a pipe as (index, fingerprint) and comes back as a
  * lossless result blob into its precomputed slot — output stays
- * byte-identical to serial at any worker count. Process isolation
+ * byte-identical to serial at any worker count. The parent walks the
+ * points in claim order, so the fleet is dispatched longest first
+ * too. Process isolation
  * additionally buys crash recovery: a point whose worker dies on
  * every attempt (a fatal(), an abort, a segfault) yields a
  * *degraded* result: identity fields filled, everything else zero,
@@ -66,6 +75,20 @@ namespace sgms::exec
  * ("fullpage", "disk") expand once per (app, mem).
  */
 std::vector<Experiment> expand_sweep(const SweepSpec &spec);
+
+/**
+ * The order in which the engine's workers claim @p points: longest
+ * first by estimated cost, ties in input order (a stable sort). The
+ * cost is the point's trace references (from the app model's
+ * declared count, or from the SGMB header of a trace_bin file; no
+ * trace is generated) times its clients times one plus the messages
+ * a fault sends: 0 for a disk plan, else the request plus the
+ * segments its policy plans for a fault in the middle of a fresh
+ * page at its geometry. A point with an app, trace file, policy or
+ * geometry the estimate does not know costs 0 rather than failing;
+ * the point fails where it runs.
+ */
+std::vector<size_t> claim_order(const std::vector<Experiment> &points);
 
 /** Aggregate engine counters (monotone over the engine lifetime). */
 struct ExecStats

@@ -5,6 +5,7 @@
 #include <csignal>
 #include <map>
 
+#include <malloc.h>
 #include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -207,6 +208,11 @@ Supervisor::run(
             ++stats_.respawns;
         }
     };
+
+    // A forked worker's peak RSS starts at the parent's resident set.
+    // Hand the heap the previous batch freed back to the kernel first,
+    // or every worker of this batch is charged for it.
+    ::malloc_trim(0);
 
     while (remaining > 0) {
         // Keep the fleet full: fork lazily, re-fork after deaths.

@@ -16,8 +16,19 @@
  * assumption the failure was transient; a second crash on the same
  * point reports it Crashed (the engine surfaces a degraded result).
  *
- * Results land in per-point outcome slots keyed by the serial index,
- * so completion order never affects output order. The supervisor is
+ * Points are dispatched in the order run() is given them (the
+ * engine passes its claim order, longest first); results land in
+ * per-point outcome slots keyed by the serial index, so completion
+ * order never affects output order.
+ *
+ * Before it forks, run() trims the parent's heap (malloc_trim). A
+ * forked worker's peak RSS starts at the parent's resident set, and
+ * the heap freed by a previous batch's results stays resident until
+ * trimmed; without the trim every worker of the next batch is charged
+ * for it. Each worker trims its own heap between points likewise
+ * (exec/worker.h).
+ *
+ * The supervisor is
  * single-threaded: dispatch, poll(2) and reaping all run on the
  * calling thread, which also keeps fork() away from any engine
  * worker threads.
@@ -90,8 +101,9 @@ class Supervisor
     Supervisor &operator=(const Supervisor &) = delete;
 
     /**
-     * Run the points named by @p indices across the fleet; returns
-     * one Outcome per entry of @p indices, in the same order.
+     * Run the points named by @p indices across the fleet, first
+     * dispatched first; returns one Outcome per entry of @p indices,
+     * in the same order.
      * @p on_dispatch (may be null) fires on the calling thread,
      * exactly once per point, when its first attempt is dispatched.
      */

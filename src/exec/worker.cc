@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include <malloc.h>
 #include <unistd.h>
 
 #include "exec/ipc.h"
@@ -36,6 +37,11 @@ worker_loop(int task_fd, int result_fd,
         env_index("SGMS_TEST_WORKER_CRASH_ALWAYS");
 
     for (;;) {
+        // Give back the heap the last point's result freed before the
+        // next point runs: ru_maxrss charges a worker its peak, and
+        // without the trim a worker that runs several points peaked
+        // above one that runs its largest point alone.
+        ::malloc_trim(0);
         IpcFrame task;
         IpcRead st = read_frame(task_fd, task);
         if (st == IpcRead::Eof)

@@ -7,9 +7,11 @@
  * Its loop is deliberately tiny: read a Task frame naming a point
  * index, cross-check the parent's fingerprint against its own view
  * of that point, run the simulation, and reply with the lossless
- * result blob. On EOF (supervisor closed the task pipe) or any pipe
- * error it calls _exit — never exit() — so no inherited destructor
- * (such as a static engine's) runs in the child.
+ * result blob, trimming its heap (malloc_trim) before each task so
+ * that a worker's peak RSS is that of its largest point, not of the
+ * points it ran in turn. On EOF (supervisor closed the task pipe) or
+ * any pipe error it calls _exit — never exit() — so no inherited
+ * destructor (such as a static engine's) runs in the child.
  *
  * Test hooks (read from the environment at loop start, all unset in
  * normal operation):

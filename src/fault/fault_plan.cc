@@ -93,6 +93,21 @@ parse_outage(const Token &tok, const std::string &value)
     return o;
 }
 
+/**
+ * @p t ticks, clamped to [0, TICK_MAX]: casting a double past the
+ * range of Tick is undefined, and a large enough multiplier or
+ * backoff base gets there.
+ */
+Tick
+saturating_ticks(double t)
+{
+    if (!(t > 0))
+        return 0;
+    if (t >= static_cast<double>(TICK_MAX))
+        return TICK_MAX;
+    return static_cast<Tick>(t);
+}
+
 } // namespace
 
 bool
@@ -165,9 +180,8 @@ Tick
 RetryPolicy::timeout_for(const NetParams &net, uint32_t bytes) const
 {
     Tick expected = net.demand_fetch_latency(bytes);
-    Tick timeout =
-        static_cast<Tick>(timeout_multiplier *
-                          static_cast<double>(expected));
+    Tick timeout = saturating_ticks(timeout_multiplier *
+                                    static_cast<double>(expected));
     return std::max(timeout, min_timeout);
 }
 
@@ -181,9 +195,8 @@ RetryPolicy::backoff_delay(uint32_t attempt, Tick base_timeout,
         factor *= backoff_base;
     double scale =
         1.0 + jitter_frac * (2.0 * jitter_u - 1.0);
-    double delay =
-        static_cast<double>(base_timeout) * factor * scale;
-    return std::max<Tick>(static_cast<Tick>(delay), 0);
+    return saturating_ticks(static_cast<double>(base_timeout) * factor *
+                            scale);
 }
 
 } // namespace sgms::fault

@@ -291,11 +291,8 @@ AdaptivePipeliningPolicy::build_plan(const PageGeometry &geo,
     return p;
 }
 
-namespace
-{
-
 std::unique_ptr<FetchPolicy>
-make_policy_by_name(const std::string &name)
+try_make_fetch_policy(const std::string &name)
 {
     if (name == "disk")
         return std::make_unique<DiskPolicy>();
@@ -319,16 +316,16 @@ make_policy_by_name(const std::string &name)
             PipelineStrategy::InitialDouble);
     if (name == "pipelining-adaptive")
         return std::make_unique<AdaptivePipeliningPolicy>();
-    fatal("unknown fetch policy '%s'", name.c_str());
+    return nullptr;
 }
-
-} // namespace
 
 std::unique_ptr<FetchPolicy>
 make_fetch_policy(const std::string &name,
                   obs::MetricsRegistry *metrics)
 {
-    std::unique_ptr<FetchPolicy> policy = make_policy_by_name(name);
+    std::unique_ptr<FetchPolicy> policy = try_make_fetch_policy(name);
+    if (!policy)
+        fatal("unknown fetch policy '%s'", name.c_str());
     if (metrics)
         policy->bind_metrics(*metrics);
     return policy;

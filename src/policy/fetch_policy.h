@@ -325,6 +325,10 @@ std::unique_ptr<FetchPolicy>
 make_fetch_policy(const std::string &name,
                   obs::MetricsRegistry *metrics = nullptr);
 
+/** As make_fetch_policy, but nullptr for a name it does not know. */
+std::unique_ptr<FetchPolicy>
+try_make_fetch_policy(const std::string &name);
+
 } // namespace sgms
 
 #endif // SGMS_POLICY_FETCH_POLICY_H

@@ -36,6 +36,22 @@ hit_and_stamp(PageTable::Frame &f, uint64_t ref)
     f.last_touch = ref;
     return f.present & f.complete & (f.watch_from < 0);
 }
+
+/**
+ * The tick @p after past @p when, for a fetch timer. fatal() past the
+ * tick range: only a timeout multiplier or backoff far beyond any
+ * fetch's latency gets there, and a wrapped tick would run the timer
+ * in the past.
+ */
+Tick
+timer_at(Tick when, Tick after)
+{
+    if (after > TICK_MAX - when)
+        fatal("a fetch timer %.3g ms after %.3g ms passes the "
+              "simulated clock's range; lower --fault-timeout-mult",
+              ticks::to_ms(after), ticks::to_ms(when));
+    return when + after;
+}
 } // namespace
 
 /**
@@ -1160,8 +1176,8 @@ Simulator::start_attempt(Run &r,
                           }});
                  }
              }});
-        r.eq.schedule(when + timeout, [this, &r, st, gen,
-                                       at = when + timeout] {
+        Tick at = timer_at(when, timeout);
+        r.eq.schedule(at, [this, &r, st, gen, at] {
             on_fetch_timeout(r, st, gen, at);
         });
     });
@@ -1221,12 +1237,13 @@ Simulator::on_fetch_timeout(Run &r,
         cfg_.retry.timeout_for(cfg_.net, plan.total_bytes());
     Tick delay = cfg_.retry.backoff_delay(st->attempt, base_timeout,
                                           r.finj->jitter_draw());
+    Tick retry_at = timer_at(when, delay);
     r.d_retry_delay->add(ticks::to_ns(delay));
     SGMS_TRACE_SPAN(r.tracer, Gms, c.id, "retry_backoff", "reliability",
-                    when, when + delay, st->fault_id,
+                    when, retry_at, st->fault_id,
                     static_cast<int64_t>(st->page),
                     static_cast<int64_t>(st->attempt));
-    start_attempt(r, st, std::move(plan), when + delay);
+    start_attempt(r, st, std::move(plan), retry_at);
 }
 
 /**

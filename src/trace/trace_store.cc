@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <tuple>
@@ -12,6 +11,7 @@
 #include <unistd.h>
 
 #include "common/logging.h"
+#include "common/once_map.h"
 #include "common/options.h"
 #include "trace/apps.h"
 #include "trace/binfmt.h"
@@ -27,10 +27,12 @@ using TraceKey = std::tuple<std::string, double, uint64_t>;
 
 struct Store
 {
+    // Every stored trace, heap or mapped, as a cursor at position 0
+    // (each request gets a copy), or nullopt for one that streams.
+    OnceMap<TraceKey, std::optional<ReplayTrace>> traces;
+
+    // Guards the counters and the configuration below.
     std::mutex mutex;
-    // Every stored trace, heap or mapped, as a cursor at position 0;
-    // each request gets a copy.
-    std::map<TraceKey, ReplayTrace> traces;
     uint64_t bytes = 0;
     uint64_t mapped_bytes = 0;
     uint64_t hits = 0;
@@ -39,8 +41,7 @@ struct Store
     uint64_t baked_files = 0;
     uint64_t mapped_files = 0;
 
-    // Env-initialized, test-overridable configuration. Guarded by
-    // the same mutex as the map.
+    // Env-initialized, test-overridable configuration.
     std::optional<std::string> dir_override;
     std::optional<uint64_t> budget_override;
 };
@@ -52,7 +53,7 @@ store()
     return s;
 }
 
-// The callers below hold s.mutex.
+// Callers of these two hold s.mutex.
 
 std::string
 store_dir(Store &s)
@@ -142,6 +143,7 @@ map_baked(Store &s, const std::string &app, double scale, uint64_t seed,
                 bake_matches(hdr, app, scale, seed);
     if (!have) {
         bake_to(app, scale, seed, dir, path);
+        std::lock_guard<std::mutex> lock(s.mutex);
         ++s.baked_files;
     }
     auto file = MappedTraceFile::try_open(path, error);
@@ -151,9 +153,46 @@ map_baked(Store &s, const std::string &app, double scale, uint64_t seed,
              path.c_str(), error.c_str());
         return nullptr;
     }
+    std::lock_guard<std::mutex> lock(s.mutex);
     ++s.mapped_files;
     s.mapped_bytes += file->mapped_bytes();
     return file;
+}
+
+/**
+ * Make the stored copy of (app, scale, seed), once per key and with
+ * no lock held while baking or generating: a mapped bake, a heap
+ * materialization, or nullopt when the trace must stream.
+ */
+std::optional<ReplayTrace>
+load(Store &s, const std::string &app, double scale, uint64_t seed)
+{
+    // Mapped tier first: a bake costs one generation pass ever
+    // (across processes), the mapping is shared physically with
+    // workers, and mapped bytes are file-backed so the heap budget
+    // does not apply.
+    std::string dir = trace_store_dir();
+    if (!dir.empty()) {
+        if (auto file = map_baked(s, app, scale, seed, dir))
+            return ReplayTrace(file);
+    }
+
+    // Heap tier. Size is known exactly up front (synthetic traces
+    // declare their reference count), so the budget is reserved
+    // before the expensive generation pass, and traces generated
+    // side by side can never overrun it together. Only resident heap
+    // materializations count against the budget.
+    uint64_t need =
+        make_app_spec(app, scale).total_refs() * sizeof(uint64_t);
+    {
+        std::lock_guard<std::mutex> lock(s.mutex);
+        if (s.bytes + need > store_budget_bytes(s))
+            return std::nullopt;
+        s.bytes += need;
+    }
+    auto packed = materialize(app, scale, seed);
+    SGMS_ASSERT(packed->size() * sizeof(uint64_t) == need);
+    return ReplayTrace(packed);
 }
 
 } // namespace
@@ -200,49 +239,24 @@ make_stored_app_trace(const std::string &app, double scale,
                       uint64_t seed)
 {
     Store &s = store();
-    std::unique_lock<std::mutex> lock(s.mutex);
-    auto key = std::make_tuple(app, scale, seed);
-    auto it = s.traces.find(key);
-    if (it != s.traces.end()) {
-        ++s.hits;
-        return std::make_unique<ReplayTrace>(it->second);
-    }
-
-    // Mapped tier first: a bake costs one generation pass ever
-    // (across processes), the mapping is shared physically with
-    // workers, and mapped bytes are file-backed so the heap budget
-    // does not apply.
-    std::string dir = store_dir(s);
-    if (!dir.empty()) {
-        if (auto file = map_baked(s, app, scale, seed, dir)) {
+    bool made = false;
+    std::optional<ReplayTrace> stored =
+        s.traces.get(std::make_tuple(app, scale, seed), [&] {
+            made = true;
+            return load(s, app, scale, seed);
+        });
+    {
+        std::lock_guard<std::mutex> lock(s.mutex);
+        if (!stored)
+            ++s.fallbacks;
+        else if (made)
             ++s.misses;
-            ReplayTrace &cursor =
-                s.traces.emplace(key, ReplayTrace(file)).first->second;
-            return std::make_unique<ReplayTrace>(cursor);
-        }
+        else
+            ++s.hits;
     }
-
-    // Heap tier. Size is known exactly up front (synthetic traces
-    // declare their reference count), so the budget check precedes
-    // the expensive generation pass. Only resident heap
-    // materializations count against the budget.
-    uint64_t need =
-        make_app_spec(app, scale).total_refs() * sizeof(uint64_t);
-    if (s.bytes + need > store_budget_bytes(s)) {
-        ++s.fallbacks;
-        lock.unlock();
+    if (!stored)
         return make_app_trace(app, scale, seed);
-    }
-
-    // Materialize under the lock: concurrent requesters of the same
-    // trace wait for one generation pass instead of racing through
-    // their own (same discipline as the footprint memo).
-    auto packed = materialize(app, scale, seed);
-    s.bytes += packed->size() * sizeof(uint64_t);
-    ++s.misses;
-    ReplayTrace &cursor =
-        s.traces.emplace(key, ReplayTrace(packed)).first->second;
-    return std::make_unique<ReplayTrace>(cursor);
+    return std::make_unique<ReplayTrace>(*stored);
 }
 
 TraceStoreStats
@@ -265,8 +279,8 @@ void
 trace_store_clear()
 {
     Store &s = store();
-    std::lock_guard<std::mutex> lock(s.mutex);
     s.traces.clear();
+    std::lock_guard<std::mutex> lock(s.mutex);
     s.bytes = 0;
     s.mapped_bytes = 0;
 }

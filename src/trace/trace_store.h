@@ -26,6 +26,13 @@
  *    traces that would exceed it fall back to streaming generation
  *    per point.
  *
+ * Each (app, scale, seed) is stored once per process (common/
+ * once_map.h): concurrent requesters of one key wait for one bake or
+ * materialization, and different keys bake and generate side by side,
+ * outside any lock the others need. The heap tier reserves a trace's
+ * bytes against its budget before generating it, so concurrent
+ * generations never overrun the budget together.
+ *
  * Lifetime rules (DESIGN.md §13-14): buffers and mappings are
  * immutable after creation; both tiers hand out ReplayTrace cursors
  * (trace/mmap_trace.h), which carry only their own position, so
@@ -53,7 +60,9 @@ namespace sgms
  * file's mapping when the mapped tier is configured, or over the
  * shared heap buffer when the trace is (or can be) materialized
  * within budget, a streaming SyntheticTrace otherwise. Thread-safe;
- * concurrent callers of the same key block on one materialization.
+ * concurrent callers of the same key block on one materialization,
+ * callers of other keys do not. A key that streams keeps streaming
+ * until trace_store_clear().
  */
 std::unique_ptr<TraceSource>
 make_stored_app_trace(const std::string &app, double scale,
@@ -102,13 +111,17 @@ struct TraceStoreStats
 
 TraceStoreStats trace_store_stats();
 
-/** Drop every stored trace (tests; not thread-safe vs. replayers). */
+/**
+ * Drop every stored trace (tests; not thread-safe vs. replayers). A
+ * trace still being made when this runs is dropped once it is made.
+ */
 void trace_store_clear();
 
 // Test/config hooks. Each overrides the corresponding environment
 // variable (SGMS_TRACE_DIR / SGMS_TRACE_STORE_MAX_MB) for the rest
-// of the process; they do not drop traces already stored, so tests
-// usually call trace_store_clear() alongside.
+// of the process; they do not drop traces already stored (nor the
+// decision that a key streams), so tests usually call
+// trace_store_clear() alongside.
 
 /** Set the mapped-tier directory; "" disables the mapped tier. */
 void trace_store_set_dir(const std::string &dir);

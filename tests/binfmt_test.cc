@@ -505,6 +505,57 @@ TEST_F(TraceStoreTierTest, MappedRequestsHitTheCachedMapping)
 }
 
 /**
+ * Eight threads that each measure one key's footprint and then replay
+ * its trace share one generation and one measurement, in both tiers.
+ * Each tier uses a scale no other test measures, since the footprint
+ * memo outlives trace_store_clear().
+ */
+TEST_F(TraceStoreTierTest, ConcurrentRequestsForOneKeyGenerateOnce)
+{
+    for (bool mapped : {false, true}) {
+        SCOPED_TRACE(mapped ? "mapped tier" : "heap tier");
+        const double scale = mapped ? 0.0173 : 0.0171;
+        trace_store_set_dir(mapped ? dir_ : "");
+        trace_store_clear();
+        TraceStoreStats before = trace_store_stats();
+
+        constexpr int kThreads = 8;
+        std::vector<uint64_t> footprints(kThreads);
+        std::vector<size_t> lengths(kThreads);
+        {
+            std::vector<std::jthread> threads;
+            for (int t = 0; t < kThreads; ++t) {
+                threads.emplace_back([&, t] {
+                    footprints[t] = app_footprint_pages("gdb", scale);
+                    lengths[t] =
+                        drain(*make_stored_app_trace("gdb", scale, 1))
+                            .size();
+                });
+            }
+        }
+        TraceStoreStats after = trace_store_stats();
+
+        EXPECT_EQ(after.misses - before.misses, 1u);
+        EXPECT_EQ(after.fallbacks, before.fallbacks);
+        // Every request but the miss is a hit: one per thread's
+        // replay plus one per footprint measurement, so 8 means the
+        // footprint was measured once.
+        EXPECT_EQ(after.hits - before.hits, uint64_t{kThreads});
+        uint64_t refs = make_app_spec("gdb", scale).total_refs();
+        if (mapped) {
+            EXPECT_EQ(after.baked_files - before.baked_files, 1u);
+            EXPECT_EQ(after.mapped_files - before.mapped_files, 1u);
+        } else {
+            EXPECT_EQ(after.bytes, refs * sizeof(uint64_t));
+        }
+        for (int t = 0; t < kThreads; ++t) {
+            EXPECT_EQ(footprints[t], footprints[0]);
+            EXPECT_EQ(lengths[t], refs);
+        }
+    }
+}
+
+/**
  * The pipeline's central promise: full Experiment::run results are
  * byte-identical whether the trace came from the heap store, a
  * streaming generator, or an mmap'd bake — for every app model.

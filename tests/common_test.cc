@@ -5,11 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "common/chart.h"
+#include "common/once_map.h"
 #include "common/random.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -20,6 +28,71 @@ namespace sgms
 {
 namespace
 {
+
+TEST(OnceMap, ConcurrentCallersOfOneKeyShareOneMake)
+{
+    OnceMap<int, int> memo;
+    std::atomic<int> makes{0};
+    std::vector<int> got(8);
+    {
+        std::vector<std::jthread> threads;
+        for (int t = 0; t < 8; ++t) {
+            threads.emplace_back([&, t] {
+                got[t] = memo.get(7, [&] {
+                    ++makes;
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(20));
+                    return 49;
+                });
+            });
+        }
+    }
+    EXPECT_EQ(makes.load(), 1);
+    for (int v : got)
+        EXPECT_EQ(v, 49);
+    EXPECT_EQ(memo.get(7, [] { return 0; }), 49);
+}
+
+TEST(OnceMap, OtherKeysMakeWhileOneKeyIsBeingMade)
+{
+    // Key 1's make waits for key 2's: a lock held across make would
+    // never let key 2 start. The wait is bounded so a regression
+    // fails instead of hanging.
+    OnceMap<int, int> memo;
+    std::mutex mu;
+    std::condition_variable cv;
+    bool two_made = false;
+    bool saw_two = false;
+    std::jthread first([&] {
+        memo.get(1, [&] {
+            std::unique_lock<std::mutex> lock(mu);
+            saw_two = cv.wait_for(lock, std::chrono::seconds(20),
+                                  [&] { return two_made; });
+            return 1;
+        });
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    memo.get(2, [&] {
+        std::lock_guard<std::mutex> lock(mu);
+        two_made = true;
+        cv.notify_all();
+        return 2;
+    });
+    first.join();
+    EXPECT_TRUE(saw_two);
+}
+
+TEST(OnceMap, AMakeThatThrowsLeavesTheKeyUnset)
+{
+    OnceMap<int, int> memo;
+    EXPECT_THROW(memo.get(3, []() -> int {
+        throw std::runtime_error("make failed");
+    }),
+                 std::runtime_error);
+    EXPECT_EQ(memo.get(3, [] { return 9; }), 9);
+    memo.clear();
+    EXPECT_EQ(memo.get(3, [] { return 10; }), 10);
+}
 
 TEST(Types, TickConversionsRoundTrip)
 {

@@ -44,6 +44,31 @@ TEST(DeathTests, BadParseBytes)
     EXPECT_DEATH({ parse_bytes(""); }, "empty");
 }
 
+TEST(DeathTests, ParseBytesRejectsSignsAndSizesPast64Bits)
+{
+    // 18014398509481985K is 2^64 + 1024 bytes: it once wrapped to 1K.
+    EXPECT_DEATH({ parse_bytes("18014398509481985K"); },
+                 "does not fit 64 bits");
+    EXPECT_DEATH({ parse_bytes("99999999999999999999"); },
+                 "does not fit 64 bits");
+    EXPECT_DEATH({ parse_bytes("-8K"); }, "bad size");
+    EXPECT_DEATH({ parse_bytes("+8K"); }, "bad size");
+    EXPECT_DEATH({ parse_bytes(" 8K"); }, "bad size");
+    EXPECT_DEATH({ parse_bytes("8KK"); }, "suffix");
+    EXPECT_EQ(parse_bytes("16777215G"), 16777215ull << 30);
+    EXPECT_EQ(parse_bytes("18446744073709551615"), ~0ull);
+
+    // Through Options the message names the flag.
+    const char *argv[] = {"prog", "--page=18014398509481985K",
+                          "--subpage=-8K"};
+    Options o(3, const_cast<char **>(argv));
+    EXPECT_DEATH({ o.get_bytes("page", 8192); },
+                 "option --page: size '18014398509481985K' does not "
+                 "fit 64 bits");
+    EXPECT_DEATH({ o.get_bytes("subpage", 1024); },
+                 "option --subpage: bad size string '-8K'");
+}
+
 TEST(DeathTests, UnknownPolicyAndReplacement)
 {
     EXPECT_DEATH({ make_fetch_policy("nonsense"); }, "unknown");

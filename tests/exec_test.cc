@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cfloat>
+#include <condition_variable>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -31,7 +32,9 @@
 #include "exec/result_cache.h"
 #include "exec/result_codec.h"
 #include "obs/tracer.h"
+#include "temp_dir.h"
 #include "trace/binfmt.h"
+#include "trace/trace_store.h"
 
 namespace sgms
 {
@@ -723,6 +726,102 @@ TEST(Engine, ParallelProgressFiresOncePerPointFromWorkerThreads)
     // that jobs>1 callbacks arrive on worker threads.
     EXPECT_EQ(threads.count(caller), 0u);
     EXPECT_GE(threads.size(), 1u);
+}
+
+/**
+ * The benchmark's fault_storm grid in miniature: one baked trace under
+ * disk, fullpage, eager and pipelining at 1/2 and 1/4 memory, in
+ * input order.
+ */
+std::vector<Experiment>
+storm_points(const std::string &trace_bin)
+{
+    std::vector<Experiment> points;
+    for (MemConfig mem : {MemConfig::Half, MemConfig::Quarter}) {
+        for (const char *policy :
+             {"disk", "fullpage", "eager", "pipelining"}) {
+            Experiment ex;
+            ex.app = "storm";
+            ex.trace_bin = trace_bin;
+            ex.policy = policy;
+            ex.subpage_size = 1024;
+            ex.mem = mem;
+            points.push_back(ex);
+        }
+    }
+    return points;
+}
+
+TEST(Engine, ClaimOrderIsLongestFirstAndNeverFails)
+{
+    test::TempDir dir;
+    std::vector<Experiment> points =
+        storm_points(bake_app_trace("gdb", 0.05, 1, dir.path()));
+    // A fault sends 5 messages under pipelining (request, demand, two
+    // neighbours, rest), 3 under eager, 2 under fullpage and none
+    // under disk; ties keep input order.
+    EXPECT_EQ(exec::claim_order(points),
+              (std::vector<size_t>{3, 7, 2, 6, 1, 5, 0, 4}));
+
+    // Clients multiply the cost.
+    points[4].clients = 8;
+    EXPECT_EQ(exec::claim_order(points).front(), 4u);
+
+    // What the estimate cannot name costs 0; the point fails later,
+    // where it runs.
+    points[4].clients = 1;
+    points[3].policy = "no-such-policy";
+    points[7].trace_bin = dir.path() + "/missing.sgmb";
+    points[2].subpage_size = 3000;
+    points[6].app = "no-such-app";
+    points[6].trace_bin.clear();
+    EXPECT_EQ(exec::claim_order(points),
+              (std::vector<size_t>{1, 5, 0, 4, 2, 3, 6, 7}));
+}
+
+TEST(Engine, ThreadsClaimTheLongestPointsFirst)
+{
+    test::TempDir dir;
+    std::vector<Experiment> points =
+        storm_points(bake_app_trace("gdb", 0.05, 1, dir.path()));
+    ExecOptions eo;
+    eo.jobs = 2;
+    Engine engine(eo);
+    // A worker's callback waits until every worker has made its first
+    // claim, so the first eo.jobs callbacks are the first claims.
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<std::string> seen;
+    std::vector<SimResult> got =
+        engine.run_all(points, [&](const Experiment &ex) {
+            std::unique_lock<std::mutex> lock(mu);
+            seen.push_back(ex.policy);
+            cv.notify_all();
+            cv.wait(lock, [&] { return seen.size() >= eo.jobs; });
+        });
+    ASSERT_EQ(seen.size(), points.size());
+    EXPECT_EQ(seen[0], "pipelining");
+    EXPECT_EQ(seen[1], "pipelining");
+    Engine serial(ExecOptions{});
+    EXPECT_EQ(blobs_of(got), blobs_of(serial.run_all(points)));
+}
+
+TEST(Engine, FleetDispatchesTheLongestPointsFirst)
+{
+    test::TempDir dir;
+    std::vector<Experiment> points =
+        storm_points(bake_app_trace("gdb", 0.05, 1, dir.path()));
+    ExecOptions eo;
+    eo.workers = 2;
+    Engine engine(eo);
+    std::vector<std::string> seen;
+    std::vector<SimResult> got = engine.run_all(
+        points, [&](const Experiment &ex) { seen.push_back(ex.policy); });
+    EXPECT_EQ(seen, (std::vector<std::string>{
+                        "pipelining", "pipelining", "eager", "eager",
+                        "fullpage", "fullpage", "disk", "disk"}));
+    Engine serial(ExecOptions{});
+    EXPECT_EQ(blobs_of(got), blobs_of(serial.run_all(points)));
 }
 
 TEST(Engine, WarmCacheServesEveryPointWithoutSimulating)

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "core/sim_config.h"
@@ -157,6 +158,38 @@ TEST(RetryPolicyTest, BackoffGrowsExponentiallyWithBoundedJitter)
     EXPECT_LE(hi, static_cast<Tick>((1.0 + rp.jitter_frac) * base) + 1);
 }
 
+TEST(RetryPolicyTest, TimeoutNeverDecreasesAsTheMultiplierGrows)
+{
+    // A multiplier past Tick's range once cast to an undefined Tick:
+    // 1e300 timed out sooner than 3.
+    NetParams net = NetParams::an2();
+    RetryPolicy rp;
+    Tick prev = 0;
+    for (int e = 0; e <= 300; ++e) {
+        rp.timeout_multiplier = std::pow(10.0, e);
+        Tick t = rp.timeout_for(net, 8192);
+        EXPECT_GE(t, prev) << "multiplier 1e" << e;
+        prev = t;
+    }
+    EXPECT_EQ(prev, TICK_MAX);
+}
+
+TEST(RetryPolicyTest, BackoffSaturatesAtTheLargestTick)
+{
+    RetryPolicy rp;
+    Tick base = ticks::from_ms(1);
+    Tick prev = 0;
+    for (uint32_t attempt = 2; attempt < 200; ++attempt) {
+        Tick d = rp.backoff_delay(attempt, base, 0.5);
+        EXPECT_GE(d, prev) << "attempt " << attempt;
+        prev = d;
+    }
+    EXPECT_EQ(prev, TICK_MAX);
+    rp.backoff_base = 1e300;
+    EXPECT_EQ(rp.backoff_delay(4, base, 0.5), TICK_MAX);
+    EXPECT_EQ(rp.backoff_delay(2, TICK_MAX, 1.0 - 1e-12), TICK_MAX);
+}
+
 // ---------------------------------------------------------------
 // Injector determinism
 
@@ -287,6 +320,28 @@ TEST(FaultSim, EveryPolicyCompletesUnderLossAndOutages)
         EXPECT_GT(metric_value(r, "gms.retries"), 0.0);
         EXPECT_GT(metric_value(r, "gms.timeouts"), 0.0);
     }
+}
+
+TEST(FaultSimDeathTest, TimerPastTheTickRangeIsFatal)
+{
+    // A lost message under a saturated timeout once wrapped the
+    // timer into the past; now the run stops, naming the flag.
+    FaultPlan plan;
+    plan.seed = 3;
+    plan.set_loss(0.2);
+    SimConfig cfg;
+    cfg.policy = "eager";
+    cfg.subpage_size = 1024;
+    cfg.mem_pages = 44;
+    cfg.faults = plan;
+    cfg.retry.timeout_multiplier = 1e300;
+    EXPECT_DEATH(
+        {
+            SyntheticTrace trace(fault_workload(), /*seed=*/42);
+            Simulator(cfg).run(trace);
+        },
+        "passes the simulated clock's range; lower "
+        "--fault-timeout-mult");
 }
 
 TEST(FaultSim, SameSeedReproducesTheRunExactly)

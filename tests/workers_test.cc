@@ -322,6 +322,26 @@ TEST(Workers, PointCrashingOnEveryAttemptDegradesDeterministically)
     EXPECT_EQ(blobs_of(second), blobs_of(first));
 }
 
+TEST(Workers, UnknownPolicyDegradesInTheWorkerNotInTheParent)
+{
+    // The parent orders points by an estimate that must not fail on
+    // a name it does not know: the worker that runs the point fails
+    // (twice), and the point comes back degraded.
+    std::vector<Experiment> points =
+        exec::expand_sweep(workers_spec());
+    points[1].policy = "no-such-policy";
+    ExecOptions eo;
+    eo.workers = 2;
+    Engine engine(eo);
+    std::vector<SimResult> w = engine.run_all(points);
+    ASSERT_EQ(w.size(), points.size());
+    EXPECT_EQ(metric_value(w[1], "exec.degraded"), 1.0);
+    EXPECT_EQ(w[1].policy, "no-such-policy");
+    EXPECT_EQ(engine.stats().points_degraded, 1u);
+    EXPECT_EQ(metric_value(w[0], "exec.degraded"), 0.0);
+    EXPECT_GT(w[0].runtime, 0);
+}
+
 TEST(Workers, SharesTheResultCacheWithTheParent)
 {
     std::string dir = ::testing::TempDir() + "sgms_workers_cache";
