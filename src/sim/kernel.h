@@ -27,6 +27,13 @@
  * completions wake it from inside the delivering event (DESIGN.md
  * §15).
  *
+ * Every remote fetch runs one path on a plan slot: issue_transfers()
+ * stores the plan, start_attempt() injects the request, serve_plan()
+ * sends the plan's segments and deliver() lands each one. Under fault
+ * injection the same slot carries the reliability layer: each
+ * attempt's timeout and a degraded fetch's disk read are typed events
+ * like the attempt itself (DESIGN.md §10).
+ *
  * Node layout: clients occupy nodes 0..N-1, GMS servers start at node
  * N. Page identity on the shared cluster is namespaced per client
  * (gpage = page * N + client), which reduces to the identity map at
@@ -86,7 +93,6 @@ class Simulator
   private:
     struct Run;
     struct Client;
-    struct PendingFetch;
     enum class Phase : uint8_t;
     enum class Cont : uint8_t;
 
@@ -108,8 +114,9 @@ class Simulator
     void issue_transfers(Run &r, Client &c, PageId page,
                          uint64_t fault_id, const FetchPlan &plan,
                          SubpageIndex faulted, uint32_t byte_in_sub);
-    void send_request(Run &r, uint32_t plan_slot, Tick at);
-    void serve_plan(Run &r, uint32_t plan_slot, Tick at);
+    void start_attempt(Run &r, uint32_t slot, Tick at);
+    void serve_plan(Run &r, uint32_t slot, uint64_t fetch,
+                    uint32_t attempt, Tick at);
     void deliver(Run &r, Client &c, PageId page, uint64_t fault_id,
                  uint64_t mask, bool demand, Tick issued,
                  Tick blocked_at_issue, Tick delivered, Tick recv_cpu);
@@ -124,18 +131,10 @@ class Simulator
     // Reliability layer (active only when cfg_.faults is enabled).
     bool server_unavailable(Run &r, const Client &c, NodeId srv) const;
     void note_server_down(Run &r, Client &c, NodeId srv);
-    void issue_transfers_reliable(Run &r, Client &c, PageId page,
-                                  uint64_t fault_id,
-                                  const FetchPlan &plan,
-                                  SubpageIndex faulted,
-                                  uint32_t byte_in_sub);
-    void start_attempt(Run &r, std::shared_ptr<PendingFetch> st,
-                       FetchPlan plan, Tick when);
-    void on_fetch_timeout(Run &r, std::shared_ptr<PendingFetch> st,
-                          uint64_t generation, Tick when);
-    void degrade_to_disk(Run &r, std::shared_ptr<PendingFetch> st,
-                         uint64_t missing, Tick when);
-    void finish_if_complete(Run &r, PendingFetch &st);
+    void on_fetch_timeout(Run &r, uint32_t slot, Tick when);
+    void degrade_to_disk(Run &r, uint32_t slot, uint64_t missing,
+                         Tick when);
+    void finish_disk_read(Run &r, uint32_t slot, Tick at);
 
     SimConfig cfg_;
     std::unique_ptr<Run> run_;
