@@ -95,18 +95,15 @@ main(int argc, char **argv)
         opts.get("policies", "fullpage,eager,pipelining"));
     spec.subpage_sizes.clear();
     for (const auto &s : split_csv(opts.get("subpages", "1024")))
-        spec.subpage_sizes.push_back(
-            static_cast<uint32_t>(parse_bytes(s, "option --subpages")));
+        spec.subpage_sizes.push_back(parse_size32(s, "option --subpages"));
     spec.mems.clear();
-    for (const auto &m : split_csv(opts.get("mems", "half"))) {
-        spec.mems.push_back(m == "full"      ? MemConfig::Full
-                            : m == "quarter" ? MemConfig::Quarter
-                                             : MemConfig::Half);
-    }
+    for (const auto &m : split_csv(opts.get("mems", "half")))
+        spec.mems.push_back(parse_mem_config(m, "option --mems"));
     spec.clients.clear();
-    for (const auto &c : split_csv(opts.get("clients", "1")))
-        spec.clients.push_back(
-            static_cast<uint32_t>(std::stoul(c)));
+    for (const auto &c : split_csv(opts.get("clients", "1"))) {
+        spec.clients.push_back(fit_u32(parse_u64(c, "option --clients"),
+                                       "option --clients"));
+    }
     if (opts.has("metrics-per-client"))
         spec.base.metrics_per_client = true;
     spec.scale = opts.get_double("scale", scale_from_env(1.0));

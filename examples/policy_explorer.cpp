@@ -21,7 +21,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -50,17 +49,12 @@ main(int argc, char **argv)
     ex.app = pos.size() > 0 ? pos[0] : "modula3";
     ex.policy = pos.size() > 1 ? pos[1] : "eager";
     ex.subpage_size =
-        pos.size() > 2 ? static_cast<uint32_t>(parse_bytes(pos[2]))
-                       : 1024;
-    std::string mem = pos.size() > 3 ? pos[3] : "half";
-    ex.mem = mem == "full"      ? MemConfig::Full
-             : mem == "quarter" ? MemConfig::Quarter
-                                : MemConfig::Half;
-    ex.scale = pos.size() > 4 ? std::atof(pos[4].c_str())
+        pos.size() > 2 ? parse_size32(pos[2], "subpage") : 1024;
+    ex.mem = pos.size() > 3 ? parse_mem_config(pos[3], "mem")
+                            : MemConfig::Half;
+    ex.scale = pos.size() > 4 ? parse_double(pos[4], "scale")
                               : scale_from_env(1.0);
-    ex.seed = pos.size() > 5
-                  ? std::strtoull(pos[5].c_str(), nullptr, 10)
-                  : 1;
+    ex.seed = pos.size() > 5 ? parse_u64(pos[5], "seed") : 1;
     apply_config_overrides(ex.base, opts);
     // Positional policy/subpage win over --policy/--subpage given to
     // the override layer; re-assert them.

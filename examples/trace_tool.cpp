@@ -74,16 +74,6 @@ args(const Options &opts, size_t min, size_t max, const char *usage)
     return pos;
 }
 
-template <typename T>
-T
-number(const std::string &text, const char *what)
-{
-    T v{};
-    if (!parse_number(text, v))
-        fatal("bad %s '%s'", what, text.c_str());
-    return v;
-}
-
 bool
 is_text_path(const std::string &path)
 {
@@ -108,8 +98,8 @@ int
 cmd_gen(const Options &opts)
 {
     const auto &pos = args(opts, 3, 5, "gen <app> <file> [scale] [seed]");
-    double scale = pos.size() > 3 ? number<double>(pos[3], "scale") : 0.02;
-    uint64_t seed = pos.size() > 4 ? number<uint64_t>(pos[4], "seed") : 1;
+    double scale = pos.size() > 3 ? parse_double(pos[3], "scale") : 0.02;
+    uint64_t seed = pos.size() > 4 ? parse_u64(pos[4], "seed") : 1;
     opts.reject_unused();
     auto trace = make_app_trace(pos[1], scale, seed);
     write_trace(*trace, pos[2], pos[1], scale, seed);
@@ -221,13 +211,11 @@ cmd_sim(const Options &opts)
     obs::ObsSession obs(opts);
     SimConfig cfg;
     cfg.policy = pos.size() > 2 ? pos[2] : "eager";
-    cfg.subpage_size =
-        pos.size() > 3 ? static_cast<uint32_t>(parse_bytes(pos[3]))
-                       : 1024;
+    cfg.subpage_size = pos.size() > 3 ? parse_size32(pos[3], "subpage") : 1024;
     if (cfg.policy == "fullpage" || cfg.policy == "disk")
         cfg.subpage_size = cfg.page_size;
     cfg.mem_pages =
-        pos.size() > 4 ? number<uint64_t>(pos[4], "mem_pages") : 0;
+        pos.size() > 4 ? parse_u64(pos[4], "mem_pages") : 0;
     opts.reject_unused();
     auto trace = open_trace(pos[1]);
     obs.configure(cfg);

@@ -19,13 +19,20 @@
 #                             does not fit its flag, naming the
 #                             flag), a trace_tool smoke
 #                             (convert and bake round trips,
-#                             payload-hash check), a render_farm
+#                             payload-hash check), a positional-
+#                             argument smoke (policy_explorer and
+#                             trace_tool must reject a subpage,
+#                             memory word, scale or seed that does
+#                             not fit, naming it), a render_farm
 #                             smoke (examples/render_farm at scale
 #                             0.02 must exit 0 and print both of
 #                             its tables), a byte check
 #                             of Figure 2 and Table 2 against
 #                             results/ (each builds its one fault
-#                             by hand and runs in milliseconds),
+#                             by hand and runs in milliseconds)
+#                             and of ablation_faults (the only
+#                             committed output that runs the
+#                             reliability layer; 0.1 s),
 #                             then a -Wall
 #                             -Wextra -Werror
 #                             rebuild in a separate tree
@@ -166,8 +173,10 @@ echo "   retired flags rejected by export_grid, quickstart," \
 
 echo "== smoke: export_grid rejects a value that does not fit its flag =="
 # A NaN step, a page size past 32 bits (or past 64 bits once scaled by
-# its suffix, or negative) and a fault spec with an empty message kind
-# or a NaN outage time each once ran (or wrote out of bounds); each
+# its suffix, or negative), a fault spec with an empty message kind
+# or a NaN outage time, a subpage size or client count past 32 bits,
+# an unknown memory word and a client count with trailing text each
+# once ran (wrapped, guessed, or wrote out of bounds) or aborted; each
 # must fail before any point runs, naming the flag.
 rejects_value() { # rejects_value FLAG CMD...: CMD FLAG must fail on FLAG
     local flag=$1 err
@@ -181,7 +190,8 @@ rejects_value() { # rejects_value FLAG CMD...: CMD FLAG must fail on FLAG
 }
 for flag in --ns-per-ref=nan --page=4294975488 \
     --page=18014398509481985K --page=-8K --faults=loss-=0.5 \
-    --faults=down=0:nan; do
+    --faults=down=0:nan --subpages=4294968320 --mems=bogus \
+    --clients=4294967297 --clients=2x --clients=abc; do
     rejects_value "$flag" ./build/examples/export_grid --scale=0.01
 done
 echo "   hostile values rejected by export_grid, each naming its flag"
@@ -219,15 +229,42 @@ if "$tool" info "$tdir/bad.sgmb" >/dev/null 2>&1; then
 fi
 echo "   round trips and bake byte-identical, bake reused, corruption caught"
 
-echo "== results: fig2_timeline and table2_fault_latency are byte-identical =="
+echo "== smoke: positional arguments that do not fit are rejected =="
+# policy_explorer and trace_tool once ran a subpage size past 32 bits
+# wrapped, an unknown memory word as half memory, and a scale or seed
+# with trailing text as its leading digits; each run must fail and
+# name the argument and its value.
+rejects_arg() { # rejects_arg NAME VALUE CMD...: CMD must fail on VALUE
+    local name=$1 value=$2 err
+    shift 2
+    if err=$("$@" 2>&1 >/dev/null); then
+        echo "$* accepted $name $value"
+        exit 1
+    fi
+    grep -qF -- "$name" <<<"$err" && grep -qF -- "$value" <<<"$err" ||
+        { echo "$* failed without naming $name $value: $err"; exit 1; }
+}
+explorer=./build/examples/policy_explorer
+rejects_arg subpage 4294968320 "$explorer" gdb eager 4294968320
+rejects_arg mem bogus "$explorer" gdb eager 1024 bogus
+rejects_arg scale abc "$explorer" gdb eager 1024 half abc
+rejects_arg seed 7x "$explorer" gdb eager 1024 half 0.01 7x
+rejects_arg subpage 4294968320 "$tool" sim "$tdir/a.sgmb" eager 4294968320
+echo "   hostile positional values rejected by policy_explorer and" \
+    "trace_tool, each naming its argument"
+
+echo "== results: fig2_timeline, table2_fault_latency and ablation_faults are byte-identical =="
 # Figure 2 is drawn from the Net spans of its hand-built fault, and
 # Table 2 times the same fault: both pin the staged network tick for
-# tick.
-for bench in fig2_timeline table2_fault_latency; do
-    "./build/bench/$bench" >"$tmp_grid/$bench.txt"
+# tick. ablation_faults is the only committed output that runs the
+# reliability layer (loss, outages, retries, degraded disk reads);
+# its tables are the paper-scale ones.
+for bench in fig2_timeline table2_fault_latency ablation_faults; do
+    SGMS_SCALE=1.0 "./build/bench/$bench" >"$tmp_grid/$bench.txt"
     cmp "$tmp_grid/$bench.txt" "results/$bench.txt"
 done
-echo "   fig2_timeline and table2_fault_latency match results/ byte for byte"
+echo "   fig2_timeline, table2_fault_latency and ablation_faults match" \
+    "results/ byte for byte"
 
 echo "== smoke: examples/render_farm prints both tables =="
 SGMS_SCALE=0.02 ./build/examples/render_farm >"$tmp_grid/render_farm.txt"

@@ -35,6 +35,40 @@ parse_number(const std::string &text, double &out)
     return parse_whole(text, out);
 }
 
+uint64_t
+parse_u64(const std::string &text, const std::string &what)
+{
+    uint64_t v = 0;
+    if (!parse_number(text, v))
+        fatal("%s: bad integer '%s'", what.c_str(), text.c_str());
+    return v;
+}
+
+double
+parse_double(const std::string &text, const std::string &what)
+{
+    double v = 0;
+    if (!parse_number(text, v))
+        fatal("%s: bad number '%s'", what.c_str(), text.c_str());
+    return v;
+}
+
+uint32_t
+parse_size32(const std::string &text, const std::string &what)
+{
+    return fit_u32(parse_bytes(text, what), what);
+}
+
+uint32_t
+fit_u32(uint64_t v, const std::string &what)
+{
+    if (v > UINT32_MAX) {
+        fatal("%s=%llu does not fit 32 bits", what.c_str(),
+              static_cast<unsigned long long>(v));
+    }
+    return static_cast<uint32_t>(v);
+}
+
 Options::Options(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
@@ -96,11 +130,7 @@ Options::get_double(const std::string &name, double fallback) const
     if (it == values_.end())
         return fallback;
     read_[name] = true;
-    double v = 0;
-    if (!parse_number(it->second, v))
-        fatal("option --%s: bad number '%s'", name.c_str(),
-              it->second.c_str());
-    return v;
+    return parse_double(it->second, "option --" + name);
 }
 
 uint64_t
@@ -110,11 +140,7 @@ Options::get_u64(const std::string &name, uint64_t fallback) const
     if (it == values_.end())
         return fallback;
     read_[name] = true;
-    uint64_t v = 0;
-    if (!parse_number(it->second, v))
-        fatal("option --%s: bad integer '%s'", name.c_str(),
-              it->second.c_str());
-    return v;
+    return parse_u64(it->second, "option --" + name);
 }
 
 uint64_t
@@ -140,10 +166,7 @@ env_u64(const char *name, uint64_t fallback)
     const char *v = std::getenv(name);
     if (!v || !*v)
         return fallback;
-    uint64_t parsed = 0;
-    if (!parse_number(v, parsed))
-        fatal("%s: bad integer '%s'", name, v);
-    return parsed;
+    return parse_u64(v, name);
 }
 
 std::vector<std::string>

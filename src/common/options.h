@@ -80,6 +80,21 @@ bool parse_number(const std::string &text, uint64_t &out);
 bool parse_number(const std::string &text, double &out);
 
 /**
+ * The tools' checked argument parsers, one per kind. Each reads all
+ * of @p text and fatal()s naming @p what on anything else: a flag is
+ * named "option --NAME", a positional argument by its usage name.
+ * Counts and seeds are parse_u64, scales parse_double (both by the
+ * rules of parse_number), sizes parse_size32 (parse_bytes, then
+ * fit_u32).
+ */
+uint64_t parse_u64(const std::string &text, const std::string &what);
+double parse_double(const std::string &text, const std::string &what);
+uint32_t parse_size32(const std::string &text, const std::string &what);
+
+/** @p v, the value of @p what, as 32 bits; fatal() if it does not fit. */
+uint32_t fit_u32(uint64_t v, const std::string &what);
+
+/**
  * Environment-variable getters used by the flag/env layering of the
  * execution engine (`--jobs` over SGMS_JOBS, `--cache-dir` over
  * SGMS_CACHE_DIR, ...): unset and empty both mean "use the fallback".

@@ -2,40 +2,24 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 
 #include "common/logging.h"
 
 namespace sgms
 {
 
-namespace
-{
-
-/** @p v, the value of --@p name, as a 32-bit field, if it fits. */
-uint32_t
-fit_u32(const char *name, uint64_t v)
-{
-    if (v > std::numeric_limits<uint32_t>::max()) {
-        fatal("option --%s=%llu does not fit 32 bits", name,
-              static_cast<unsigned long long>(v));
-    }
-    return static_cast<uint32_t>(v);
-}
-
-} // namespace
-
 void
 apply_config_overrides(SimConfig &cfg, const Options &opts)
 {
-    cfg.page_size = fit_u32("page", opts.get_bytes("page", cfg.page_size));
-    cfg.subpage_size =
-        fit_u32("subpage", opts.get_bytes("subpage", cfg.subpage_size));
+    cfg.page_size =
+        fit_u32(opts.get_bytes("page", cfg.page_size), "option --page");
+    cfg.subpage_size = fit_u32(opts.get_bytes("subpage", cfg.subpage_size),
+                               "option --subpage");
     cfg.policy = opts.get("policy", cfg.policy);
     cfg.mem_pages = opts.get_u64("mem-pages", cfg.mem_pages);
     cfg.replacement = opts.get("replacement", cfg.replacement);
     cfg.gms.servers =
-        fit_u32("servers", opts.get_u64("servers", cfg.gms.servers));
+        fit_u32(opts.get_u64("servers", cfg.gms.servers), "option --servers");
     if (opts.get_bool("cold"))
         cfg.gms.warm = false;
     if (opts.get_bool("no-putpage"))
@@ -48,7 +32,7 @@ apply_config_overrides(SimConfig &cfg, const Options &opts)
         cfg.tlb_enabled = true;
         uint64_t entries = opts.get_u64("tlb", 0);
         if (entries > 1) {
-            cfg.tlb_entries = fit_u32("tlb", entries);
+            cfg.tlb_entries = fit_u32(entries, "option --tlb");
             cfg.tlb_assoc = cfg.tlb_entries;
         }
     }
@@ -79,9 +63,9 @@ apply_config_overrides(SimConfig &cfg, const Options &opts)
                env && *env) {
         cfg.faults = fault::FaultPlan::parse(env, "SGMS_FAULTS");
     }
-    cfg.retry.max_attempts = fit_u32(
-        "fault-retries",
-        opts.get_u64("fault-retries", cfg.retry.max_attempts));
+    cfg.retry.max_attempts =
+        fit_u32(opts.get_u64("fault-retries", cfg.retry.max_attempts),
+                "option --fault-retries");
     cfg.retry.timeout_multiplier = opts.get_double(
         "fault-timeout-mult", cfg.retry.timeout_multiplier);
     if (!std::isfinite(cfg.retry.timeout_multiplier)) {

@@ -28,6 +28,19 @@ mem_config_name(MemConfig m)
     return "?";
 }
 
+MemConfig
+parse_mem_config(const std::string &word, const std::string &what)
+{
+    if (word == "full")
+        return MemConfig::Full;
+    if (word == "half")
+        return MemConfig::Half;
+    if (word == "quarter")
+        return MemConfig::Quarter;
+    fatal("%s: bad memory configuration '%s' (full, half or quarter)",
+          what.c_str(), word.c_str());
+}
+
 size_t
 mem_pages_for(MemConfig mem, uint64_t footprint_pages)
 {

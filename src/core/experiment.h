@@ -33,6 +33,13 @@ enum class MemConfig
 
 const char *mem_config_name(MemConfig m);
 
+/**
+ * The configuration @p word names: full, half or quarter. fatal()
+ * naming @p what (a flag or positional argument) on any other word.
+ */
+MemConfig parse_mem_config(const std::string &word,
+                           const std::string &what);
+
 /** Resident-set capacity in pages for @p mem given a footprint. */
 size_t mem_pages_for(MemConfig mem, uint64_t footprint_pages);
 

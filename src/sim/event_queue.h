@@ -11,11 +11,13 @@
  *
  * An event is either typed or a closure. A typed event is plain
  * data: a target and a 64-bit argument, fired as
- * target.on_event(when, arg). Stage completions (argument: the
- * preemption generation) and the kernel's request injection
- * (argument: the plan slot) are typed, so the per-message hops move
- * no callable. Closures (InlineFunction small-buffer storage) stay
- * the general API, used by the reliability layer, tests and benches.
+ * target.on_event(when, arg). Every event the simulator schedules is
+ * typed: stage completions (argument: the preemption generation) and
+ * the kernel's fetch events — a request attempt, its timeout, a
+ * degraded disk read (argument: the event kind and the plan slot) —
+ * so the per-message hops move no callable. Closures (InlineFunction
+ * small-buffer storage) stay the general API, used by tests and
+ * benches.
  *
  * Layout (DESIGN.md §13): both kinds live in fixed-size pool slots,
  * 16-byte records for typed events and callback slots for closures,
@@ -57,11 +59,10 @@ class EventQueue
 {
   public:
     /**
-     * Inline capture budget of a closure event. The steady-state
-     * closures left are the reliability layer's (a request attempt
-     * and its timeout, about 56 bytes); tests and benches use up to
-     * 72. Anything larger spills to a counted heap fallback instead
-     * of failing.
+     * Inline capture budget of a closure event. No simulator path
+     * schedules closures; tests and benches capture up to 72 bytes.
+     * Anything larger spills to a counted heap fallback instead of
+     * failing.
      */
     static constexpr size_t kInlineCallbackBytes = 120;
 

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -38,167 +37,13 @@ namespace sgms
 namespace
 {
 
-// ---------------------------------------------------------------
-// Minimal JSON syntax validator (no values kept): enough to assert
-// the exporters emit well-formed documents without a JSON library.
-// ---------------------------------------------------------------
-
-class JsonChecker
+/** Whether @p text is one well-formed JSON document (json_test's grammar). */
+bool
+valid_json(const std::string &text)
 {
-  public:
-    explicit JsonChecker(const std::string &text) : s_(text) {}
-
-    bool
-    valid()
-    {
-        skip_ws();
-        if (!value())
-            return false;
-        skip_ws();
-        return pos_ == s_.size();
-    }
-
-  private:
-    bool
-    value()
-    {
-        if (pos_ >= s_.size())
-            return false;
-        switch (s_[pos_]) {
-          case '{':
-            return object();
-          case '[':
-            return array();
-          case '"':
-            return string();
-          case 't':
-            return literal("true");
-          case 'f':
-            return literal("false");
-          case 'n':
-            return literal("null");
-          default:
-            return number();
-        }
-    }
-
-    bool
-    object()
-    {
-        ++pos_; // '{'
-        skip_ws();
-        if (peek() == '}') {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            skip_ws();
-            if (!string())
-                return false;
-            skip_ws();
-            if (peek() != ':')
-                return false;
-            ++pos_;
-            skip_ws();
-            if (!value())
-                return false;
-            skip_ws();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == '}') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    array()
-    {
-        ++pos_; // '['
-        skip_ws();
-        if (peek() == ']') {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            skip_ws();
-            if (!value())
-                return false;
-            skip_ws();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == ']') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    string()
-    {
-        if (peek() != '"')
-            return false;
-        ++pos_;
-        while (pos_ < s_.size() && s_[pos_] != '"') {
-            if (s_[pos_] == '\\') {
-                ++pos_;
-                if (pos_ >= s_.size())
-                    return false;
-            }
-            ++pos_;
-        }
-        if (pos_ >= s_.size())
-            return false;
-        ++pos_; // closing quote
-        return true;
-    }
-
-    bool
-    number()
-    {
-        size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        while (pos_ < s_.size() &&
-               (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-                s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-                s_[pos_] == '+' || s_[pos_] == '-')) {
-            ++pos_;
-        }
-        return pos_ > start;
-    }
-
-    bool
-    literal(const char *lit)
-    {
-        size_t n = std::string(lit).size();
-        if (s_.compare(pos_, n, lit) != 0)
-            return false;
-        pos_ += n;
-        return true;
-    }
-
-    char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-
-    void
-    skip_ws()
-    {
-        while (pos_ < s_.size() &&
-               std::isspace(static_cast<unsigned char>(s_[pos_])))
-            ++pos_;
-    }
-
-    const std::string &s_;
-    size_t pos_ = 0;
-};
+    JsonValue doc;
+    return JsonValue::parse(text, doc);
+}
 
 /** The quickstart workload: small, but exercises every span type. */
 WorkloadSpec
@@ -347,7 +192,7 @@ TEST(Tracer, ChromeExportIsValidJson)
     std::ostringstream os;
     obs::write_chrome_trace(os, tracer);
     std::string json = os.str();
-    EXPECT_TRUE(JsonChecker(json).valid()) << "invalid trace JSON";
+    EXPECT_TRUE(valid_json(json)) << "invalid trace JSON";
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     // Every category shows up as a cat attribute at least once.
     for (size_t c = 0; c < obs::SPAN_CATEGORIES; ++c) {
@@ -467,13 +312,13 @@ TEST(Metrics, JsonRoundTripsThroughReport)
     // The metrics block alone is valid JSON...
     std::ostringstream ms;
     obs::write_metrics_json(ms, r.metrics);
-    EXPECT_TRUE(JsonChecker(ms.str()).valid());
+    EXPECT_TRUE(valid_json(ms.str()));
 
     // ...and survives embedding in the full result report.
     std::ostringstream os;
     write_result_json(os, r);
     std::string json = os.str();
-    EXPECT_TRUE(JsonChecker(json).valid()) << "invalid report JSON";
+    EXPECT_TRUE(valid_json(json)) << "invalid report JSON";
     std::string expect = "\"sim.page_faults\":" +
                          std::to_string(r.page_faults);
     EXPECT_NE(json.find("\"metrics\":"), std::string::npos);

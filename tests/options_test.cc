@@ -12,6 +12,7 @@
 
 #include "common/options.h"
 #include "core/config_override.h"
+#include "core/experiment.h"
 
 namespace sgms
 {
@@ -94,6 +95,18 @@ TEST(OptionsDeathTest, MalformedNumbersAreFatal)
             env_u64("SGMS_TEST_U64", 0);
         },
         "bad integer");
+    // The tools' positional arguments, each named in its error: a
+    // subpage past 32 bits once ran wrapped, a seed or scale with
+    // trailing text as its leading digits, and an unknown memory
+    // word as half memory.
+    EXPECT_DEATH(parse_size32("4294968320", "subpage"),
+                 "subpage=4294968320 does not fit 32 bits");
+    EXPECT_DEATH(parse_u64("7x", "seed"), "seed: bad integer '7x'");
+    EXPECT_DEATH(parse_double("abc", "scale"), "scale: bad number 'abc'");
+    EXPECT_DEATH(parse_mem_config("bogus", "mem"),
+                 "mem: bad memory configuration 'bogus'");
+    EXPECT_EQ(parse_size32("4294967295", "subpage"), UINT32_MAX);
+    EXPECT_EQ(parse_mem_config("quarter", "mem"), MemConfig::Quarter);
 }
 
 TEST(Options, UnusedDetection)
