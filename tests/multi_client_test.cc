@@ -7,8 +7,10 @@
  * client counts (including through the exec engine at any --jobs /
  * --workers), emergent contention, the requester and server tracks
  * of every node's Net spans, fault-injection interaction (result
- * bytes pinned at N=1, 8, 16 and 32, and every span at N=1), and
- * zero steady-state allocations: fast-path hits at N=256 and
+ * bytes pinned at N=1, 8, 16 and 32, and every span at N=1), the
+ * metric snapshot pinned apart from the blob (PAL, TLB, per-client
+ * gauges and a cold, capacity-bound cache, with and without faults),
+ * and zero steady-state allocations: fast-path hits at N=256 and
  * fault-bound runs at N=1, with and without a fault plan.
  *
  * This binary installs the allocation probe (common/alloc_probe.h).
@@ -274,6 +276,87 @@ blob_digest(const SimResult &r)
 {
     std::string b = result_blob(r);
     return fnv1a_bytes(b.data(), b.size());
+}
+
+/**
+ * FNV-1a 64 over the metric snapshot alone, sample by sample: the
+ * name with its NUL, the kind byte, value, mean, min and max, then
+ * count. Unlike blob_digest it does not move with the blob layout,
+ * so it pins the registry across a schema bump.
+ */
+uint64_t
+metrics_digest(const SimResult &r)
+{
+    uint64_t h = fnv1a_bytes(nullptr, 0);
+    auto mix = [&h](const auto &v) { h = fnv1a_bytes(&v, sizeof(v), h); };
+    for (const obs::MetricSample &m : r.metrics) {
+        h = fnv1a_bytes(m.name.c_str(), m.name.size() + 1, h);
+        mix(static_cast<uint8_t>(m.kind));
+        mix(m.value);
+        mix(m.mean);
+        mix(m.min);
+        mix(m.max);
+        mix(m.count);
+    }
+    return h;
+}
+
+double
+gauge_of(const SimResult &r, const std::string &name)
+{
+    for (const auto &m : r.metrics)
+        if (m.name == name)
+            return m.value;
+    return -1.0;
+}
+
+TEST(MultiClientMetrics, PalTlbAndPerClientGaugesAtNFour)
+{
+    SimConfig cfg = mc_config("pipelining");
+    cfg.protection = ProtectionMode::SoftwarePal;
+    cfg.tlb_enabled = true;
+    cfg.tlb_entries = 16;
+    cfg.tlb_assoc = 4;
+    cfg.metrics_per_client = true;
+    SimResult r = run_multi(cfg, 4);
+    EXPECT_EQ(r.metrics.size(), 59u);
+    EXPECT_EQ(gauge_of(r, "tlb.emulation_hits"), 1898.0);
+    EXPECT_EQ(metrics_digest(r), 0x494fb124211c7bb7ull);
+}
+
+/** A cold global cache that holds 8 pages per server. */
+SimConfig
+bounded_cache_config()
+{
+    SimConfig cfg = mc_config("eager");
+    cfg.gms.warm = false;
+    cfg.gms.server_capacity_pages = 8;
+    return cfg;
+}
+
+TEST(MultiClientMetrics, ColdBoundedCacheAtNOne)
+{
+    SimResult r = run_multi(bounded_cache_config(), 1);
+    EXPECT_EQ(r.metrics.size(), 33u);
+    EXPECT_EQ(gauge_of(r, "gms.global_discards"), 21.0);
+    EXPECT_EQ(metrics_digest(r), 0xddea7e34f01b844full);
+}
+
+TEST(MultiClientMetrics, ColdBoundedCacheUnderFaultsAtNFour)
+{
+    // Servers are nodes 4..7 at N=4: two of them go down, one for
+    // longer than the other.
+    SimConfig cfg = bounded_cache_config();
+    cfg.metrics_per_client = true;
+    cfg.faults.seed = 3;
+    cfg.faults.set_loss(0.02);
+    cfg.faults.outages.push_back(
+        {4, ticks::from_ms(5), ticks::from_ms(30)});
+    cfg.faults.outages.push_back(
+        {5, ticks::from_ms(8), ticks::from_ms(12)});
+    SimResult r = run_multi(cfg, 4);
+    EXPECT_EQ(r.metrics.size(), 67u);
+    EXPECT_EQ(metrics_digest(r), 0x06cef8c3254128d6ull);
 }
 
 TEST(MultiClientIdentity, ByteIdenticalAtNOneAcrossPolicies)
@@ -581,15 +664,6 @@ TEST(MultiClient, AggregatesPerClientTalliesInClientOrder)
     EXPECT_EQ(two.refs, 2 * one.refs);
     EXPECT_GE(two.page_faults, 2 * one.page_faults);
     EXPECT_GE(two.runtime, one.runtime);
-}
-
-double
-gauge_of(const SimResult &r, const std::string &name)
-{
-    for (const auto &m : r.metrics)
-        if (m.name == name)
-            return m.value;
-    return -1.0;
 }
 
 TEST(MultiClient, PublishesKernelGaugesAtEveryClientCount)
