@@ -21,20 +21,12 @@ msg_fate_name(MsgFate f)
     return "?";
 }
 
-FaultInjector::FaultInjector(const FaultPlan &plan,
-                             obs::MetricsRegistry *metrics)
+FaultInjector::FaultInjector(const FaultPlan &plan)
     : plan_(plan), enabled_(plan.enabled()),
       // Decorrelate the two streams: fates and jitter must not
       // change each other's sequences as retries come and go.
       fate_rng_(plan.seed), jitter_rng_(plan.seed ^ 0x9e3779b97f4a7c15ULL)
-{
-    if (metrics) {
-        c_dropped_ = &metrics->counter("fault.msgs_dropped");
-        c_corrupted_ = &metrics->counter("fault.msgs_corrupted");
-        c_duplicated_ = &metrics->counter("fault.msgs_duplicated");
-        c_outage_drops_ = &metrics->counter("fault.outage_drops");
-    }
-}
+{}
 
 MsgFate
 FaultInjector::fate(Tick now, MsgKind kind, NodeId src, NodeId dst)
@@ -43,10 +35,7 @@ FaultInjector::fate(Tick now, MsgKind kind, NodeId src, NodeId dst)
         return MsgFate::Deliver;
     if (server_down(src, now) || server_down(dst, now)) {
         ++dropped_;
-        if (c_dropped_)
-            c_dropped_->inc();
-        if (c_outage_drops_)
-            c_outage_drops_->inc();
+        ++outage_drops_;
         return MsgFate::Drop;
     }
     size_t k = static_cast<size_t>(kind);
@@ -55,22 +44,16 @@ FaultInjector::fate(Tick now, MsgKind kind, NodeId src, NodeId dst)
     if (plan_.loss_prob[k] > 0.0 &&
         fate_rng_.chance(plan_.loss_prob[k])) {
         ++dropped_;
-        if (c_dropped_)
-            c_dropped_->inc();
         return MsgFate::Drop;
     }
     if (plan_.corrupt_prob[k] > 0.0 &&
         fate_rng_.chance(plan_.corrupt_prob[k])) {
         ++corrupted_;
-        if (c_corrupted_)
-            c_corrupted_->inc();
         return MsgFate::Corrupt;
     }
     if (plan_.duplicate_prob > 0.0 &&
         fate_rng_.chance(plan_.duplicate_prob)) {
         ++duplicated_;
-        if (c_duplicated_)
-            c_duplicated_->inc();
         return MsgFate::Duplicate;
     }
     return MsgFate::Deliver;

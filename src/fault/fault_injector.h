@@ -26,7 +26,6 @@
 
 #include "common/random.h"
 #include "fault/fault_plan.h"
-#include "obs/metrics.h"
 
 namespace sgms::fault
 {
@@ -45,12 +44,8 @@ const char *msg_fate_name(MsgFate f);
 class FaultInjector
 {
   public:
-    /**
-     * @param plan    the fault schedule to execute
-     * @param metrics optional registry for fault.* counters
-     */
-    explicit FaultInjector(const FaultPlan &plan,
-                           obs::MetricsRegistry *metrics = nullptr);
+    /** @param plan the fault schedule to execute */
+    explicit FaultInjector(const FaultPlan &plan);
 
     const FaultPlan &plan() const { return plan_; }
 
@@ -80,6 +75,8 @@ class FaultInjector
     uint64_t dropped() const { return dropped_; }
     uint64_t corrupted() const { return corrupted_; }
     uint64_t duplicated() const { return duplicated_; }
+    /** The drops (counted in dropped()) that an outage caused. */
+    uint64_t outage_drops() const { return outage_drops_; }
 
   private:
     FaultPlan plan_;
@@ -89,10 +86,7 @@ class FaultInjector
     uint64_t dropped_ = 0;
     uint64_t corrupted_ = 0;
     uint64_t duplicated_ = 0;
-    obs::Counter *c_dropped_ = nullptr;
-    obs::Counter *c_corrupted_ = nullptr;
-    obs::Counter *c_duplicated_ = nullptr;
-    obs::Counter *c_outage_drops_ = nullptr;
+    uint64_t outage_drops_ = 0;
 };
 
 } // namespace sgms::fault

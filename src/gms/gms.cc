@@ -20,8 +20,6 @@ GmsCluster::put_page(Tick now, PageId page, uint32_t page_bytes,
             store.fifo.pop_front();
             evicted_.erase(dropped);
             ++discards_;
-            if (c_discards_)
-                c_discards_->inc();
             SGMS_TRACE_INSTANT(tracer_, Gms, server_of(dropped), "discard",
                                "gms", now, dropped, 0,
                                static_cast<int64_t>(server_of(dropped)));
@@ -30,8 +28,6 @@ GmsCluster::put_page(Tick now, PageId page, uint32_t page_bytes,
     if (!cfg_.putpage_traffic || !dirty)
         return;
     ++putpages_;
-    if (c_putpages_)
-        c_putpages_->inc();
     SGMS_TRACE_INSTANT(tracer_, Gms, server_of(page), "putpage", "gms", now,
                        page,
                        static_cast<int64_t>(page_bytes),

@@ -19,7 +19,6 @@
 
 #include "common/types.h"
 #include "net/network.h"
-#include "obs/metrics.h"
 #include "obs/tracer.h"
 
 namespace sgms
@@ -66,11 +65,9 @@ class GmsCluster
      *                  Network; servers get ids requester+1 ...
      *                  requester+N
      * @param tracer    optional span tracer (putpage/discard events)
-     * @param metrics   optional registry for gms.* counters
      */
     GmsCluster(Network &net, GmsConfig cfg, NodeId requester = 0,
-               obs::Tracer *tracer = nullptr,
-               obs::MetricsRegistry *metrics = nullptr)
+               obs::Tracer *tracer = nullptr)
         : net_(net), cfg_(cfg), requester_(requester), tracer_(tracer)
     {
         if (cfg_.servers == 0)
@@ -79,10 +76,6 @@ class GmsCluster
         // up-front reserve keeps the put_page path rehash-free.
         per_server_.reserve(cfg_.servers);
         failed_until_.reserve(cfg_.servers);
-        if (metrics) {
-            c_putpages_ = &metrics->counter("gms.putpages");
-            c_discards_ = &metrics->counter("gms.global_discards");
-        }
     }
 
     /** Node storing @p page's global copy (stable hash placement). */
@@ -181,8 +174,6 @@ class GmsCluster
     GmsConfig cfg_;
     NodeId requester_;
     obs::Tracer *tracer_ = nullptr;
-    obs::Counter *c_putpages_ = nullptr;
-    obs::Counter *c_discards_ = nullptr;
     uint64_t putpages_ = 0;
     uint64_t discards_ = 0;
     uint64_t server_failures_ = 0;

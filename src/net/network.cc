@@ -1,28 +1,15 @@
 #include "net/network.h"
 
-#include <string>
-
 #include "fault/fault_injector.h"
 
 namespace sgms
 {
 
 Network::Network(EventQueue &eq, NetParams params, NodeId requester,
-                 obs::Tracer *tracer, obs::MetricsRegistry *metrics,
-                 fault::FaultInjector *faults)
+                 obs::Tracer *tracer, fault::FaultInjector *faults)
     : eq_(eq), params_(params), requester_(requester), tracer_(tracer),
       faults_(faults)
-{
-    if (metrics) {
-        c_messages_ = &metrics->counter("net.messages");
-        c_bytes_ = &metrics->counter("net.bytes");
-        for (size_t k = 0; k < kMsgKindCount; ++k) {
-            c_by_kind_[k] = &metrics->counter(
-                std::string("net.") +
-                msg_kind_name(static_cast<MsgKind>(k)) + "_messages");
-        }
-    }
-}
+{}
 
 Network::Node::Node(Network &net, NodeId id, Component cpu_comp,
                     Component dma_comp)
@@ -183,11 +170,6 @@ Network::send(Tick now, SendArgs args)
     stats_.bytes += args.bytes;
     ++stats_.messages_by_kind[static_cast<int>(args.kind)];
     stats_.bytes_by_kind[static_cast<int>(args.kind)] += args.bytes;
-    if (c_messages_) {
-        c_messages_->inc();
-        c_bytes_->inc(args.bytes);
-        c_by_kind_[static_cast<int>(args.kind)]->inc();
-    }
 
     uint32_t slot;
     if (!free_msgs_.empty()) {

@@ -29,7 +29,6 @@
 #include "common/types.h"
 #include "net/params.h"
 #include "net/resource.h"
-#include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "sim/event_queue.h"
 
@@ -105,14 +104,12 @@ class Network final
      *                  servers (Srv-CPU/Srv-DMA); used only to name
      *                  the tracks of Net spans
      * @param tracer    optional span tracer (per-stage Net spans)
-     * @param metrics   optional registry for net.* counters
      * @param faults    optional fault injector; when set, each send
      *                  consults it for a message fate (drop on the
      *                  wire, corrupt on arrival, duplicate delivery)
      */
     Network(EventQueue &eq, NetParams params, NodeId requester = 0,
             obs::Tracer *tracer = nullptr,
-            obs::MetricsRegistry *metrics = nullptr,
             fault::FaultInjector *faults = nullptr);
 
     /** Inject a message at simulated time @p now; returns its id. */
@@ -187,11 +184,6 @@ class Network final
     // slots, so a message costs no allocation.
     std::vector<Msg> msgs_;
     std::vector<uint32_t> free_msgs_;
-
-    // Registered metrics (null when no registry was attached).
-    obs::Counter *c_messages_ = nullptr;
-    obs::Counter *c_bytes_ = nullptr;
-    obs::Counter *c_by_kind_[kMsgKindCount] = {};
 
     // Per-node stages, indexed directly by NodeId (ids are small and
     // dense: clients 0..requester_, then the servers). A node's

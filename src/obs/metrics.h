@@ -2,13 +2,17 @@
  * @file
  * Named metrics registry: counters, gauges, and distributions.
  *
- * Components register metrics by name at construction time
- * (convention: "<module>.<name>", e.g. "net.wire_busy",
- * "gms.putpages", "policy.followon_segments") and update them through
- * the returned references, which stay valid for the registry's
- * lifetime. At the end of a run the registry is snapshotted into
- * SimResult::metrics, printed as a table, or emitted as JSON —
- * replacing ad-hoc per-subsystem counter plumbing.
+ * Names follow "<module>.<name>" (e.g. "net.wire_busy",
+ * "gms.putpages", "policy.followon_segments"). A count that a module
+ * already keeps as a plain field (NetStats, GmsCluster, FaultInjector,
+ * PalEmulator, SimResult) is not counted twice: the simulator
+ * publishes it from that record when the run finishes, next to its
+ * gauges. Only what no other record keeps is updated live, through
+ * the references registration returns, which stay valid for the
+ * registry's lifetime: the distributions, the fetch policies'
+ * policy.* counters and sim.disk_faults. At the end of a run the
+ * registry is snapshotted into SimResult::metrics, printed as a
+ * table, or emitted as JSON.
  */
 
 #ifndef SGMS_OBS_METRICS_H

@@ -17,7 +17,6 @@
 #include <cstdint>
 
 #include "common/types.h"
-#include "obs/metrics.h"
 
 namespace sgms
 {
@@ -68,24 +67,10 @@ class PalEmulator
     {
         bool fast = page == last_page_;
         last_page_ = page;
-        ++emulated_;
-        if (c_fast_)
-            (fast ? c_fast_ : c_slow_)->inc();
+        ++(fast ? fast_ : slow_);
         if (write)
             return fast ? costs_.fast_store : costs_.slow_store;
         return fast ? costs_.fast_load : costs_.slow_load;
-    }
-
-    /**
-     * Register the emulation counters: tlb.emulation_hits counts
-     * accesses served with the PALcode's cached valid bits (the
-     * Table 1 "fast" case), tlb.emulation_misses the "slow" case.
-     */
-    void
-    bind_metrics(obs::MetricsRegistry &m)
-    {
-        c_fast_ = &m.counter("tlb.emulation_hits");
-        c_slow_ = &m.counter("tlb.emulation_misses");
     }
 
     /** A page completed; drop the cached-valid-bits affinity. */
@@ -96,7 +81,14 @@ class PalEmulator
             last_page_ = NO_PAGE;
     }
 
-    uint64_t emulated() const { return emulated_; }
+    /**
+     * Emulated accesses served with the PALcode's cached valid bits
+     * (the Table 1 "fast" case), published as tlb.emulation_hits.
+     */
+    uint64_t fast() const { return fast_; }
+    /** The "slow" case, published as tlb.emulation_misses. */
+    uint64_t slow() const { return slow_; }
+    uint64_t emulated() const { return fast_ + slow_; }
 
     const PalCosts &costs() const { return costs_; }
 
@@ -105,9 +97,8 @@ class PalEmulator
 
     PalCosts costs_;
     PageId last_page_ = NO_PAGE;
-    uint64_t emulated_ = 0;
-    obs::Counter *c_fast_ = nullptr;
-    obs::Counter *c_slow_ = nullptr;
+    uint64_t fast_ = 0;
+    uint64_t slow_ = 0;
 };
 
 } // namespace sgms

@@ -100,7 +100,6 @@ struct Simulator::Client
         : id(cid), pt(geo, cfg.mem_pages, cfg.replacement),
           policy(make_fetch_policy(cfg.policy, &metrics)), pal(cfg.pal)
     {
-        pal.bind_metrics(metrics);
         if (cfg.footprint_pages_hint)
             pt.reserve(cfg.footprint_pages_hint);
         if (cfg.tlb_enabled)
@@ -125,7 +124,6 @@ struct Simulator::Client
     uint64_t wait_seq = 0;
     bool blocked = false;
     Tick wait_start = 0;
-    Tick total_blocked = 0;
     Tick pending_steal = 0;
 
     // The current batch: packed words read in place, either in the
@@ -163,14 +161,16 @@ struct Simulator::Client
     Tick emulation_overhead = 0;
     Tick tlb_overhead = 0;
     uint64_t page_faults = 0;
-    uint64_t sub_faults = 0;
 
-    /** Cumulative blocked time as of time @p t. */
+    /**
+     * Cumulative blocked time as of time @p t: a finished stall is
+     * charged to sp_latency or page_wait.
+     */
     Tick
     blocked_at(Tick t) const
     {
-        return blocked ? total_blocked + (t - wait_start)
-                       : total_blocked;
+        Tick stalled = sp_latency + page_wait;
+        return blocked ? stalled + (t - wait_start) : stalled;
     }
 };
 
@@ -183,33 +183,21 @@ struct Simulator::Run final : EventTarget
     Run(Simulator &owner, const SimConfig &cfg, uint32_t nclients)
         : sim(owner), n(nclients), tracer(cfg.tracer),
           finj(cfg.faults.enabled()
-                   ? std::make_unique<fault::FaultInjector>(cfg.faults,
-                                                            &metrics)
+                   ? std::make_unique<fault::FaultInjector>(cfg.faults)
                    : nullptr),
           net(eq, cfg.net, /*requester=*/nclients - 1, cfg.tracer,
-              &metrics, finj.get()),
-          gms(net, cfg.gms, /*requester=*/nclients - 1, cfg.tracer,
-              &metrics),
+              finj.get()),
+          gms(net, cfg.gms, /*requester=*/nclients - 1, cfg.tracer),
           geo(cfg.page_size, cfg.subpage_size),
-          c_page_faults(&metrics.counter("sim.page_faults")),
-          c_subpage_faults(&metrics.counter("sim.lazy_subpage_faults")),
-          c_evictions(&metrics.counter("gms.evictions")),
           c_disk_faults(&metrics.counter("sim.disk_faults")),
           d_fault_wait(&metrics.distribution("sim.fault_wait_ns")),
           step_len(cfg.ns_per_ref),
           software_pal(cfg.protection == ProtectionMode::SoftwarePal)
     {
-        if (finj) {
-            // Registered only under fault injection so that
-            // fault-free runs keep a byte-identical snapshot.
-            c_retries = &metrics.counter("gms.retries");
-            c_timeouts = &metrics.counter("gms.timeouts");
-            c_degraded = &metrics.counter("gms.degraded_fetches");
-            c_duplicates =
-                &metrics.counter("gms.duplicate_deliveries");
-            d_retry_delay =
-                &metrics.distribution("gms.retry_delay_ns");
-        }
+        // Registered only under fault injection so that fault-free
+        // runs keep a byte-identical snapshot.
+        if (finj)
+            d_retry_delay = &metrics.distribution("gms.retry_delay_ns");
         res.policy = cfg.policy;
         res.page_size = cfg.page_size;
         res.subpage_size = cfg.subpage_size;
@@ -256,9 +244,9 @@ struct Simulator::Run final : EventTarget
     Simulator &sim;
     uint32_t n;
 
-    // Declared before the components below, which register their
-    // counters with it during construction; the fault injector comes
-    // before net, which holds a pointer to it.
+    // Declared before the clients, whose fetch policies register
+    // their counters with it; the fault injector comes before net,
+    // which holds a pointer to it.
     obs::MetricsRegistry metrics;
     obs::Tracer *tracer;
     std::unique_ptr<fault::FaultInjector> finj;
@@ -267,15 +255,10 @@ struct Simulator::Run final : EventTarget
     GmsCluster gms;
     PageGeometry geo;
 
-    obs::Counter *c_page_faults;
-    obs::Counter *c_subpage_faults;
-    obs::Counter *c_evictions;
+    // The registry's live entries: what no other record keeps. Every
+    // other count is published from its record at finish().
     obs::Counter *c_disk_faults;
     obs::Distribution *d_fault_wait;
-    obs::Counter *c_retries = nullptr;
-    obs::Counter *c_timeouts = nullptr;
-    obs::Counter *c_degraded = nullptr;
-    obs::Counter *c_duplicates = nullptr;
     obs::Distribution *d_retry_delay = nullptr;
 
     SimResult res;
@@ -916,7 +899,6 @@ Simulator::wake_from_fetch(Run &r, Client &c, Tick at)
         c.now = at;
     c.blocked = false;
     Tick waited = c.now - c.wait_start;
-    c.total_blocked += waited;
     // Anything that arrived while blocked cannot also steal CPU.
     c.pending_steal = 0;
     if (waited > 0) {
@@ -977,7 +959,6 @@ Simulator::finish_disk_wake(Run &r, Client &c)
     Tick lat = c.sleep_lat;
     c.now = c.wait_start + lat;
     c.blocked = false;
-    c.total_blocked += lat;
     c.pending_steal = 0;
     if (lat > 0) {
         SGMS_TRACE_SPAN(r.tracer, Block, c.id, "disk", "program",
@@ -1038,12 +1019,8 @@ Simulator::deliver(Run &r, Client &c, PageId page,
     // duplicates the same subpage can arrive more than once; bits
     // that are already valid are counted and otherwise ignored.
     if (r.finj) {
-        uint64_t already = mask & frame->valid.raw();
-        if (already) {
-            uint64_t n = __builtin_popcountll(already);
-            r.res.duplicate_deliveries += n;
-            r.c_duplicates->inc(n);
-        }
+        r.res.duplicate_deliveries +=
+            __builtin_popcountll(mask & frame->valid.raw());
     }
 
     land_subpages(c.pt, c.pal, page, *frame, mask);
@@ -1196,7 +1173,6 @@ Simulator::on_fetch_timeout(Run &r, uint32_t slot, Tick when)
     uint64_t missing = f.expected & ~frame->valid.raw();
 
     ++r.res.timeouts;
-    r.c_timeouts->inc();
     SGMS_TRACE_INSTANT(r.tracer, Gms, c.id, "timeout", "reliability",
                        when, f.fault_id, static_cast<int64_t>(f.page),
                        static_cast<int64_t>(f.attempts));
@@ -1208,7 +1184,6 @@ Simulator::on_fetch_timeout(Run &r, uint32_t slot, Tick when)
     }
 
     ++r.res.retries;
-    r.c_retries->inc();
 
     SubpageIndex anchor =
         (missing >> f.demand_sp) & 1
@@ -1245,7 +1220,6 @@ Simulator::degrade_to_disk(Run &r, uint32_t slot, uint64_t missing,
     f.done = true;
     f.expected = missing;
     ++r.res.degraded_fetches;
-    r.c_degraded->inc();
 
     Tick failed_until = r.finj->server_down(f.srv, when)
                             ? r.finj->recovery_time(f.srv, when)
@@ -1288,7 +1262,6 @@ Simulator::page_fault(Run &r, Client &c, PageId page)
     const TraceEvent ev = c.cur_ev;
     ++r.res.page_faults;
     ++c.page_faults;
-    r.c_page_faults->inc();
     if (cfg_.record_faults) {
         r.res.clustering.add(
             static_cast<double>(c.ref_index),
@@ -1298,7 +1271,6 @@ Simulator::page_fault(Run &r, Client &c, PageId page)
     if (c.pt.full()) {
         PageTable::Frame victim_state;
         PageId victim = c.pt.evict(&victim_state);
-        r.c_evictions->inc();
         PageId gv = r.gpage(victim, c.id);
         SGMS_TRACE_INSTANT(r.tracer, Gms, c.id, "evict", "gms", c.now,
                            static_cast<int64_t>(gv),
@@ -1341,7 +1313,6 @@ Simulator::page_fault(Run &r, Client &c, PageId page)
         note_server_down(r, c, srv);
         degraded = true;
         ++r.res.degraded_fetches;
-        r.c_degraded->inc();
         SGMS_TRACE_INSTANT(r.tracer, Gms, c.id, "degraded_lookup",
                            "reliability", c.now,
                            static_cast<int64_t>(fault_id),
@@ -1369,8 +1340,6 @@ Simulator::subpage_fault(Run &r, Client &c,
 {
     const TraceEvent ev = c.cur_ev;
     ++r.res.lazy_subpage_faults;
-    ++c.sub_faults;
-    r.c_subpage_faults->inc();
 
     SubpageIndex sp = r.geo.subpage_of(ev.addr);
     uint32_t byte_in_sub = ev.addr & (cfg_.subpage_size - 1);
@@ -1389,7 +1358,6 @@ Simulator::subpage_fault(Run &r, Client &c,
     if (server_unavailable(r, c, srv)) {
         note_server_down(r, c, srv);
         ++r.res.degraded_fetches;
-        r.c_degraded->inc();
         Tick lat = cfg_.disk.access_latency(cfg_.page_size);
         r.c_disk_faults->inc();
         c.wait_page = page;
@@ -1414,7 +1382,8 @@ Simulator::finish()
 
     uint64_t refs = 0;
     Tick exec = 0, sp_lat = 0, pwait = 0, recv = 0, emu = 0;
-    Tick tlb_ovh = 0, blocked = 0, runtime = 0;
+    Tick tlb_ovh = 0, runtime = 0;
+    uint64_t pal_fast = 0, pal_slow = 0;
     for (Client &c : r.clients) {
         // Each tick of a client's clock is charged to one account.
         SGMS_ASSERT(c.now == r.exec_time(c) + c.sp_latency +
@@ -1427,11 +1396,12 @@ Simulator::finish()
         recv += c.recv_overhead;
         emu += c.emulation_overhead;
         tlb_ovh += c.tlb_overhead;
-        blocked += c.total_blocked;
         if (c.now > runtime)
             runtime = c.now;
         res.evictions += c.pt.evictions();
         res.emulated_accesses += c.pal.emulated();
+        pal_fast += c.pal.fast();
+        pal_slow += c.pal.slow();
         if (c.tlb) {
             TlbStats s = c.tlb->stats();
             res.tlb_stats.hits += s.hits;
@@ -1471,15 +1441,47 @@ Simulator::finish()
     res.requester_dma_busy = dma;
     res.requester_cpu_busy = cpu;
     res.server_failures = r.gms.server_failures();
+
+    // Every count a module keeps is published from its record, under
+    // the conditions its counter was once registered in: the
+    // reliability counts only under fault injection.
+    auto count = [&r](const std::string &name, uint64_t n) {
+        r.metrics.counter(name).inc(n);
+    };
+    count("sim.page_faults", res.page_faults);
+    count("sim.lazy_subpage_faults", res.lazy_subpage_faults);
+    count("gms.evictions", res.evictions);
+    count("gms.putpages", res.putpages);
+    count("gms.global_discards", res.global_discards);
+    count("net.messages", res.net_stats.messages);
+    count("net.bytes", res.net_stats.bytes);
+    for (size_t k = 0; k < kMsgKindCount; ++k) {
+        count(std::string("net.") + msg_kind_name(static_cast<MsgKind>(k)) +
+                  "_messages",
+              res.net_stats.messages_by_kind[k]);
+    }
+    count("tlb.emulation_hits", pal_fast);
+    count("tlb.emulation_misses", pal_slow);
+    if (cfg_.tlb_enabled) {
+        count("tlb.hits", res.tlb_stats.hits);
+        count("tlb.misses", res.tlb_stats.misses);
+    }
     if (r.finj) {
-        r.metrics.counter("gms.server_failures")
-            .inc(res.server_failures);
+        count("gms.retries", res.retries);
+        count("gms.timeouts", res.timeouts);
+        count("gms.degraded_fetches", res.degraded_fetches);
+        count("gms.duplicate_deliveries", res.duplicate_deliveries);
+        count("gms.server_failures", res.server_failures);
+        count("fault.msgs_dropped", r.finj->dropped());
+        count("fault.msgs_corrupted", r.finj->corrupted());
+        count("fault.msgs_duplicated", r.finj->duplicated());
+        count("fault.outage_drops", r.finj->outage_drops());
     }
 
     double runtime_ns = ticks::to_ns(runtime);
     r.metrics.gauge("sim.runtime_ns").set(runtime_ns);
     r.metrics.gauge("sim.exec_ns").set(ticks::to_ns(exec));
-    r.metrics.gauge("sim.blocked_ns").set(ticks::to_ns(blocked));
+    r.metrics.gauge("sim.blocked_ns").set(ticks::to_ns(sp_lat + pwait));
     r.metrics.gauge("sim.sp_latency_ns").set(ticks::to_ns(sp_lat));
     if (runtime > 0) {
         r.metrics.gauge("net.wire_busy")
@@ -1492,11 +1494,6 @@ Simulator::finish()
             .set(static_cast<double>(cpu) /
                  static_cast<double>(runtime));
     }
-    if (cfg_.tlb_enabled) {
-        r.metrics.counter("tlb.hits").inc(res.tlb_stats.hits);
-        r.metrics.counter("tlb.misses").inc(res.tlb_stats.misses);
-    }
-
     r.metrics.gauge("sim.clients").set(static_cast<double>(r.n));
     r.metrics.gauge("sim.kernel_events")
         .set(static_cast<double>(r.eq.executed()));
@@ -1523,7 +1520,7 @@ Simulator::finish()
             r.metrics.gauge(p + "exec_ns")
                 .set(ticks::to_ns(r.exec_time(c)));
             r.metrics.gauge(p + "blocked_ns")
-                .set(ticks::to_ns(c.total_blocked));
+                .set(ticks::to_ns(c.sp_latency + c.page_wait));
             r.metrics.gauge(p + "sp_latency_ns")
                 .set(ticks::to_ns(c.sp_latency));
             r.metrics.gauge(p + "page_faults")

@@ -152,7 +152,7 @@ TEST_P(NetProperty, MessagesAreConservedPerKindUnderFaults)
     plan.duplicate_prob = 0.05;
     fault::FaultInjector finj(plan);
     EventQueue eq;
-    Network net(eq, NetParams::an2(), 0, nullptr, nullptr, &finj);
+    Network net(eq, NetParams::an2(), 0, nullptr, &finj);
     Rng rng(GetParam());
     uint64_t callbacks = 0;
     bool saw_in_flight = false;
