@@ -41,7 +41,7 @@ main()
         // are comparable on one plot, like the paper's two panels.
         Series s;
         s.name = app;
-        for (const auto &[x, y] : r.clustering.points) {
+        for (const auto &[x, y] : r.fault_curve().points) {
             s.add(x / static_cast<double>(r.refs),
                   y / static_cast<double>(r.page_faults));
         }

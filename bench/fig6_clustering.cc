@@ -28,7 +28,7 @@ main()
 
     LinePlot plot("cumulative page faults vs trace position",
                   "references", "faults");
-    Series s = r.clustering;
+    Series s = r.fault_curve();
     s.name = "modula3";
     plot.add(s.downsampled(200));
     plot.print(std::cout, 76, 18);
@@ -52,7 +52,7 @@ main()
 
     bench::section("csv");
     LinePlot csv_plot("", "refs", "faults");
-    csv_plot.add(r.clustering.downsampled(400));
+    csv_plot.add(r.fault_curve().downsampled(400));
     csv_plot.print_csv(std::cout);
     return 0;
 }

@@ -5,6 +5,17 @@
 namespace sgms
 {
 
+Series
+SimResult::fault_curve() const
+{
+    Series s;
+    s.points.reserve(faults.size());
+    for (size_t k = 0; k < faults.size(); ++k)
+        s.add(static_cast<double>(faults[k].ref_index),
+              static_cast<double>(k + 1));
+    return s;
+}
+
 double
 SimResult::best_case_fraction(double slack) const
 {

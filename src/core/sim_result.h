@@ -73,9 +73,9 @@ struct SimResult
     Tick io_overlap = 0;
     Tick comp_overlap = 0;
 
-    // Detailed records.
+    // Detailed records, kept when SimConfig::record_faults is set:
+    // one per page fault, in fault order.
     std::vector<FaultRecord> faults;
-    Series clustering; ///< (ref index, cumulative faults): Figs 6/10
     Histogram next_subpage_distance; ///< Figure 7
 
     // Substrate stats.
@@ -129,6 +129,13 @@ struct SimResult
                    ? 1.0 - static_cast<double>(runtime) / base.runtime
                    : 0.0;
     }
+
+    /**
+     * Cumulative page faults against trace position (Figures 6 and
+     * 10), read from the fault records: point k is (faults[k]'s
+     * ref_index, k + 1).
+     */
+    Series fault_curve() const;
 
     /** Share of background-transfer overlap that was I/O overlap. */
     double

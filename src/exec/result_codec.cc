@@ -230,10 +230,6 @@ visit_blob(Io &io, Result &r)
         io.boolean(f.from_disk);
     });
 
-    io.str(r.clustering.name);
-    io.array(r.clustering.points, 2 * sizeof(double),
-             [&io](auto &p) { io.num(p.first, p.second); });
-
     io.histogram(r.next_subpage_distance);
 
     auto &net = r.net_stats;
@@ -262,10 +258,8 @@ visit_blob(Io &io, Result &r)
 size_t
 blob_size_bound(const SimResult &r)
 {
-    size_t n = 1024 + r.app.size() + r.policy.size() +
-               r.clustering.name.size();
+    size_t n = 1024 + r.app.size() + r.policy.size();
     n += r.faults.size() * kFaultBytes;
-    n += r.clustering.points.size() * 2 * sizeof(double);
     n += r.next_subpage_distance.bins().size() * 2 * sizeof(uint64_t);
     for (const obs::MetricSample &m : r.metrics)
         n += kMetricBytes + m.name.size();

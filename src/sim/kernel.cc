@@ -1262,11 +1262,6 @@ Simulator::page_fault(Run &r, Client &c, PageId page)
     const TraceEvent ev = c.cur_ev;
     ++r.res.page_faults;
     ++c.page_faults;
-    if (cfg_.record_faults) {
-        r.res.clustering.add(
-            static_cast<double>(c.ref_index),
-            static_cast<double>(r.res.page_faults));
-    }
 
     if (c.pt.full()) {
         PageTable::Frame victim_state;

@@ -382,12 +382,11 @@ TEST(SimCore, ClusteringSeriesMonotonic)
         t.push(i * 8192);
     Simulator sim(base_config("fullpage"));
     SimResult r = sim.run(t);
-    ASSERT_EQ(r.clustering.points.size(), 32u);
-    for (size_t i = 1; i < r.clustering.points.size(); ++i) {
-        EXPECT_GE(r.clustering.points[i].first,
-                  r.clustering.points[i - 1].first);
-        EXPECT_EQ(r.clustering.points[i].second,
-                  static_cast<double>(i + 1));
+    Series curve = r.fault_curve();
+    ASSERT_EQ(curve.points.size(), 32u);
+    for (size_t i = 1; i < curve.points.size(); ++i) {
+        EXPECT_GE(curve.points[i].first, curve.points[i - 1].first);
+        EXPECT_EQ(curve.points[i].second, static_cast<double>(i + 1));
     }
 }
 

@@ -142,9 +142,6 @@ rich_result()
     r.comp_overlap = std::numeric_limits<Tick>::min();
     r.faults.push_back({42, 9, 1000, 2000, 3000, true});
     r.faults.push_back({43, 10, 1001, 2001, 0, false});
-    r.clustering.name = "clustering";
-    r.clustering.add(0.1, 1); // 0.1 is not exact in binary
-    r.clustering.add(2e6, 3.25);
     r.next_subpage_distance.add(-3, 2);
     r.next_subpage_distance.add(1, 9);
     r.net_stats.messages = 100;
@@ -192,8 +189,6 @@ TEST(ResultCodec, RoundTripsEveryFieldExactly)
     EXPECT_EQ(back.faults[0].page, 42u);
     EXPECT_TRUE(back.faults[0].from_disk);
     EXPECT_FALSE(back.faults[1].from_disk);
-    ASSERT_EQ(back.clustering.points.size(), 2u);
-    EXPECT_EQ(back.clustering.points[0].first, 0.1);
     EXPECT_EQ(back.next_subpage_distance.count(-3), 2u);
     EXPECT_EQ(back.net_stats.messages_by_kind[kMsgKindCount - 1],
               10 + kMsgKindCount - 1);
@@ -286,14 +281,13 @@ TEST(ResultCodec, RejectsDamagedBlobs)
 TEST(ResultCodec, WriterBytesArePinned)
 {
     // A layout change shows here first, on a blob small enough to
-    // read by hand. 747 bytes: the schema (4), app and policy
+    // read by hand. 689 bytes: the schema (4), app and policy
     // (8 + 24, 8 + 10), page and subpage size (4 + 4), 16 numbers
-    // (128), 2 faults (8 + 82), the clustering name (8 + 10), 2 points
-    // and 2 bins (40 + 40), 21 net, TLB and reliability numbers (168),
-    // 3 metrics (8 + 169) and 3 ticks (24).
+    // (128), 2 faults (8 + 82), 2 bins (8 + 32), 21 net, TLB and
+    // reliability numbers (168), 3 metrics (8 + 169) and 3 ticks (24).
     const std::string blob = exec::result_blob(rich_result());
-    EXPECT_EQ(blob.size(), 747u);
-    EXPECT_EQ(fnv1a_bytes(blob.data(), blob.size()), 0x0ff1f823d294d0adull);
+    EXPECT_EQ(blob.size(), 689u);
+    EXPECT_EQ(fnv1a_bytes(blob.data(), blob.size()), 0xaec8f985f814271full);
 }
 
 TEST(ResultCodec, PaddingBytesNeverReachABlob)
@@ -374,25 +368,37 @@ tricky_doubles()
 
 TEST(ResultCodec, DoublesRoundTripBitExactly)
 {
+    // The metric samples hold a blob's only doubles: four each.
     std::vector<double> values = tricky_doubles();
     SimResult r;
-    for (size_t i = 0; i + 1 < values.size(); i += 2)
-        r.clustering.add(values[i], values[i + 1]);
+    for (size_t i = 0; i + 3 < values.size(); i += 4) {
+        r.metrics.push_back({"m", obs::MetricKind::Distribution,
+                             values[i], i, values[i + 1], values[i + 2],
+                             values[i + 3]});
+    }
     std::string blob = exec::result_blob(r);
 
     // Bit-exact decode, -0.0 and subnormals included.
     SimResult back;
     ASSERT_TRUE(exec::read_result_blob(blob, back));
-    const auto &got = back.clustering.points;
-    ASSERT_EQ(got.size(), r.clustering.points.size());
-    EXPECT_EQ(std::memcmp(got.data(), r.clustering.points.data(),
+    auto doubles_of = [](const SimResult &s) {
+        std::vector<double> d;
+        for (const obs::MetricSample &m : s.metrics)
+            d.insert(d.end(), {m.value, m.mean, m.min, m.max});
+        return d;
+    };
+    const std::vector<double> want = doubles_of(r);
+    const std::vector<double> got = doubles_of(back);
+    ASSERT_EQ(want.size(), values.size());
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
                           got.size() * sizeof(got[0])),
               0);
 }
 
 TEST(ResultCodec, HostileBytesDecodeOnlyToCanonicalBlobs)
 {
-    // A real blob: 206 faults and the full metric snapshot, ~16 KB.
+    // A real blob: 206 faults and the full metric snapshot, ~13 KB.
     // Every prefix costs a decode, so the test grows with its square.
     Experiment ex;
     ex.app = "ld";
@@ -457,8 +463,6 @@ TEST(ResultCodec, HostileBytesDecodeOnlyToCanonicalBlobs)
         real.app.size(),
         real.policy.size(),
         real.faults.size(),
-        real.clustering.name.size(),
-        real.clustering.points.size(),
         real.next_subpage_distance.bins().size(),
         real.metrics.size()};
     for (const obs::MetricSample &m : real.metrics)

@@ -266,10 +266,11 @@ mc_config(const std::string &policy, uint32_t subpage = 1024)
 /**
  * FNV-1a 64 of the lossless result blob, which covers every field
  * including per-fault records and the metric snapshot. The pinned
- * values are result schema 3's: exact LRU, and the kernel gauges
- * (sim.clients, sim.kernel_events, gms.server_*_util_max) at every
- * client count. A change to any of them changes simulated results
- * and must bump exec::kResultBlobSchema.
+ * values are result schema 4's: schema 3's results (exact LRU, and
+ * the kernel gauges at every client count) without the stored fault
+ * curve, which SimResult::fault_curve() now reads from the fault
+ * records. A change to any field changes simulated results and must
+ * bump exec::kResultBlobSchema.
  */
 uint64_t
 blob_digest(const SimResult &r)
@@ -362,12 +363,12 @@ TEST(MultiClientMetrics, ColdBoundedCacheUnderFaultsAtNFour)
 TEST(MultiClientIdentity, ByteIdenticalAtNOneAcrossPolicies)
 {
     const std::pair<const char *, uint64_t> pinned[] = {
-        {"fullpage", 0x1ece3373774da084ull},
-        {"eager", 0x09093424d289bde7ull},
-        {"pipelining", 0xa242d2b4a30251a2ull},
-        {"pipelining-all", 0x7528d43a30d91837ull},
-        {"lazy", 0x068f865a3fa13b54ull},
-        {"disk", 0x7299c58bd2d8d7ffull},
+        {"fullpage", 0x402cf3cc2754e2eeull},
+        {"eager", 0xa0c8f6612a10ece7ull},
+        {"pipelining", 0xc96f3b4dc81716d0ull},
+        {"pipelining-all", 0xd96b6ef0d24f1069ull},
+        {"lazy", 0xef8fea02db51ce3aull},
+        {"disk", 0x270338bc8ae39475ull},
     };
     for (const auto &[policy, digest] : pinned) {
         SCOPED_TRACE(policy);
@@ -381,11 +382,11 @@ TEST(MultiClientIdentity, ByteIdenticalWithTlbAndSoftwarePal)
     cfg.tlb_enabled = true;
     cfg.tlb_entries = 16;
     cfg.tlb_assoc = 4;
-    EXPECT_EQ(blob_digest(run_multi(cfg, 1)), 0x4022b52500b121feull);
+    EXPECT_EQ(blob_digest(run_multi(cfg, 1)), 0xaef27bb080d3052aull);
 
     SimConfig pal = mc_config("pipelining");
     pal.protection = ProtectionMode::SoftwarePal;
-    EXPECT_EQ(blob_digest(run_multi(pal, 1)), 0x4c8e32f63ea095a8ull);
+    EXPECT_EQ(blob_digest(run_multi(pal, 1)), 0x562dbaa776bcbaeaull);
 }
 
 /**
@@ -429,9 +430,9 @@ TEST(MultiClientIdentity, ByteIdenticalUnderFaultInjection)
         size_t spans;
         uint64_t span_digest;
     } pinned[] = {
-        {"eager", 0xc8808d005d9aa642ull, 2456, 0x381319a1b05ab8fdull},
-        {"pipelining", 0xe3ac21cc8e8806cdull, 2949, 0xf4d9cc546d68f0f0ull},
-        {"fullpage", 0x2a3075b361648821ull, 1631, 0x9f510d07f4692fbbull},
+        {"eager", 0x3cb5306f5ec554f6ull, 2456, 0x381319a1b05ab8fdull},
+        {"pipelining", 0x39476433a2c83367ull, 2949, 0xf4d9cc546d68f0f0ull},
+        {"fullpage", 0x9a58bb92ee87266full, 1631, 0x9f510d07f4692fbbull},
     };
     for (const auto &pin : pinned) {
         SCOPED_TRACE(pin.policy);
@@ -456,12 +457,12 @@ TEST(MultiClientIdentity, ExperimentRouteIsByteIdenticalAtNOne)
     ex.policy = "eager";
     ex.subpage_size = 1024;
     ex.mem = MemConfig::Half;
-    EXPECT_EQ(blob_digest(ex.run()), 0x10102d8b3fd77157ull);
+    EXPECT_EQ(blob_digest(ex.run()), 0x6dda57a16c597330ull);
 
     auto trace = ex.trace();
     SimResult direct = Simulator(ex.config()).run(*trace);
     direct.app = ex.app;
-    EXPECT_EQ(blob_digest(direct), 0x10102d8b3fd77157ull);
+    EXPECT_EQ(blob_digest(direct), 0x6dda57a16c597330ull);
 }
 
 // ---------------------------------------------------------------
@@ -577,10 +578,10 @@ TEST(ReferenceLoop, HitRunBoundKeepsItsBytes)
         uint32_t clients;
         uint64_t digest;
     } cases[] = {
-        {0, 1, 0x102e24505da65c97ull},
-        {0, 4, 0x7159490c698b362dull},
-        {ticks::from_ns(1), 1, 0x1f6b7ef554c9c8aaull},
-        {ticks::from_ns(1), 4, 0xbcfebe307456b095ull},
+        {0, 1, 0xf4cadb6845cf349dull},
+        {0, 4, 0xffd4cc28c1262ea4ull},
+        {ticks::from_ns(1), 1, 0x3e27a1433882f658ull},
+        {ticks::from_ns(1), 4, 0x13a82d2d53cbbc54ull},
     };
     for (const auto &tc : cases) {
         SCOPED_TRACE(testing::Message() << "step " << tc.step << " ps, "
@@ -764,7 +765,7 @@ TEST(MultiClientFaults, ServerOutageWhileManyClientsInFlight)
     // Same seed reproduces the same interleaving, bit for bit.
     SimResult again = run_multi(cfg, 8);
     EXPECT_EQ(result_blob(again), result_blob(r));
-    EXPECT_EQ(blob_digest(r), 0xca8c0c80de16b15aull);
+    EXPECT_EQ(blob_digest(r), 0x573e308631630a91ull);
 }
 
 TEST(MultiClientFaults, LossAndDuplicatesCompleteAtN16)
@@ -778,7 +779,7 @@ TEST(MultiClientFaults, LossAndDuplicatesCompleteAtN16)
     EXPECT_EQ(r.refs, 16 * one.refs);
     EXPECT_GT(r.net_stats.dropped, 0u);
     EXPECT_GT(r.retries, 0u);
-    EXPECT_EQ(blob_digest(r), 0xeafe8a69fe7c9c76ull);
+    EXPECT_EQ(blob_digest(r), 0xd79fae55cb128d02ull);
 }
 
 TEST(MultiClientFaults, LateRequestsOfSupersededAttemptsAtN32)
@@ -789,8 +790,8 @@ TEST(MultiClientFaults, LateRequestsOfSupersededAttemptsAtN32)
     // their fetch already finished. Only contention gets there, so
     // these bytes pin paths that no N=1 run takes.
     const std::pair<const char *, uint64_t> pinned[] = {
-        {"eager", 0x9e0ce80ad5e06826ull},
-        {"pipelining", 0xe833c5b3519d71d0ull},
+        {"eager", 0x6b88c3fe9f1db616ull},
+        {"pipelining", 0xbbc304bc5b42e6eaull},
     };
     for (const auto &[policy, digest] : pinned) {
         SCOPED_TRACE(policy);
