@@ -25,7 +25,7 @@ int
 main(int argc, char **argv)
 {
     Options opts(argc, argv);
-    double scale = opts.get_double("scale", scale_from_env(1.0));
+    double scale = opts.get_scale("scale", scale_from_env(1.0));
     std::string out_path =
         opts.get("out", "results/BENCH_adaptive.json");
 

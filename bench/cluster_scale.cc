@@ -104,7 +104,7 @@ int
 main(int argc, char **argv)
 {
     Options opts(argc, argv);
-    double scale = opts.get_double("scale", scale_from_env(0.05));
+    double scale = opts.get_scale("scale", scale_from_env(0.05));
     uint32_t max_clients = static_cast<uint32_t>(
         opts.get_double("max-clients", 1024));
     std::string out_path =

@@ -71,7 +71,7 @@ main(int argc, char **argv)
     Options opts(argc, argv);
     // Default scale keeps the 28-point grid CI-sized; SGMS_SCALE or
     // --scale raise it for steadier numbers on a quiet box.
-    double scale = opts.get_double("scale", scale_from_env(0.1));
+    double scale = opts.get_scale("scale", scale_from_env(0.1));
     unsigned jobs = static_cast<unsigned>(opts.get_u64(
         "jobs", env_u64("SGMS_JOBS", 0)));
     if (jobs == 0)

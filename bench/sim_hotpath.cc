@@ -222,7 +222,7 @@ main(int argc, char **argv)
     Options opts(argc, argv);
     // Default scale matches the committed baseline measurement; keep
     // them in sync or the speedup field compares unlike quantities.
-    double scale = opts.get_double("scale", scale_from_env(0.05));
+    double scale = opts.get_scale("scale", scale_from_env(0.05));
     std::string out_path =
         opts.get("out", "results/BENCH_sim_hotpath.json");
 

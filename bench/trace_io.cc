@@ -98,7 +98,7 @@ main(int argc, char **argv)
     // modula3 is ~87M refs at scale 1.0; 0.15 keeps the startup
     // measurement above the 10M-reference floor while the bench
     // still finishes in seconds.
-    double scale = opts.get_double("scale", scale_from_env(0.15));
+    double scale = opts.get_scale("scale", scale_from_env(0.15));
     uint64_t seed = opts.get_u64("seed", 1);
     std::string dir =
         opts.get("dir", env_string("SGMS_TRACE_DIR", ".sgms-traces"));

@@ -101,12 +101,15 @@ main(int argc, char **argv)
         spec.mems.push_back(parse_mem_config(m, "option --mems"));
     spec.clients.clear();
     for (const auto &c : split_csv(opts.get("clients", "1"))) {
-        spec.clients.push_back(fit_u32(parse_u64(c, "option --clients"),
-                                       "option --clients"));
+        uint32_t n = fit_u32(parse_u64(c, "option --clients"),
+                             "option --clients");
+        if (n == 0)
+            fatal("option --clients: a client count must be at least 1");
+        spec.clients.push_back(n);
     }
     if (opts.has("metrics-per-client"))
         spec.base.metrics_per_client = true;
-    spec.scale = opts.get_double("scale", scale_from_env(1.0));
+    spec.scale = opts.get_scale("scale", scale_from_env(1.0));
     if (opts.has("trace-dir"))
         trace_store_set_dir(opts.get("trace-dir"));
     spec.trace_bin = opts.get("trace-bin", "");

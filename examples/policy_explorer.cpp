@@ -52,7 +52,7 @@ main(int argc, char **argv)
         pos.size() > 2 ? parse_size32(pos[2], "subpage") : 1024;
     ex.mem = pos.size() > 3 ? parse_mem_config(pos[3], "mem")
                             : MemConfig::Half;
-    ex.scale = pos.size() > 4 ? parse_double(pos[4], "scale")
+    ex.scale = pos.size() > 4 ? parse_scale(pos[4], "scale")
                               : scale_from_env(1.0);
     ex.seed = pos.size() > 5 ? parse_u64(pos[5], "seed") : 1;
     apply_config_overrides(ex.base, opts);

@@ -34,6 +34,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -98,7 +99,7 @@ int
 cmd_gen(const Options &opts)
 {
     const auto &pos = args(opts, 3, 5, "gen <app> <file> [scale] [seed]");
-    double scale = pos.size() > 3 ? parse_double(pos[3], "scale") : 0.02;
+    double scale = pos.size() > 3 ? parse_scale(pos[3], "scale") : 0.02;
     uint64_t seed = pos.size() > 4 ? parse_u64(pos[4], "seed") : 1;
     opts.reject_unused();
     auto trace = make_app_trace(pos[1], scale, seed);
@@ -113,7 +114,11 @@ cmd_convert(const Options &opts)
                            "convert <in> <out> [--app=NAME] [--scale=S] "
                            "[--seed=N]");
     std::string app = opts.get("app", pos[1]);
+    // Provenance only: 0 records an unknown scale.
     double scale = opts.get_double("scale", 0.0);
+    if (!std::isfinite(scale) || scale < 0)
+        fatal("option --scale: a provenance scale must be a finite "
+              "number at or above 0, got %g", scale);
     uint64_t seed = opts.get_u64("seed", 0);
     opts.reject_unused();
     auto in = open_trace(pos[1]);
@@ -128,7 +133,7 @@ cmd_bake(const Options &opts)
                            "bake <app> [--scale=S] [--seed=N] [--dir=DIR]");
     std::string dir = opts.get("dir", env_string("SGMS_TRACE_DIR",
                                                  ".sgms-traces"));
-    double scale = opts.get_double("scale", 1.0);
+    double scale = opts.get_scale("scale", 1.0);
     uint64_t seed = opts.get_u64("seed", 1);
     opts.reject_unused();
     std::string path = bake_app_trace(pos[1], scale, seed, dir);

@@ -17,7 +17,8 @@
 #                             any point runs), a hostile-value smoke
 #                             (export_grid must reject a value that
 #                             does not fit its flag, naming the
-#                             flag), a trace_tool smoke
+#                             flag; a zero client count, a NaN or
+#                             zero scale too), a trace_tool smoke
 #                             (convert and bake round trips,
 #                             payload-hash check), a positional-
 #                             argument smoke (policy_explorer and
@@ -26,13 +27,18 @@
 #                             not fit, naming it), a render_farm
 #                             smoke (examples/render_farm at scale
 #                             0.02 must exit 0 and print both of
-#                             its tables), a byte check
+#                             its tables, and fail naming SGMS_SCALE
+#                             at 0.02x), a byte check
 #                             of Figure 2 and Table 2 against
 #                             results/ (each builds its one fault
-#                             by hand and runs in milliseconds)
-#                             and of ablation_faults (the only
+#                             by hand and runs in milliseconds),
+#                             of ablation_faults (the only
 #                             committed output that runs the
-#                             reliability layer; 0.1 s),
+#                             reliability layer; 0.1 s) and of
+#                             fig6_clustering and
+#                             fig10_clustering_apps (the only
+#                             outputs that read the fault curve;
+#                             about 3 s each),
 #                             then a -Wall
 #                             -Wextra -Werror
 #                             rebuild in a separate tree
@@ -65,8 +71,8 @@
 #                             ablation_replacement (the only
 #                             committed output with Clock rows) and
 #                             of ablation_adaptive (text and JSON)
-#   scripts/check.sh --quick  tier 1, the smokes and the Figure 2 /
-#                             Table 2 byte check only
+#   scripts/check.sh --quick  tier 1, the smokes and the byte
+#                             checks above only
 #   scripts/check.sh --paper  also (after either mode) the paper
 #                             reproduction byte check,
 #                             scripts/paper.sh: every figure, table
@@ -175,9 +181,10 @@ echo "== smoke: export_grid rejects a value that does not fit its flag =="
 # A NaN step, a page size past 32 bits (or past 64 bits once scaled by
 # its suffix, or negative), a fault spec with an empty message kind
 # or a NaN outage time, a subpage size or client count past 32 bits,
-# an unknown memory word and a client count with trailing text each
-# once ran (wrapped, guessed, or wrote out of bounds) or aborted; each
-# must fail before any point runs, naming the flag.
+# an unknown memory word, a client count with trailing text or of
+# zero, and a NaN or zero scale each once ran (wrapped, guessed, ran
+# one client, ran a degenerate grid, or wrote out of bounds) or
+# aborted; each must fail before any point runs, naming the flag.
 rejects_value() { # rejects_value FLAG CMD...: CMD FLAG must fail on FLAG
     local flag=$1 err
     shift
@@ -191,7 +198,8 @@ rejects_value() { # rejects_value FLAG CMD...: CMD FLAG must fail on FLAG
 for flag in --ns-per-ref=nan --page=4294975488 \
     --page=18014398509481985K --page=-8K --faults=loss-=0.5 \
     --faults=down=0:nan --subpages=4294968320 --mems=bogus \
-    --clients=4294967297 --clients=2x --clients=abc; do
+    --clients=4294967297 --clients=2x --clients=abc --clients=0 \
+    --scale=nan --scale=0; do
     rejects_value "$flag" ./build/examples/export_grid --scale=0.01
 done
 echo "   hostile values rejected by export_grid, each naming its flag"
@@ -231,8 +239,9 @@ echo "   round trips and bake byte-identical, bake reused, corruption caught"
 
 echo "== smoke: positional arguments that do not fit are rejected =="
 # policy_explorer and trace_tool once ran a subpage size past 32 bits
-# wrapped, an unknown memory word as half memory, and a scale or seed
-# with trailing text as its leading digits; each run must fail and
+# wrapped, an unknown memory word as half memory, a scale or seed
+# with trailing text as its leading digits, and a NaN scale until the
+# workload model failed without naming it; each run must fail and
 # name the argument and its value.
 rejects_arg() { # rejects_arg NAME VALUE CMD...: CMD must fail on VALUE
     local name=$1 value=$2 err
@@ -248,23 +257,27 @@ explorer=./build/examples/policy_explorer
 rejects_arg subpage 4294968320 "$explorer" gdb eager 4294968320
 rejects_arg mem bogus "$explorer" gdb eager 1024 bogus
 rejects_arg scale abc "$explorer" gdb eager 1024 half abc
+rejects_arg scale nan "$explorer" gdb eager 1024 half nan
 rejects_arg seed 7x "$explorer" gdb eager 1024 half 0.01 7x
 rejects_arg subpage 4294968320 "$tool" sim "$tdir/a.sgmb" eager 4294968320
 echo "   hostile positional values rejected by policy_explorer and" \
     "trace_tool, each naming its argument"
 
-echo "== results: fig2_timeline, table2_fault_latency and ablation_faults are byte-identical =="
+echo "== results: fig2_timeline, table2_fault_latency, ablation_faults, fig6_clustering and fig10_clustering_apps are byte-identical =="
 # Figure 2 is drawn from the Net spans of its hand-built fault, and
 # Table 2 times the same fault: both pin the staged network tick for
 # tick. ablation_faults is the only committed output that runs the
 # reliability layer (loss, outages, retries, degraded disk reads);
-# its tables are the paper-scale ones.
-for bench in fig2_timeline table2_fault_latency ablation_faults; do
+# its tables are the paper-scale ones. Figures 6 and 10 are the only
+# outputs that read the fault curve (SimResult::fault_curve).
+for bench in fig2_timeline table2_fault_latency ablation_faults \
+    fig6_clustering fig10_clustering_apps; do
     SGMS_SCALE=1.0 "./build/bench/$bench" >"$tmp_grid/$bench.txt"
     cmp "$tmp_grid/$bench.txt" "results/$bench.txt"
 done
-echo "   fig2_timeline, table2_fault_latency and ablation_faults match" \
-    "results/ byte for byte"
+echo "   fig2_timeline, table2_fault_latency, ablation_faults," \
+    "fig6_clustering and fig10_clustering_apps match results/ byte" \
+    "for byte"
 
 echo "== smoke: examples/render_farm prints both tables =="
 SGMS_SCALE=0.02 ./build/examples/render_farm >"$tmp_grid/render_farm.txt"
@@ -277,6 +290,14 @@ grep -q "^| 1/4-mem " "$tmp_grid/render_farm.txt" &&
     grep -q "^| sp_256 " "$tmp_grid/render_farm.txt" ||
     { echo "render_farm tables are missing rows"; exit 1; }
 echo "   render_farm ran at scale 0.02 and printed both tables"
+# SGMS_SCALE was once read with strtod, so 0.02x ran at 0.02.
+if err=$(SGMS_SCALE=0.02x ./build/examples/render_farm 2>&1 >/dev/null); then
+    echo "render_farm accepted SGMS_SCALE=0.02x"
+    exit 1
+fi
+grep -qF SGMS_SCALE <<<"$err" ||
+    { echo "render_farm failed on SGMS_SCALE=0.02x without naming it: $err"; exit 1; }
+echo "   render_farm rejected SGMS_SCALE=0.02x, naming it"
 
 echo "== smoke: trace export =="
 ./build/examples/quickstart --trace-out="$tmp_trace" >/dev/null

@@ -1,6 +1,7 @@
 #include "common/options.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/logging.h"
@@ -50,6 +51,16 @@ parse_double(const std::string &text, const std::string &what)
     double v = 0;
     if (!parse_number(text, v))
         fatal("%s: bad number '%s'", what.c_str(), text.c_str());
+    return v;
+}
+
+double
+parse_scale(const std::string &text, const std::string &what)
+{
+    double v = parse_double(text, what);
+    if (!std::isfinite(v) || v <= 0)
+        fatal("%s: bad scale '%s' (a finite number above 0)",
+              what.c_str(), text.c_str());
     return v;
 }
 
@@ -131,6 +142,16 @@ Options::get_double(const std::string &name, double fallback) const
         return fallback;
     read_[name] = true;
     return parse_double(it->second, "option --" + name);
+}
+
+double
+Options::get_scale(const std::string &name, double fallback) const
+{
+    auto it = values_.find(name);
+    if (it == values_.end())
+        return fallback;
+    read_[name] = true;
+    return parse_scale(it->second, "option --" + name);
 }
 
 uint64_t

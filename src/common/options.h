@@ -46,6 +46,9 @@ class Options
      */
     double get_double(const std::string &name, double fallback) const;
 
+    /** As get_double, for a trace scale (parse_scale). */
+    double get_scale(const std::string &name, double fallback) const;
+
     /** As get_double, for a decimal integer; a '-' sign is fatal(). */
     uint64_t get_u64(const std::string &name, uint64_t fallback) const;
 
@@ -89,6 +92,12 @@ bool parse_number(const std::string &text, double &out);
  */
 uint64_t parse_u64(const std::string &text, const std::string &what);
 double parse_double(const std::string &text, const std::string &what);
+
+/**
+ * A trace scale: parse_double, then a finite value above 0 (nan,
+ * inf and values at or below 0 are fatal(), naming @p what).
+ */
+double parse_scale(const std::string &text, const std::string &what);
 uint32_t parse_size32(const std::string &text, const std::string &what);
 
 /** @p v, the value of @p what, as 32 bits; fatal() if it does not fit. */

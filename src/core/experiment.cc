@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/once_map.h"
+#include "common/options.h"
 #include "common/units.h"
 #include "sim/kernel.h"
 #include "trace/binfmt.h"
@@ -192,11 +193,7 @@ scale_from_env(double fallback)
     const char *env = std::getenv("SGMS_SCALE");
     if (!env || !*env)
         return fallback;
-    char *end = nullptr;
-    double v = std::strtod(env, &end);
-    if (end == env || v <= 0)
-        fatal("bad SGMS_SCALE value '%s'", env);
-    return v;
+    return parse_scale(env, "SGMS_SCALE");
 }
 
 } // namespace sgms

@@ -109,6 +109,46 @@ TEST(OptionsDeathTest, MalformedNumbersAreFatal)
     EXPECT_EQ(parse_mem_config("quarter", "mem"), MemConfig::Quarter);
 }
 
+TEST(OptionsDeathTest, ScalesMustBeFiniteAndAboveZero)
+{
+    // Each of these once ran: SGMS_SCALE=0.02x at 0.02 (strtod), the
+    // rest until the workload model failed on a malformed phase
+    // region, naming neither the input nor its value, or (a zero
+    // --scale) as a degenerate grid.
+    for (const char *bad : {"nan", "inf", "-inf", "0", "-0", "-1"}) {
+        EXPECT_DEATH(parse_scale(bad, "scale"),
+                     std::string("scale: bad scale '") + bad + "'");
+    }
+    EXPECT_DEATH(parse_scale("1e400", "scale"), "scale: bad number");
+    EXPECT_DEATH(parse({"--scale=nan"}).get_scale("scale", 1),
+                 "option --scale: bad scale 'nan'");
+    EXPECT_DEATH(parse({"--scale=0"}).get_scale("scale", 1),
+                 "option --scale: bad scale '0'");
+    EXPECT_DEATH(parse({"--scale=inf"}).get_scale("scale", 1),
+                 "option --scale: bad scale 'inf'");
+    EXPECT_DEATH(parse({"--scale=-1"}).get_scale("scale", 1),
+                 "option --scale: bad scale '-1'");
+    for (const char *bad : {"0.02x", "1e400"}) {
+        EXPECT_DEATH(
+            {
+                ::setenv("SGMS_SCALE", bad, 1);
+                scale_from_env(1.0);
+            },
+            "SGMS_SCALE: bad number");
+    }
+    for (const char *bad : {"nan", "inf", "0"}) {
+        EXPECT_DEATH(
+            {
+                ::setenv("SGMS_SCALE", bad, 1);
+                scale_from_env(1.0);
+            },
+            "SGMS_SCALE: bad scale");
+    }
+    EXPECT_EQ(parse_scale("0.02", "scale"), 0.02);
+    EXPECT_EQ(parse({"--scale=1e-3"}).get_scale("scale", 1), 1e-3);
+    EXPECT_EQ(parse({}).get_scale("scale", 0.5), 0.5);
+}
+
 TEST(Options, UnusedDetection)
 {
     Options o = parse({"--used=1", "--typo=1"});
