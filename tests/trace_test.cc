@@ -12,6 +12,7 @@
 
 #include "temp_dir.h"
 #include "trace/apps.h"
+#include "trace/binfmt.h"
 #include "trace/synthetic.h"
 #include "trace/trace.h"
 #include "trace/trace_file.h"
@@ -273,6 +274,131 @@ TEST(Synthetic, SkipsZeroRefPhases)
     w.phases.push_back(empty);
     SyntheticTrace t(w, 1);
     EXPECT_EQ(drain(t).size(), 5u);
+}
+
+/**
+ * FNV-1a 64 over a trace's packed words in native byte order, the
+ * hash SGMB keeps of its payload.
+ */
+uint64_t
+words_digest(TraceSource &src)
+{
+    uint64_t h = 14695981039346656037ull; // FNV-1a offset basis
+    uint64_t scratch[256];
+    const uint64_t *words;
+    size_t n;
+    src.reset();
+    while ((n = src.next_words(words, scratch, 256)) > 0)
+        h = fnv1a_bytes(words, n * sizeof(uint64_t), h);
+    src.reset();
+    return h;
+}
+
+/**
+ * Every app model's trace, byte for byte: a generator change that
+ * keeps the model must keep these words, and with them every output.
+ */
+TEST(Synthetic, AppTraceWordsArePinned)
+{
+    struct Pin
+    {
+        const char *app;
+        uint64_t seed;
+        uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"modula3", 1, 0x44a42da6ed177e2cull},
+        {"modula3", 7, 0x4e1b845a393269c7ull},
+        {"ld", 1, 0x3a7f822e2c4f54e2ull},
+        {"ld", 7, 0xf7bf1bc9d2375108ull},
+        {"atom", 1, 0x7dc96de34f170525ull},
+        {"atom", 7, 0x556fd02a10e294fbull},
+        {"render", 1, 0xfe6f47b53ca0cc7full},
+        {"render", 7, 0xc1843080eab4d699ull},
+        {"gdb", 1, 0x4c9d55e1650962b0ull},
+        {"gdb", 7, 0x8fc05dd72819ffcbull},
+    };
+    for (const Pin &pin : pins) {
+        auto trace = make_app_trace(pin.app, 0.01, pin.seed);
+        EXPECT_EQ(words_digest(*trace), pin.digest)
+            << pin.app << " seed " << pin.seed;
+    }
+}
+
+/**
+ * Hand-built specs for the generator branches the app models may not
+ * reach at a test scale: a Compute phase over an empty region with
+ * no hot pages (the untabled Zipf draw), a tabled Compute phase with
+ * a hot region, and jittered SweepScans whose pass offset wraps the
+ * page, at two page sizes.
+ */
+TEST(Synthetic, GeneratorBranchWordsArePinned)
+{
+    WorkloadSpec untabled;
+    untabled.name = "untabled";
+    untabled.hot_pages = 0;
+    {
+        PhaseSpec ph;
+        ph.kind = PhaseSpec::Kind::Compute;
+        ph.page_lo = 5;
+        ph.page_hi = 5;
+        ph.refs = 4000;
+        untabled.phases.push_back(ph);
+    }
+
+    WorkloadSpec tabled;
+    tabled.name = "tabled";
+    tabled.hot_pages = 6;
+    {
+        PhaseSpec ph;
+        ph.kind = PhaseSpec::Kind::Compute;
+        ph.page_lo = 10;
+        ph.page_hi = 1000;
+        ph.refs = 8000;
+        ph.hot_frac = 0.4;
+        ph.zipf_skew = 0.7;
+        tabled.phases.push_back(ph);
+    }
+
+    auto sweep = [](uint32_t page_size) {
+        WorkloadSpec w;
+        w.name = "sweep";
+        w.page_size = page_size;
+        w.hot_pages = 3;
+        for (uint32_t pass = 0; pass < 6; ++pass) {
+            PhaseSpec ph;
+            ph.kind = PhaseSpec::Kind::SweepScan;
+            ph.page_lo = 8;
+            ph.page_hi = 200;
+            ph.refs = 1500;
+            ph.hot_frac = 0.2;
+            ph.sweep_pass = pass;
+            ph.sweep_step = page_size / 4;
+            ph.sweep_jitter = 64;
+            ph.sweep_touches = 2;
+            ph.sweep_record_bytes = 100;
+            w.phases.push_back(ph);
+        }
+        return w;
+    };
+
+    struct Pin
+    {
+        WorkloadSpec spec;
+        uint64_t seed;
+        uint64_t digest;
+    };
+    const Pin pins[] = {
+        {untabled, 3, 0xbf625a2843cd2207ull},
+        {tabled, 3, 0xc509d83e4c8be2fcull},
+        {sweep(8192), 3, 0x63e2569ed13aa84full},
+        {sweep(2048), 3, 0xef26de5975cbe072ull},
+    };
+    for (const Pin &pin : pins) {
+        SyntheticTrace trace(pin.spec, pin.seed);
+        EXPECT_EQ(words_digest(trace), pin.digest)
+            << pin.spec.name << " page " << pin.spec.page_size;
+    }
 }
 
 TEST(WorkloadSpec, TotalsAndSpan)
