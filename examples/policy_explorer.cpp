@@ -67,7 +67,7 @@ main(int argc, char **argv)
                 ex.app.c_str(), ex.policy.c_str(), ex.label().c_str(),
                 mem_config_name(ex.mem), ex.scale,
                 static_cast<unsigned long long>(app_footprint_pages(
-                    ex.app, ex.scale, ex.base.page_size)));
+                    ex.app, ex.scale, ex.base.page_size, ex.seed)));
 
     SimResult r = ex.run(obs);
 

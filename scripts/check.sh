@@ -9,7 +9,11 @@
 #                             smoke, a result-cache smoke (a cold
 #                             and a warm export_grid --cache-dir run,
 #                             the warm one served from the cache,
-#                             both byte-identical), an unknown-option
+#                             both byte-identical), a seed-7 bake
+#                             smoke (policy_explorer at seed 7 with
+#                             a fresh SGMS_TRACE_DIR bakes seed 7's
+#                             trace alone and prints the bytes of
+#                             the run without it), an unknown-option
 #                             smoke
 #                             (export_grid must reject each retired
 #                             flag, and quickstart, policy_explorer
@@ -134,6 +138,24 @@ cmp "$tmp_grid/serial.json" "$tmp_grid/mapped.json"
 cmp "$tmp_grid/serial.csv" "$tmp_grid/mapped.csv"
 baked=$(ls "$tmp_grid/traces"/*.sgmb | wc -l)
 echo "   mapped replay matches heap byte for byte ($baked baked files)"
+
+echo "== smoke: a seed-7 point bakes only its own trace =="
+# Memory is sized on seed 1's footprint at every seed. A point at
+# another seed counts those pages on a streamed pass, so a fresh trace
+# directory gains one bake, seed 7's, and the output matches the run
+# without the directory.
+./build/examples/policy_explorer gdb eager 1024 half 0.05 7 \
+    >"$tmp_grid/seed7.txt"
+SGMS_TRACE_DIR="$tmp_grid/seed7-traces" \
+    ./build/examples/policy_explorer gdb eager 1024 half 0.05 7 \
+    >"$tmp_grid/seed7-mapped.txt"
+cmp "$tmp_grid/seed7.txt" "$tmp_grid/seed7-mapped.txt"
+bakes=("$tmp_grid/seed7-traces"/*.sgmb)
+[[ ${#bakes[@]} -eq 1 ]] ||
+    { echo "a seed-7 point baked ${#bakes[@]} trace files, not 1"; exit 1; }
+./build/examples/trace_tool info "${bakes[0]}" | grep -qE '^seed: +7$' ||
+    { echo "the one bake of a seed-7 point is not seed 7's"; exit 1; }
+echo "   one bake (seed 7's); output matches the run without a trace dir"
 
 echo "== smoke: result cache serves every point =="
 # A cold run fills a fresh cache directory and a warm run reads every

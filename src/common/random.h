@@ -145,6 +145,21 @@ class ZipfTable
         return table_[idx];
     }
 
+    /**
+     * A copy whose every cell holds @p f of its rank: sample() then
+     * returns f(rank) for the same draw, at the cost of one table
+     * read, so a per-draw function of the rank is paid once per cell.
+     */
+    template <typename F>
+    ZipfTable
+    mapped(F f) const
+    {
+        ZipfTable out = *this;
+        for (uint64_t &cell : out.table_)
+            cell = f(cell);
+        return out;
+    }
+
     uint64_t n() const { return n_; }
     double skew() const { return skew_; }
     bool valid() const { return !table_.empty(); }

@@ -58,19 +58,24 @@ mem_pages_for(MemConfig mem, uint64_t footprint_pages)
 
 uint64_t
 app_footprint_pages(const std::string &app, double scale,
-                    uint32_t page_size)
+                    uint32_t page_size, uint64_t replay_seed)
 {
     // Exec-engine workers hit this concurrently: the first caller of
     // a key measures it while later callers of that key wait for the
     // memo instead of streaming the same trace again, and keys of
-    // other apps measure side by side.
+    // other apps measure side by side. The seed is not in the key:
+    // every seed's memory is sized on seed 1's footprint.
     static OnceMap<std::tuple<std::string, double, uint32_t>, uint64_t>
         memo;
     return memo.get(std::make_tuple(app, scale, page_size), [&] {
-        // Route through the trace store: the default-seed trace this
-        // measures is the one run() replays, so the materialization
-        // is paid once for both.
-        auto trace = make_stored_app_trace(app, scale);
+        // A caller about to replay seed 1 counts on the trace store's
+        // copy, which its run then replays, so the trace is made once
+        // for both. Any other caller would keep that copy only to
+        // count it, so it counts one streamed generation pass and
+        // stores or bakes nothing.
+        std::unique_ptr<TraceSource> trace =
+            replay_seed == 1 ? make_stored_app_trace(app, scale, 1)
+                             : make_app_trace(app, scale, 1);
         return measure_footprint_pages(*trace, page_size);
     });
 }
@@ -115,9 +120,10 @@ Experiment::config() const
         cfg.subpage_size = cfg.page_size;
     else
         cfg.subpage_size = subpage_size;
-    uint64_t fp = trace_bin.empty()
-                      ? app_footprint_pages(app, scale, cfg.page_size)
-                      : file_footprint_pages(trace_bin, cfg.page_size);
+    uint64_t fp =
+        trace_bin.empty()
+            ? app_footprint_pages(app, scale, cfg.page_size, seed)
+            : file_footprint_pages(trace_bin, cfg.page_size);
     cfg.mem_pages = mem_pages_for(mem, fp);
     cfg.footprint_pages_hint = fp;
     if (clients > 1)

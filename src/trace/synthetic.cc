@@ -7,6 +7,32 @@
 namespace sgms
 {
 
+namespace
+{
+
+/**
+ * Scatter a Zipf rank over [0, @p n) with Knuth's multiplicative
+ * hash, so popularity is not correlated with position.
+ */
+uint64_t
+scatter(uint64_t rank, uint64_t n)
+{
+    return (rank * 2654435761ULL) % n;
+}
+
+/**
+ * A Zipf table over [0, @p n) whose cells hold scattered ranks: one
+ * table read per draw, and no division.
+ */
+ZipfTable
+scattered_zipf(uint64_t n, double skew)
+{
+    return ZipfTable(n, skew).mapped(
+        [n](uint64_t rank) { return scatter(rank, n); });
+}
+
+} // namespace
+
 uint64_t
 WorkloadSpec::total_refs() const
 {
@@ -43,9 +69,8 @@ SyntheticTrace::SyntheticTrace(WorkloadSpec spec, uint64_t seed)
     }
 
     if (spec_.hot_pages > 0) {
-        hot_table_ = ZipfTable(
-            std::max<uint64_t>(spec_.hot_pages, 1) *
-                (spec_.page_size / 64),
+        hot_table_ = scattered_zipf(
+            spec_.hot_pages * (spec_.page_size / 64),
             spec_.hot_zipf_skew);
     }
     phase_tables_.resize(spec_.phases.size());
@@ -54,7 +79,7 @@ SyntheticTrace::SyntheticTrace(WorkloadSpec spec, uint64_t seed)
         if (ph.kind == PhaseSpec::Kind::Compute &&
             ph.page_hi > ph.page_lo) {
             phase_tables_[i] =
-                ZipfTable(ph.page_hi - ph.page_lo, ph.zipf_skew);
+                scattered_zipf(ph.page_hi - ph.page_lo, ph.zipf_skew);
         }
     }
 
@@ -100,10 +125,13 @@ SyntheticTrace::pattern_addr(const PhaseSpec &ph)
             touches + (ph.sweep_record_bytes ? 1 : 0);
         Addr a;
         if (sparse_touch_ < touches) {
+            // The page size is a power of two (checked at
+            // construction), so the mask is the modulus.
             uint64_t offset =
-                (static_cast<uint64_t>(ph.sweep_pass) * touches +
-                 sparse_touch_) *
-                ph.sweep_step % psize;
+                ((static_cast<uint64_t>(ph.sweep_pass) * touches +
+                  sparse_touch_) *
+                 ph.sweep_step) &
+                (psize - 1);
             if (ph.sweep_jitter)
                 offset += rng_.below(ph.sweep_jitter);
             if (offset >= psize)
@@ -135,14 +163,10 @@ SyntheticTrace::pattern_addr(const PhaseSpec &ph)
         return a;
       }
       case PhaseSpec::Kind::Compute: {
-        uint64_t span = ph.page_hi - ph.page_lo;
-        if (span == 0)
+        if (ph.page_hi == ph.page_lo)
             return hot_addr();
-        uint64_t rank = phase_tables_[phase_idx_].sample(rng_);
-        // Scatter ranks across the region so popularity is not
-        // correlated with position.
         uint64_t page =
-            ph.page_lo + (rank * 2654435761ULL) % span;
+            ph.page_lo + phase_tables_[phase_idx_].sample(rng_);
         return page * psize + rng_.below(psize);
       }
     }
@@ -152,14 +176,17 @@ SyntheticTrace::pattern_addr(const PhaseSpec &ph)
 Addr
 SyntheticTrace::hot_addr()
 {
-    uint64_t hot_pages = std::max<uint64_t>(spec_.hot_pages, 1);
-    uint64_t lines = hot_pages * (spec_.page_size / 64);
-    uint64_t rank = hot_table_.valid() ? hot_table_.sample(rng_)
-                                       : rng_.zipf(lines,
-                                                   spec_.hot_zipf_skew);
-    // Scatter popularity across the hot pages so every hot page
-    // stays recently used.
-    uint64_t line = (rank * 2654435761ULL) % lines;
+    // Popularity is scattered across the hot pages so every hot page
+    // stays recently used. Only a Compute phase over an empty region
+    // of a spec with no hot pages lacks the table; it draws over one
+    // page's lines.
+    uint64_t line;
+    if (hot_table_.valid()) {
+        line = hot_table_.sample(rng_);
+    } else {
+        uint64_t lines = spec_.page_size / 64;
+        line = scatter(rng_.zipf(lines, spec_.hot_zipf_skew), lines);
+    }
     return line * 64 + rng_.below(64);
 }
 

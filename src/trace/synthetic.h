@@ -170,7 +170,9 @@ class SyntheticTrace : public TraceSource
     Rng rng_;
 
     // Precomputed Zipf samplers (pow() per draw is too slow for
-    // hundred-million-reference traces).
+    // hundred-million-reference traces) whose cells hold the ranks
+    // already scattered over their region: hot lines, and each
+    // Compute phase's pages relative to its page_lo.
     ZipfTable hot_table_;
     std::vector<ZipfTable> phase_tables_; // indexed by phase
 

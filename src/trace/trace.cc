@@ -31,24 +31,30 @@ uint64_t
 measure_footprint_pages(TraceSource &trace, uint32_t page_size)
 {
     SGMS_ASSERT(is_pow2(page_size));
-    uint32_t shift = log2_exact(page_size);
+    // A packed word is (addr << 1) | write: its page is the word
+    // shifted past the flag bit and the page offset.
+    uint32_t shift = log2_exact(page_size) + 1;
 
     // Trace address spaces are dense from 0, so a growable bitmap
     // covers essentially every page in one bit; a hash set only
     // backstops pathological ids (e.g. hand-written text traces).
     // This runs once per (app, scale, page_size) to size the memory
     // configurations, over the full trace — per-reference hashing
-    // made it as expensive as a simulation pass.
+    // made it as expensive as a simulation pass. It reads packed
+    // words, so a stored or mapped trace hands out its own array
+    // with no copy.
     constexpr uint64_t BITMAP_LIMIT = 1ULL << 26; // 8 MiB of bits
     std::vector<uint64_t> bits;
     std::unordered_set<PageId> overflow;
 
-    TraceEvent batch[512];
+    constexpr size_t kWindow = 1024;
+    uint64_t scratch[kWindow];
+    const uint64_t *words;
     trace.reset();
     size_t n;
-    while ((n = trace.next_batch(batch, 512)) > 0) {
+    while ((n = trace.next_words(words, scratch, kWindow)) > 0) {
         for (size_t i = 0; i < n; ++i) {
-            PageId page = batch[i].addr >> shift;
+            PageId page = words[i] >> shift;
             if (page < BITMAP_LIMIT) {
                 size_t word = page >> 6;
                 if (word >= bits.size()) {

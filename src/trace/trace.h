@@ -284,6 +284,8 @@ class RotatedTrace : public TraceSource
  * Count the distinct pages a trace touches (its footprint), used to
  * size the full / half / quarter memory configurations exactly as the
  * paper does ("the program is given as much memory as it needs").
+ * Reads the trace through next_words(), so an address must leave the
+ * top bit free, as every packed word does. Leaves @p trace rewound.
  */
 uint64_t measure_footprint_pages(TraceSource &trace, uint32_t page_size);
 
